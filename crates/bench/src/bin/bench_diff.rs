@@ -30,11 +30,6 @@ fn main() -> std::process::ExitCode {
     run_main(run)
 }
 
-fn design_by_name(name: &str) -> Result<Design, String> {
-    sllt_design::design_by_name(name)
-        .ok_or_else(|| format!("unknown design {name:?}; see `table4` for the suite"))
-}
-
 /// A fresh-run summary in the same shape as one `BENCH_cts.json`
 /// designs entry (the fields the diff consumes).
 struct Fresh {
@@ -108,7 +103,7 @@ fn run() -> Result<(), String> {
     }
     let base = baseline_entry(&bench, &design_name)?;
 
-    let design = design_by_name(&design_name)?;
+    let design = sllt_design::design_by_name(&design_name)?;
     let mut fresh = fresh_run(&design)?;
     if let Some(name) = inject {
         *fresh.counters.entry(name.clone()).or_insert(0) += 1;

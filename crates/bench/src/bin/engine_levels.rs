@@ -24,8 +24,7 @@ fn run() -> Result<(), String> {
         .skip(1)
         .find(|a| !a.starts_with("--"))
         .unwrap_or_else(|| "s38584".to_string());
-    let design = sllt_design::design_by_name(&name)
-        .ok_or_else(|| format!("unknown design {name:?}; see `table4` for the suite"))?;
+    let design = sllt_design::design_by_name(&name)?;
     println!("{}: {} FFs", design.name, design.num_ffs());
 
     let cts = HierarchicalCts::default();

@@ -19,7 +19,6 @@
 use sllt_bench::arg_value;
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{CollectingObserver, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, StageFault};
-use sllt_design::DesignSpec;
 use sllt_obs::Value;
 
 const WORKERS: [usize; 3] = [1, 2, 4];
@@ -91,9 +90,7 @@ fn run() -> Result<(), String> {
     // Injected panics are expected here; keep the default hook from
     // spamming a backtrace per contained panic.
     let quiet_design = arg_value("--design").unwrap_or_else(|| "s35932".into());
-    let spec = DesignSpec::by_name(&quiet_design)
-        .ok_or_else(|| format!("unknown design {quiet_design:?}; see `table4` for the suite"))?;
-    let design = spec.instantiate();
+    let design = sllt_design::design_by_name(&quiet_design)?;
     std::fs::create_dir_all("results").map_err(|e| format!("create results directory: {e}"))?;
     std::panic::set_hook(Box::new(|_| {}));
 

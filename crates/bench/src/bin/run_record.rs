@@ -23,7 +23,7 @@
 use sllt_bench::{arg_flag, arg_value, run_main};
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{evaluate, run_record, CollectingObserver, RecordingSink};
-use sllt_design::{Design, SUITE};
+use sllt_design::{design_by_name, Design, SUITE};
 use sllt_obs::{rate_per_sec, RunRecord, Value};
 use std::time::{Duration, Instant};
 
@@ -36,11 +36,6 @@ fn main() -> std::process::ExitCode {
 /// sharded-partition / SoA-tree scale path as well as the paper
 /// comparisons.
 const SCALE_POINT: &str = "grid100000";
-
-fn design_by_name(name: &str) -> Result<Design, String> {
-    sllt_design::design_by_name(name)
-        .ok_or_else(|| format!("unknown design {name:?}; see `table4` for the suite"))
-}
 
 /// Refuses to clobber a benchmark summary written by a newer schema.
 /// An unreadable or unparseable existing file does not block: the whole

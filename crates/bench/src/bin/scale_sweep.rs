@@ -17,11 +17,11 @@
 //! scaling the SoA/CSR arena, binary checkpoints, and sharded level-0
 //! partitioning exist to deliver.
 
-use sllt_bench::{arg_parse, arg_value, emit_json, peak_rss_bytes, run_main, Table};
+use sllt_bench::{arg_parse, arg_value, emit_json, run_main, Table};
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{CollectingObserver, FlowObserver, LevelReport};
 use sllt_design::GridSpec;
-use sllt_obs::Value;
+use sllt_obs::{peak_rss_bytes, Value};
 use std::process::ExitCode;
 use std::time::Instant;
 

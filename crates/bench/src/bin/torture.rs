@@ -81,9 +81,9 @@ fn main() -> ExitCode {
     let json = arg_flag("--json");
 
     let design = match sllt_design::design_by_name(&design_name) {
-        Some(d) => d,
-        None => {
-            eprintln!("error: unknown design {design_name:?}");
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };

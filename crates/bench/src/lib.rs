@@ -162,17 +162,6 @@ pub fn emit_json(bin: &str, sections: Vec<(&str, Value)>) {
     }
 }
 
-/// Peak resident-set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`), or `None` off Linux. Monotone over the process
-/// lifetime — scaling sweeps should run sizes ascending so each
-/// reading bounds that size's true peak.
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
 /// The 8-sink demonstration net used for Table 1 and the Fig. 1 gallery:
 /// a source on the boundary driving pins spread over a 6×6 region, with
 /// both near and far pins so the algorithm trade-offs are visible.

@@ -8,16 +8,11 @@
 //! inter-level state: a resumed run re-derives everything else and
 //! continues bit-identically.
 //!
-//! Two on-disk schemas exist:
-//!
-//! * **schema 2** (current) — each level is one binary journal frame:
-//!   a `CKL2` payload holding the report (JSON bytes), the level nodes
-//!   as raw little-endian `f64` bit patterns, and every cluster tree in
-//!   the compact `sllt_tree::codec` binary form. Typically 5–15× smaller
-//!   than schema 1 and still bit-exact.
-//! * **schema 1** (legacy) — each level is one JSONL record with cluster
-//!   trees embedded as v1 tree text. Still read transparently;
-//!   [`migrate_checkpoint`] converts old journals to the binary form.
+//! On disk (schema 2, the only format), each level is one binary
+//! journal frame: a `CKL2` payload holding the report (JSON bytes), the
+//! level nodes as raw little-endian `f64` bit patterns, and every cluster
+//! tree in the compact `sllt_tree::codec` binary form. A journal whose
+//! meta record names any other schema is refused.
 //!
 //! Durability contract:
 //!
@@ -28,8 +23,7 @@
 //!   the exact flow configuration and design, so a resume against the
 //!   wrong config fails loudly instead of diverging silently;
 //! * on resume the writer reopens at the intact prefix length,
-//!   truncating any torn tail before appending — and keeps writing the
-//!   journal's own schema, so a file never mixes the two.
+//!   truncating any torn tail before appending.
 
 use crate::assemble::BuiltCluster;
 use crate::error::CtsError;
@@ -47,10 +41,6 @@ use std::path::Path;
 
 /// Journal schema version; bump on any incompatible record change.
 pub const CHECKPOINT_SCHEMA: u64 = 2;
-
-/// The JSONL/tree-text schema older journals were written with. Read
-/// support is permanent; new journals are always [`CHECKPOINT_SCHEMA`].
-pub const LEGACY_CHECKPOINT_SCHEMA: u64 = 1;
 
 fn ckpt_err(detail: impl Into<String>) -> CtsError {
     CtsError::Checkpoint {
@@ -101,107 +91,6 @@ fn fingerprint(cts: &HierarchicalCts, design: &Design) -> u64 {
         bytes.extend_from_slice(&s.cap_ff.to_bits().to_le_bytes());
     }
     sllt_obs::fnv1a64(&bytes)
-}
-
-// ---------------------------------------------------------------------
-// Schema 1 (legacy JSONL) encoding
-// ---------------------------------------------------------------------
-
-/// One level node as the compact array `[x, y, cap, lo, hi, kind, idx]`
-/// (kind 0 = design sink, 1 = built cluster). All five floats round-trip
-/// bit-exactly through the obs JSON number encoding.
-fn node_value(n: &LevelNode) -> Value {
-    let (kind, idx) = match n.source {
-        NodeSource::DesignSink(i) => (0u64, i as u64),
-        NodeSource::Cluster(i) => (1u64, i as u64),
-    };
-    Value::Arr(vec![
-        n.pos.x.into(),
-        n.pos.y.into(),
-        n.cap_ff.into(),
-        n.interval_ps.0.into(),
-        n.interval_ps.1.into(),
-        kind.into(),
-        idx.into(),
-    ])
-}
-
-fn node_from_value(v: &Value) -> Result<LevelNode, String> {
-    let items = v.as_arr().ok_or("node is not an array")?;
-    if items.len() != 7 {
-        return Err(format!("node has {} fields, expected 7", items.len()));
-    }
-    let f = |i: usize| {
-        items[i]
-            .as_f64()
-            .ok_or(format!("node field {i} not a number"))
-    };
-    let kind = items[5].as_u64().ok_or("node kind not an integer")?;
-    let idx = items[6].as_u64().ok_or("node index not an integer")? as usize;
-    let source = match kind {
-        0 => NodeSource::DesignSink(idx),
-        1 => NodeSource::Cluster(idx),
-        other => return Err(format!("unknown node kind {other}")),
-    };
-    Ok(LevelNode {
-        pos: Point::new(f(0)?, f(1)?),
-        cap_ff: f(2)?,
-        interval_ps: (f(3)?, f(4)?),
-        source,
-    })
-}
-
-/// One built cluster: sizing outcome, driver position, members, and the
-/// routed tree in v1 text form (the exact-round-trip on-disk format).
-fn cluster_value(c: &BuiltCluster) -> Result<Value, CtsError> {
-    let mut text = Vec::new();
-    sllt_tree::io::write_tree(&c.tree, &mut text)
-        .map_err(|e| io_err("serializing cluster tree", e))?;
-    let text = String::from_utf8(text).map_err(|e| io_err("cluster tree text is not UTF-8", e))?;
-    Ok(Value::obj()
-        .with("cell", c.cell as u64)
-        .with("pads", c.pads as u64)
-        .with("x", c.driver_pos.x)
-        .with("y", c.driver_pos.y)
-        .with(
-            "members",
-            Value::Arr(c.members.iter().map(node_value).collect()),
-        )
-        .with("tree", text))
-}
-
-fn cluster_from_value(v: &Value) -> Result<BuiltCluster, String> {
-    let int = |k: &str| {
-        v.get(k)
-            .and_then(Value::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("cluster missing {k}"))
-    };
-    let num = |k: &str| {
-        v.get(k)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("cluster missing {k}"))
-    };
-    let members = v
-        .get("members")
-        .and_then(Value::as_arr)
-        .ok_or("cluster missing members")?
-        .iter()
-        .map(node_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    let text = v
-        .get("tree")
-        .and_then(Value::as_str)
-        .ok_or("cluster missing tree")?;
-    let tree =
-        sllt_tree::io::read_tree(&mut text.as_bytes()).map_err(|e| format!("cluster tree: {e}"))?;
-    Ok(BuiltCluster {
-        tree,
-        members,
-        cell: int("cell")?,
-        pads: int("pads")?,
-        driver_pos: Point::new(num("x")?, num("y")?),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -638,40 +527,24 @@ fn decode_level(payload: &[u8], prev: &NodeMap) -> Result<DecodedLevel, String> 
 /// committed level, each a single durable write.
 pub(crate) struct CheckpointWriter {
     app: DurableAppender,
-    schema: u64,
     /// Source-keyed view of the node list entering the next level, for
-    /// member-by-reference encoding (schema 2 only).
+    /// member-by-reference encoding.
     prev: NodeMap,
 }
 
 impl CheckpointWriter {
-    /// Starts a fresh journal (truncating any existing file) in the
-    /// current schema and writes the fingerprinted meta record.
+    /// Starts a fresh journal (truncating any existing file) and writes
+    /// the fingerprinted meta record.
     pub(crate) fn create(
         path: &Path,
         cts: &HierarchicalCts,
         design: &Design,
     ) -> Result<CheckpointWriter, CtsError> {
-        Self::create_with_schema(path, cts, design, CHECKPOINT_SCHEMA)
-    }
-
-    /// [`create`](Self::create) at an explicit schema version — the
-    /// legacy writer stays alive for migration round-trip tests.
-    pub(crate) fn create_with_schema(
-        path: &Path,
-        cts: &HierarchicalCts,
-        design: &Design,
-        schema: u64,
-    ) -> Result<CheckpointWriter, CtsError> {
-        assert!(
-            schema == CHECKPOINT_SCHEMA || schema == LEGACY_CHECKPOINT_SCHEMA,
-            "unknown checkpoint schema {schema}"
-        );
         let mut app = DurableAppender::create_with(cts.vfs.as_ref(), path)
             .map_err(|e| io_err("creating checkpoint journal", e))?;
         let meta = Value::obj()
             .with("type", "sllt-ckpt")
-            .with("schema", schema)
+            .with("schema", CHECKPOINT_SCHEMA)
             .with("design", design.name.as_str())
             .with("sinks", design.sinks.len() as u64)
             .with("fingerprint", format!("{:016x}", fingerprint(cts, design)));
@@ -679,29 +552,24 @@ impl CheckpointWriter {
             .map_err(|e| io_err("writing checkpoint meta", e))?;
         Ok(CheckpointWriter {
             app,
-            schema,
             prev: node_map(&seed_nodes(design)),
         })
     }
 
     /// Reopens an existing journal for appending, truncating to the
-    /// intact prefix `valid_len` first (discarding any torn tail). The
-    /// writer continues in the journal's own `schema`, so resuming an
-    /// old text checkpoint never mixes formats in one file.
+    /// intact prefix `valid_len` first (discarding any torn tail).
     /// `entering_nodes` is the restored node list the next committed
     /// level will consume (member references resolve against it).
     pub(crate) fn reopen(
         vfs: &dyn Vfs,
         path: &Path,
         valid_len: u64,
-        schema: u64,
         entering_nodes: &[LevelNode],
     ) -> Result<CheckpointWriter, CtsError> {
         let app = DurableAppender::reopen_with(vfs, path, valid_len)
             .map_err(|e| io_err("reopening checkpoint journal", e))?;
         Ok(CheckpointWriter {
             app,
-            schema,
             prev: node_map(entering_nodes),
         })
     }
@@ -715,27 +583,11 @@ impl CheckpointWriter {
         nodes: &[LevelNode],
         new_clusters: &[BuiltCluster],
     ) -> Result<(), CtsError> {
-        if self.schema == CHECKPOINT_SCHEMA {
-            let payload = encode_level(report, nodes, new_clusters, &self.prev);
-            self.prev = node_map(nodes);
-            return self
-                .app
-                .append_binary(&payload)
-                .map_err(|e| io_err("appending level checkpoint frame", e));
-        }
-        let clusters = new_clusters
-            .iter()
-            .map(cluster_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let record = Value::obj()
-            .with("type", "level")
-            .with("level", report.level as u64)
-            .with("report", level_value(report))
-            .with("nodes", Value::Arr(nodes.iter().map(node_value).collect()))
-            .with("clusters", Value::Arr(clusters));
+        let payload = encode_level(report, nodes, new_clusters, &self.prev);
+        self.prev = node_map(nodes);
         self.app
-            .append(&record)
-            .map_err(|e| io_err("appending level checkpoint", e))
+            .append_binary(&payload)
+            .map_err(|e| io_err("appending level checkpoint frame", e))
     }
 }
 
@@ -749,19 +601,14 @@ pub struct Checkpoint {
     pub(crate) reports: Vec<LevelReport>,
     pub(crate) clusters: Vec<BuiltCluster>,
     pub(crate) nodes: Vec<LevelNode>,
-    /// Per-level output nodes and new-cluster counts, retained so a
-    /// loaded checkpoint can be re-emitted level by level (migration).
-    level_nodes: Vec<Vec<LevelNode>>,
-    cluster_counts: Vec<usize>,
-    pub(crate) schema: u64,
     pub(crate) valid_len: u64,
     torn: Option<String>,
 }
 
 impl Checkpoint {
     /// Reads and validates a checkpoint journal against the flow
-    /// configuration and design that will resume from it. Both the
-    /// current binary schema and the legacy text schema load here.
+    /// configuration and design that will resume from it. Only
+    /// [`CHECKPOINT_SCHEMA`] journals load; any other schema is refused.
     ///
     /// Tolerates (and reports through [`torn`](Self::torn)) a torn
     /// final record — the shape a kill mid-append leaves. Everything
@@ -789,15 +636,13 @@ impl Checkpoint {
         if journal.frames.first().is_some_and(|f| f.after_record == 0) {
             return Err(ckpt_err("binary frame precedes the checkpoint meta record"));
         }
-        let schema = match meta.get("schema").and_then(Value::as_u64) {
-            Some(s) if s == CHECKPOINT_SCHEMA || s == LEGACY_CHECKPOINT_SCHEMA => s,
-            other => {
-                return Err(ckpt_err(format!(
-                    "unsupported checkpoint schema {other:?} \
-                     (supported: {LEGACY_CHECKPOINT_SCHEMA}, {CHECKPOINT_SCHEMA})"
-                )))
-            }
-        };
+        let schema = meta.get("schema").and_then(Value::as_u64);
+        if schema != Some(CHECKPOINT_SCHEMA) {
+            let found = schema.map_or("missing".to_string(), |s| s.to_string());
+            return Err(ckpt_err(format!(
+                "unsupported checkpoint schema {found} (supported: {CHECKPOINT_SCHEMA})"
+            )));
+        }
         let expect = format!("{:016x}", fingerprint(cts, design));
         let found = meta
             .get("fingerprint")
@@ -814,64 +659,22 @@ impl Checkpoint {
             reports: Vec::new(),
             clusters: Vec::new(),
             nodes: Vec::new(),
-            level_nodes: Vec::new(),
-            cluster_counts: Vec::new(),
-            schema,
             valid_len: journal.valid_len,
             torn: journal.torn_tail.map(|t| t.reason),
         };
 
-        if schema == LEGACY_CHECKPOINT_SCHEMA {
-            if !journal.frames.is_empty() {
-                return Err(ckpt_err(
-                    "schema-1 checkpoint contains binary frames (journal was mixed or corrupted)",
-                ));
-            }
-            for (i, rec) in records.enumerate() {
-                let at = |msg: String| ckpt_err(format!("level record {i}: {msg}"));
-                if rec.get("type").and_then(Value::as_str) != Some("level") {
-                    return Err(at("unexpected record type".into()));
-                }
-                let level =
-                    rec.get("level")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| at("missing level".into()))? as usize;
-                let report = rec
-                    .get("report")
-                    .ok_or_else(|| at("missing report".into()))
-                    .and_then(|v| level_report_from_value(v).map_err(at))?;
-                let nodes = rec
-                    .get("nodes")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| at("missing nodes".into()))?
-                    .iter()
-                    .map(node_from_value)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(at)?;
-                let new_clusters = rec
-                    .get("clusters")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| at("missing clusters".into()))?
-                    .iter()
-                    .map(cluster_from_value)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(at)?;
-                out.push_level(i, level, report, nodes, new_clusters)?;
-            }
-        } else {
-            if records.next().is_some() {
-                return Err(ckpt_err(
-                    "binary checkpoint contains extra JSON records after the meta",
-                ));
-            }
-            let mut prev = node_map(&seed_nodes(design));
-            for (i, frame) in journal.frames.iter().enumerate() {
-                let at = |msg: String| ckpt_err(format!("level frame {i}: {msg}"));
-                let (level, report, nodes, new_clusters) =
-                    decode_level(&frame.payload, &prev).map_err(at)?;
-                prev = node_map(&nodes);
-                out.push_level(i, level, report, nodes, new_clusters)?;
-            }
+        if records.next().is_some() {
+            return Err(ckpt_err(
+                "binary checkpoint contains extra JSON records after the meta",
+            ));
+        }
+        let mut prev = node_map(&seed_nodes(design));
+        for (i, frame) in journal.frames.iter().enumerate() {
+            let at = |msg: String| ckpt_err(format!("level frame {i}: {msg}"));
+            let (level, report, nodes, new_clusters) =
+                decode_level(&frame.payload, &prev).map_err(at)?;
+            prev = node_map(&nodes);
+            out.push_level(i, level, report, nodes, new_clusters)?;
         }
 
         // Arena integrity: every cluster-sourced node must resolve.
@@ -897,7 +700,7 @@ impl Checkpoint {
     }
 
     /// Appends one decoded level, enforcing the dense level sequence and
-    /// non-empty shape both schemas share.
+    /// non-empty shape.
     fn push_level(
         &mut self,
         i: usize,
@@ -921,9 +724,7 @@ impl Checkpoint {
             )));
         }
         self.reports.push(report);
-        self.cluster_counts.push(new_clusters.len());
         self.clusters.extend(new_clusters);
-        self.level_nodes.push(nodes.clone());
         self.nodes = nodes;
         Ok(())
     }
@@ -939,11 +740,6 @@ impl Checkpoint {
         &self.reports
     }
 
-    /// On-disk schema version the journal was written with.
-    pub fn schema(&self) -> u64 {
-        self.schema
-    }
-
     /// Why the final record was discarded, when the journal ended in a
     /// torn (partially written) line.
     pub fn torn(&self) -> Option<&str> {
@@ -955,44 +751,6 @@ impl Checkpoint {
     pub fn valid_len(&self) -> u64 {
         self.valid_len
     }
-}
-
-/// Converts a checkpoint journal at `src` (either schema) into a fresh
-/// current-schema journal at `dst`, re-encoding every committed level.
-/// The rewritten journal loads to bit-identical flow state — resuming
-/// from it reproduces exactly the tree the original would have.
-///
-/// Returns `(src_len, dst_len)` in bytes, so callers can report the
-/// compression (binary journals are typically ≥5× smaller than text).
-///
-/// # Errors
-///
-/// [`CtsError::Checkpoint`] when `src` does not load against this
-/// (config, design) pair, or when writing `dst` fails.
-pub fn migrate_checkpoint(
-    src: &Path,
-    dst: &Path,
-    cts: &HierarchicalCts,
-    design: &Design,
-) -> Result<(u64, u64), CtsError> {
-    let ckpt = Checkpoint::load(src, cts, design)?;
-    let mut writer = CheckpointWriter::create(dst, cts, design)?;
-    let mut start = 0usize;
-    for (i, report) in ckpt.reports.iter().enumerate() {
-        let n = ckpt.cluster_counts[i];
-        writer.append_level(
-            report,
-            &ckpt.level_nodes[i],
-            &ckpt.clusters[start..start + n],
-        )?;
-        start += n;
-    }
-    let len = |p: &Path| {
-        std::fs::metadata(p)
-            .map(|m| m.len())
-            .map_err(|e| io_err("sizing checkpoint journal", e))
-    };
-    Ok((len(src)?, len(dst)?))
 }
 
 #[cfg(test)]
@@ -1011,32 +769,6 @@ mod tests {
                 NodeSource::DesignSink(idx)
             },
         }
-    }
-
-    #[test]
-    fn node_encoding_round_trips_bit_exactly() {
-        for n in [
-            node(0.0, false, 0),
-            node(17.3, true, 5),
-            node(1e-9, false, 3),
-        ] {
-            let back = node_from_value(&node_value(&n)).unwrap();
-            assert_eq!(back.pos.x.to_bits(), n.pos.x.to_bits());
-            assert_eq!(back.pos.y.to_bits(), n.pos.y.to_bits());
-            assert_eq!(back.cap_ff.to_bits(), n.cap_ff.to_bits());
-            assert_eq!(back.interval_ps.0.to_bits(), n.interval_ps.0.to_bits());
-            assert_eq!(back.interval_ps.1.to_bits(), n.interval_ps.1.to_bits());
-            match (back.source, n.source) {
-                (NodeSource::DesignSink(a), NodeSource::DesignSink(b)) => assert_eq!(a, b),
-                (NodeSource::Cluster(a), NodeSource::Cluster(b)) => assert_eq!(a, b),
-                other => panic!("source kind flipped: {other:?}"),
-            }
-        }
-        // Malformed nodes are rejected, not defaulted.
-        assert!(node_from_value(&Value::Arr(vec![1.0.into()])).is_err());
-        let mut bad: Vec<Value> = (0..7).map(|i| Value::from(i as f64)).collect();
-        bad[5] = 9u64.into();
-        assert!(node_from_value(&Value::Arr(bad)).is_err());
     }
 
     #[test]
@@ -1062,34 +794,6 @@ mod tests {
             assert_eq!(back.interval_ps.0.to_bits(), n.interval_ps.0.to_bits());
             assert_eq!(back.interval_ps.1.to_bits(), n.interval_ps.1.to_bits());
         }
-    }
-
-    #[test]
-    fn cluster_encoding_round_trips_through_tree_text() {
-        let mut tree = ClockTree::new(Point::new(5.0, 5.0));
-        let root = tree.root();
-        tree.add_sink(root, Point::new(1.0, 2.0), 1.25);
-        let c = BuiltCluster {
-            tree,
-            members: vec![node(1.0, false, 0)],
-            cell: 3,
-            pads: 2,
-            driver_pos: Point::new(5.0, 5.0),
-        };
-        let v = cluster_value(&c).unwrap();
-        let back = cluster_from_value(&v).unwrap();
-        assert_eq!(back.cell, 3);
-        assert_eq!(back.pads, 2);
-        assert_eq!(back.driver_pos, c.driver_pos);
-        assert_eq!(back.members.len(), 1);
-        assert_eq!(back.tree.len(), c.tree.len());
-        assert_eq!(back.tree.wirelength(), c.tree.wirelength());
-        // The embedded tree text survives JSONL encoding (newlines are
-        // escaped inside the JSON string).
-        let line = v.encode();
-        assert!(!line.contains('\n'));
-        let reparsed = sllt_obs::json::parse(&line).unwrap();
-        assert!(cluster_from_value(&reparsed).is_ok());
     }
 
     fn sample_level(n_clusters: usize) -> (LevelReport, Vec<LevelNode>, Vec<BuiltCluster>) {
@@ -1207,71 +911,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_text_checkpoint_migrates_to_smaller_binary_with_identical_resume() {
-        use sllt_geom::Rect;
-        let sinks: Vec<sllt_tree::Sink> = (0..192)
-            .map(|i| {
-                sllt_tree::Sink::new(
-                    Point::new((i % 12) as f64 * 15.0, (i / 12) as f64 * 15.0),
-                    1.0 + (i % 3) as f64 * 0.4,
-                )
-            })
-            .collect();
-        let design = Design {
-            name: "ckptmig".into(),
-            num_instances: 192,
-            utilization: 0.5,
-            die: Rect::new(Point::ORIGIN, Point::new(200.0, 250.0)),
-            clock_root: Point::ORIGIN,
-            sinks,
-        };
-        let cts = HierarchicalCts {
-            workers: 1,
-            ..HierarchicalCts::default()
-        };
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let bin_path = dir.join(format!("sllt_ckpt_bin_{pid}.jsonl"));
-        let reference = cts.run_checkpointed(&design, &bin_path).unwrap();
-        let ckpt = Checkpoint::load(&bin_path, &cts, &design).unwrap();
-        assert_eq!(ckpt.schema(), CHECKPOINT_SCHEMA);
-        assert!(ckpt.levels() >= 2, "expected a multi-level run");
-
-        // Re-emit the same committed state as a legacy text journal.
-        let text_path = dir.join(format!("sllt_ckpt_txt_{pid}.jsonl"));
-        let mut w = CheckpointWriter::create_with_schema(
-            &text_path,
-            &cts,
-            &design,
-            LEGACY_CHECKPOINT_SCHEMA,
+    fn other_schemas_are_refused_by_name() {
+        // A meta record that is correctly fingerprinted for this run but
+        // names the retired schema 1 must be refused, not half-read.
+        let design = sllt_design::design_by_name("grid36").unwrap();
+        let cts = HierarchicalCts::default();
+        let path =
+            std::env::temp_dir().join(format!("sllt_ckpt_schema1_{}.jsonl", std::process::id()));
+        let mut app = DurableAppender::create(&path).unwrap();
+        app.append(
+            &Value::obj()
+                .with("type", "sllt-ckpt")
+                .with("schema", 1u64)
+                .with("design", design.name.as_str())
+                .with("sinks", design.sinks.len() as u64)
+                .with(
+                    "fingerprint",
+                    format!("{:016x}", fingerprint(&cts, &design)),
+                ),
         )
         .unwrap();
-        let mut start = 0usize;
-        for (i, r) in ckpt.reports.iter().enumerate() {
-            let n = ckpt.cluster_counts[i];
-            w.append_level(r, &ckpt.level_nodes[i], &ckpt.clusters[start..start + n])
-                .unwrap();
-            start += n;
+        drop(app);
+        match Checkpoint::load(&path, &cts, &design) {
+            Err(CtsError::Checkpoint { detail }) => {
+                assert!(
+                    detail.contains("unsupported checkpoint schema 1 "),
+                    "{detail}"
+                );
+            }
+            Err(other) => panic!("wrong error: {other:?}"),
+            Ok(_) => panic!("schema-1 journal must be refused"),
         }
-        drop(w);
-        let legacy = Checkpoint::load(&text_path, &cts, &design).unwrap();
-        assert_eq!(legacy.schema(), LEGACY_CHECKPOINT_SCHEMA);
-        assert_eq!(legacy.levels(), ckpt.levels());
-        // Old text checkpoints still resume, bit-identically.
-        assert_eq!(cts.resume(&design, &text_path).unwrap(), reference);
-
-        // Migrate text -> binary: the binary journal is >=5x smaller and
-        // resumes to the same tree.
-        let mig_path = dir.join(format!("sllt_ckpt_mig_{pid}.jsonl"));
-        let (src_len, dst_len) = migrate_checkpoint(&text_path, &mig_path, &cts, &design).unwrap();
-        assert!(
-            dst_len * 5 <= src_len,
-            "binary checkpoint {dst_len} B is not 5x smaller than text {src_len} B"
-        );
-        assert_eq!(cts.resume(&design, &mig_path).unwrap(), reference);
-        for p in [bin_path, text_path, mig_path] {
-            std::fs::remove_file(p).ok();
-        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

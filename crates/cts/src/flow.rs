@@ -471,7 +471,6 @@ impl HierarchicalCts {
                     self.vfs.as_ref(),
                     path,
                     ckpt.valid_len,
-                    ckpt.schema,
                     &cx.nodes,
                 )?)
             }

@@ -55,7 +55,7 @@ pub mod telemetry;
 
 pub use baseline::{commercial_like, open_road_like};
 pub use cancel::CancelToken;
-pub use checkpoint::{migrate_checkpoint, Checkpoint, CHECKPOINT_SCHEMA, LEGACY_CHECKPOINT_SCHEMA};
+pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use constraints::CtsConstraints;
 pub use error::CtsError;
 pub use eval::{evaluate, TreeReport};

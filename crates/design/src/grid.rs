@@ -112,12 +112,20 @@ pub fn grid_design(sinks: usize) -> Design {
 
 /// Resolves any design name a harness accepts: a placed suite design
 /// (`crate::suite::DesignSpec::by_name`) or a synthetic `grid<N>`.
-/// `None` for unknown names and malformed/zero grid sizes.
-pub fn design_by_name(name: &str) -> Option<Design> {
-    if name.starts_with("grid") {
-        return GridSpec::by_name(name).map(|g| g.instantiate());
-    }
-    crate::suite::DesignSpec::by_name(name).map(|s| s.instantiate())
+///
+/// # Errors
+///
+/// One "unknown design" message, naming the input, for unknown names
+/// and malformed/zero grid sizes.
+pub fn design_by_name(name: &str) -> Result<Design, String> {
+    let design = if name.starts_with("grid") {
+        GridSpec::by_name(name).map(|g| g.instantiate())
+    } else {
+        crate::suite::DesignSpec::by_name(name).map(|s| s.instantiate())
+    };
+    design.ok_or_else(|| {
+        format!("unknown design {name:?}: expected a suite design (see `sllt suite`) or grid<N>")
+    })
 }
 
 #[cfg(test)]

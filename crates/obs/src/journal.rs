@@ -1,10 +1,10 @@
 //! Append-only, fsync'd, checksummed JSONL journals.
 //!
-//! The durability layer under the engine's level checkpoints and the
-//! suite runner's batch manifest. A journal is a plain JSONL file where
-//! every line is one JSON object *sealed* with a trailing `"crc"`
-//! member — the FNV-1a-64 checksum (hex) of the line's encoding without
-//! that member. Because [`Value`](crate::json::Value) objects preserve
+//! The durability layer under the engine's level checkpoints, progress
+//! journals, and the `slltd` job journal. A journal is a plain JSONL
+//! file where every line is one JSON object *sealed* with a trailing
+//! `"crc"` member — the FNV-1a-64 checksum (hex) of the line's encoding
+//! without that member. Because [`Value`](crate::json::Value) objects preserve
 //! member order, stripping the final `crc` member and re-encoding
 //! reproduces exactly the bytes that were checksummed.
 //!

@@ -50,7 +50,7 @@ pub mod vfs;
 pub use chrome::{chrome_trace, write_chrome};
 pub use journal::{fnv1a64, DurableAppender, Journal, JournalError, JournalFrame, TornTail};
 pub use json::Value;
-pub use metrics::{fmt_rate, rate_per_sec, Histogram, MetricsMap};
+pub use metrics::{fmt_rate, peak_rss_bytes, rate_per_sec, rss_bytes, Histogram, MetricsMap};
 pub use progress::{
     read_progress, CollectingProgress, JournalProgress, Progress, ProgressEvent, ProgressSink,
     WorkBudget,

@@ -259,6 +259,33 @@ pub fn fmt_rate(rate: Option<f64>) -> String {
     }
 }
 
+/// One `<key>: <n> kB` line of `/proc/self/status`, in bytes; `None` off
+/// Linux or when procfs is unavailable.
+fn proc_status_bytes(key: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix(key))?;
+    let kb: u64 = line
+        .strip_prefix(':')?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kb * 1024)
+}
+
+/// Peak resident-set size of this process in bytes (`VmHWM`), or `None`
+/// off Linux. Monotone over the process lifetime — scaling sweeps should
+/// run sizes ascending so each reading bounds that size's true peak.
+pub fn peak_rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmHWM")
+}
+
+/// Current resident-set size of this process in bytes (`VmRSS`), or
+/// `None` off Linux.
+pub fn rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmRSS")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -262,9 +262,10 @@ impl ProgressSink for CollectingProgress {
     }
 }
 
-/// Streams events into a sealed JSONL journal (the suite runner's
-/// per-job progress file; a daemon would tail this). Write errors are
-/// swallowed after the first — progress must never fail a run.
+/// Streams events into a sealed JSONL journal (a `slltd` job's
+/// progress file, which the daemon tails for `status`/`watch`). Write
+/// errors are swallowed after the first — progress must never fail a
+/// run.
 #[derive(Debug)]
 pub struct JournalProgress {
     app: Mutex<Option<DurableAppender>>,

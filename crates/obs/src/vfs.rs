@@ -2,10 +2,10 @@
 //!
 //! Every durable write path in the workspace — the sealed journals
 //! ([`DurableAppender`](crate::journal::DurableAppender)), the engine's
-//! level checkpoints, the suite manifest, and the daemon's job journal
-//! and design cache — goes through a [`Vfs`] so storage failures can be
-//! *injected on a schedule* instead of requiring a full disk, a broken
-//! device, or root-only tmpfs tricks.
+//! level checkpoints, per-job progress journals, and the daemon's job
+//! journal and design cache — goes through a [`Vfs`] so storage
+//! failures can be *injected on a schedule* instead of requiring a full
+//! disk, a broken device, or root-only tmpfs tricks.
 //!
 //! Two implementations:
 //!

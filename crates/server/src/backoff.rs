@@ -1,11 +1,11 @@
 //! Deterministic jittered exponential backoff for job retries.
 //!
-//! Both the `suite` batch runner and the `slltd` scheduler re-run a
-//! failed job after a delay that doubles per attempt and carries jitter
-//! so a burst of same-shaped failures does not retry in lockstep. The
-//! jitter is *seeded*, never wall-clock random: the delay is a pure
-//! function of `(seed, attempt)`, so a replayed batch backs off
-//! identically and the manifest's recorded `backoff_ms` values are
+//! The `slltd` scheduler re-runs a failed job after a delay that
+//! doubles per attempt and carries jitter so a burst of same-shaped
+//! failures does not retry in lockstep. The jitter is *seeded*, never
+//! wall-clock random: the delay is a pure function of
+//! `(seed, attempt)`, so a replayed batch backs off
+//! identically and the job journal's recorded `backoff_ms` values are
 //! reproducible — the same discipline as the engine's SplitMix64 seed
 //! streams.
 

@@ -2,16 +2,16 @@
 //!
 //! A job is `design × config (× fault hook)`. The daemon never runs a
 //! flow in-process: every attempt re-execs `slltd --job …` so a panic,
-//! OOM kill, or stack overflow is contained by the process boundary —
-//! the same isolation contract as the `suite` batch runner, which
-//! shares this module's [`config_by_name`] and the supervision and
-//! backoff primitives.
+//! OOM kill, or stack overflow is contained by the process boundary
+//! ([`crate::supervise`]), and a failed attempt retries after a
+//! deterministic backoff ([`crate::backoff`]).
 //!
 //! The child runs with the recovery ladder on, checkpoints levels next
 //! to the daemon's journal, streams progress through a
 //! [`JournalProgress`] sink the daemon tails for `status`/`watch`, and
 //! reports through its exit code plus a final `RESULT {json}` stdout
-//! line. A cancelled child exits [`EXIT_JOB_CANCELLED`] and leaves its
+//! line (skew, wirelength, `runtime_s`, and the child's peak RSS). A
+//! cancelled child exits [`EXIT_JOB_CANCELLED`] and leaves its
 //! checkpoint for the next attempt to resume.
 
 use sllt_cts::flow::HierarchicalCts;
@@ -19,7 +19,6 @@ use sllt_cts::{
     evaluate, CancelToken, CtsError, FaultKind, FaultPlan, FaultStage, Progress, RecoveryPolicy,
     StageFault,
 };
-use sllt_design::Design;
 use sllt_obs::progress::{read_progress, ProgressEvent};
 use sllt_obs::{JournalProgress, Value};
 use std::collections::HashSet;
@@ -57,12 +56,9 @@ pub fn config_by_name(name: &str) -> Result<HierarchicalCts, String> {
     }
 }
 
-/// Resolves a design name: the benchmark suite by name, or a synthetic
-/// `grid<N>` register grid for smoke-scale jobs.
-pub fn design_by_name(name: &str) -> Result<Design, String> {
-    sllt_design::design_by_name(name)
-        .ok_or_else(|| format!("unknown design {name:?}; see `sllt suite`"))
-}
+/// Design names resolve through the one shared resolver: a suite design
+/// or a synthetic `grid<N>` register grid for smoke-scale jobs.
+pub use sllt_design::design_by_name;
 
 /// Fault-injection hooks a submit may attach — the test levers behind
 /// the isolation, deadline, and drain contracts.
@@ -248,6 +244,8 @@ pub fn run_child(args: &ChildArgs) -> Result<(), u8> {
                 .with("wl_um", report.clock_wl_um)
                 .with("buffers", report.num_buffers)
                 .with("runtime_s", t0.elapsed().as_secs_f64())
+                // VmHWM, bytes; JSON null off Linux (no procfs).
+                .with("peak_rss_bytes", sllt_obs::peak_rss_bytes())
                 .with("tree", tree_file.display().to_string());
             // Nonfatal storage degradation: the flow dropped its
             // checkpoint writer mid-run (full or failing disk) and

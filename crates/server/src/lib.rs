@@ -1,5 +1,5 @@
-//! `sllt-server`: a persistent CTS job daemon (`slltd`) and the
-//! robustness primitives it shares with the batch tooling.
+//! `sllt-server`: a persistent CTS job daemon (`slltd`), the
+//! workspace's one batch runner, and its robustness primitives.
 //!
 //! The daemon accepts jobs over a Unix-domain or localhost TCP socket
 //! speaking line-delimited JSON ([`proto`]), schedules them on a
@@ -10,8 +10,8 @@
 //! ([`state`]) so a SIGKILLed daemon restarts with `--resume` and picks
 //! up exactly where the journal ends.
 //!
-//! Robustness building blocks exported for reuse elsewhere in the
-//! workspace (the `suite` batch runner shares all three):
+//! Robustness building blocks, public so tests and benchmarks can drive
+//! them directly:
 //!
 //! * [`supervise::run_supervised`] — deadline-SIGKILL and
 //!   SIGINT-then-SIGKILL child supervision;

@@ -1,9 +1,9 @@
 //! Child-process supervision: spawn, watch, interrupt, kill.
 //!
-//! The isolation primitive shared by the `suite` batch runner and the
-//! `slltd` scheduler. A job child is spawned with piped output and
-//! watched by polling [`Child::try_wait`]; the supervisor enforces two
-//! independent stop paths:
+//! The isolation primitive of the `slltd` scheduler. A job child is
+//! spawned with piped output and watched by polling
+//! [`Child::try_wait`]; the supervisor enforces two independent stop
+//! paths:
 //!
 //! * **Deadline** — a wall-clock timeout after which the child is
 //!   SIGKILLed (it may be wedged; SIGKILL is the only signal a wedged

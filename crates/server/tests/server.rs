@@ -239,6 +239,17 @@ fn faulty_children_are_retried_with_backoff_and_never_touch_their_siblings() {
     assert_eq!(status_of(&done), "ok", "{}", done.encode());
     let result = done.get("result").expect("ok jobs carry a result");
     assert!(result.get("skew_ps").and_then(Value::as_f64).is_some());
+    // Child VmHWM rides next to runtime_s (JSON null off Linux).
+    assert!(
+        result.get("peak_rss_bytes").is_some(),
+        "{}",
+        result.encode()
+    );
+    #[cfg(target_os = "linux")]
+    assert!(result
+        .get("peak_rss_bytes")
+        .and_then(Value::as_u64)
+        .is_some_and(|b| b > 0));
     assert!(tree_path(&d.dir, &healthy).exists());
 
     // The rigged jobs burn their retry budget and land on their own
@@ -597,6 +608,19 @@ fn malformed_frames_get_structured_errors_and_the_connection_survives() {
     assert_eq!(code(&r), Some(400));
     let r = roundtrip(b"{\"op\":\"submit\"}\n");
     assert_eq!(code(&r), Some(400), "submit without a design is a 400");
+    // An unknown design or config is refused before anything is
+    // journaled: a typo must never become a job.
+    for bad in [
+        req::submit("nonesuch", "base"),
+        req::submit("grid36", "hyperdrive"),
+    ] {
+        let r = roundtrip(format!("{}\n", bad.encode()).as_bytes());
+        assert_eq!(code(&r), Some(400), "{}", r.encode());
+    }
+    assert!(
+        journal_records(&d.dir, "job_submitted").is_empty(),
+        "a refused submit must not reach the journal"
+    );
     let r = roundtrip(b"{\"op\":\"cancel\",\"job\":\"j999\"}\n");
     assert_eq!(code(&r), Some(404));
     let mut huge = vec![b'a'; MAX_LINE + 1024];

@@ -12,8 +12,8 @@
 //! ```
 
 use sllt::cts::{baseline, constraints::CtsConstraints, eval, flow::HierarchicalCts, ocv};
-use sllt::design::{DesignSpec, NetGenerator, SUITE};
-use sllt::obs::{Progress, ProgressEvent, ProgressSink, RecordingSink, TraceWriter};
+use sllt::design::{NetGenerator, SUITE};
+use sllt::obs::{rss_bytes, Progress, ProgressEvent, ProgressSink, RecordingSink, TraceWriter};
 use sllt::route::{DelayModel, DmeOptions, TopologyScheme};
 use sllt::timing::{BufferLibrary, Technology};
 use sllt::tree::{io as tree_io, svg, ClockTree};
@@ -171,15 +171,6 @@ impl ProgressSink for StderrProgress {
     }
 }
 
-/// Peak-agnostic current RSS from `/proc/self/status` (`VmRSS`), bytes.
-/// `None` off Linux or when procfs is unavailable.
-fn rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
 /// Runs the flow with live tracing: a background drainer empties the
 /// per-thread trace rings into `results/trace_<design>.jsonl` every
 /// ~50 ms (also sampling process RSS as a gauge), and after the run the
@@ -298,9 +289,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     } else {
         let name =
             flag(args, "--design").ok_or("run needs --design <name> or --design-file <file>")?;
-        DesignSpec::by_name(&name)
-            .ok_or_else(|| format!("unknown design {name:?} (try `sllt suite`)"))?
-            .instantiate()
+        sllt::design::design_by_name(&name)?
     };
     let name = design.name.clone();
     let flow = flag(args, "--flow").unwrap_or_else(|| "ours".into());
