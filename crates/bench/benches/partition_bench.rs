@@ -1,10 +1,10 @@
 //! Criterion: the partition fast path — grid-pruned vs full-scan
-//! nearest centre, warm (overflow-repair) vs cold (dense flow) capacity
-//! assignment, and scored restarts.
+//! nearest centre, balanced K-means with its warm (overflow-repair)
+//! capacity assignment, and scored restarts.
 //!
 //! Companions to the substrate benches in `partition.rs`: these measure
 //! the specific optimizations behind the partition_ms drop recorded in
-//! EXPERIMENTS.md, each against its exact-equivalent slow path.
+//! EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sllt_geom::Point;
@@ -54,24 +54,18 @@ fn bench_nearest(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm vs cold balanced K-means: identical algorithm, the capacity
-/// assignment either repairs overflow from the nearest-centre seed or
-/// re-solves the dense point×centre flow every balance round.
-fn bench_warm_vs_cold(c: &mut Criterion) {
+/// Balanced K-means whose capacity assignment repairs overflow from
+/// the nearest-centre seed every balance round.
+fn bench_warm_assign(c: &mut Criterion) {
     let mut g = c.benchmark_group("balanced_kmeans_assign");
     g.sample_size(15);
+    let cfg = KmeansConfig::default();
     for n in [300usize, 900] {
         let pts = points(n, 11);
         let k = n.div_ceil(32);
-        for (label, warm) in [("warm", true), ("cold", false)] {
-            let cfg = KmeansConfig {
-                warm_mcf: warm,
-                ..KmeansConfig::default()
-            };
-            g.bench_with_input(BenchmarkId::new(label, n), &pts, |b, pts| {
-                b.iter(|| balanced_kmeans_cfg(std::hint::black_box(pts), k, 32, 1, &cfg))
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("warm", n), &pts, |b, pts| {
+            b.iter(|| balanced_kmeans_cfg(std::hint::black_box(pts), k, 32, 1, &cfg))
+        });
     }
     g.finish();
 }
@@ -105,6 +99,6 @@ fn bench_restarts(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    targets = bench_nearest, bench_warm_vs_cold, bench_restarts
+    targets = bench_nearest, bench_warm_assign, bench_restarts
 }
 criterion_main!(benches);

@@ -18,7 +18,10 @@
 
 use sllt_bench::arg_value;
 use sllt_cts::flow::HierarchicalCts;
-use sllt_cts::{CollectingObserver, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, StageFault};
+use sllt_cts::{
+    CollectingObserver, FaultKind, FaultPlan, FaultStage, NullSink, RecoveryPolicy, RunContext,
+    StageFault,
+};
 use sllt_obs::Value;
 
 const WORKERS: [usize; 3] = [1, 2, 4];
@@ -104,14 +107,17 @@ fn run() -> Result<(), String> {
         let mut ok = true;
         for workers in WORKERS {
             let cts = HierarchicalCts {
-                faults: sc.faults.clone(),
                 route_budget: sc.route_budget,
                 recovery: RecoveryPolicy::standard(),
                 workers,
                 ..HierarchicalCts::default()
             };
             let mut obs = CollectingObserver::new();
-            match cts.run_with_observer(&design, &mut obs) {
+            let ctx = RunContext {
+                faults: sc.faults.clone(),
+                ..RunContext::new(&mut obs, &NullSink)
+            };
+            match cts.run_in(&design, ctx) {
                 Ok(tree) => {
                     if let Err(e) = tree.validate() {
                         eprintln!("FAIL {}: workers={workers}: invalid tree: {e}", sc.name);

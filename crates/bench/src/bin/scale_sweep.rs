@@ -19,7 +19,7 @@
 
 use sllt_bench::{arg_parse, arg_value, emit_json, run_main, Table};
 use sllt_cts::flow::HierarchicalCts;
-use sllt_cts::{CollectingObserver, FlowObserver, LevelReport};
+use sllt_cts::{CollectingObserver, FlowEvent, FlowObserver};
 use sllt_design::GridSpec;
 use sllt_obs::{peak_rss_bytes, Value};
 use std::process::ExitCode;
@@ -29,37 +29,22 @@ fn main() -> ExitCode {
     run_main(run)
 }
 
-/// Collects level reports and, under `--levels`, narrates each level to
-/// stderr as it completes — long scaling points should show where they
-/// are, not go dark for minutes.
-struct Progress {
-    inner: CollectingObserver,
-    live: bool,
-}
-
-impl FlowObserver for Progress {
-    fn on_flow_start(&mut self, num_sinks: usize, workers: usize) {
-        self.inner.on_flow_start(num_sinks, workers);
-    }
-    fn on_level(&mut self, report: &LevelReport) {
-        if self.live {
-            eprintln!(
-                "  L{}: {} nodes -> {} clusters, partition {:.3}s, route {:.3}s, \
-                 sizing {:.3}s, {} pads ({} attempts)",
-                report.level,
-                report.num_nodes,
-                report.num_clusters,
-                report.timings.partition.as_secs_f64(),
-                report.timings.route.as_secs_f64(),
-                report.timings.sizing.as_secs_f64(),
-                report.pads,
-                report.attempts,
-            );
-        }
-        self.inner.on_level(report);
-    }
-    fn on_assemble(&mut self, report: &sllt_cts::AssembleReport) {
-        self.inner.on_assemble(report);
+/// Narrates a finished level to stderr — under `--levels`, long scaling
+/// points should show where they are, not go dark for minutes.
+fn narrate(ev: &FlowEvent) {
+    if let FlowEvent::LevelDone { report, .. } = ev {
+        eprintln!(
+            "  L{}: {} nodes -> {} clusters, partition {:.3}s, route {:.3}s, \
+             sizing {:.3}s, {} pads ({} attempts)",
+            report.level,
+            report.num_nodes,
+            report.num_clusters,
+            report.timings.partition.as_secs_f64(),
+            report.timings.route.as_secs_f64(),
+            report.timings.sizing.as_secs_f64(),
+            report.pads,
+            report.attempts,
+        );
     }
 }
 
@@ -96,15 +81,17 @@ fn run() -> Result<(), String> {
             use_sa: !sllt_bench::arg_flag("--no-sa"),
             ..HierarchicalCts::default()
         };
-        let mut obs = Progress {
-            inner: CollectingObserver::new(),
-            live: sllt_bench::arg_flag("--levels"),
-        };
+        let live = sllt_bench::arg_flag("--levels");
+        let mut obs = CollectingObserver::new();
         let t0 = Instant::now();
         let tree = cts
-            .run_with_observer(&design, &mut obs)
+            .run_with_observer(&design, &mut |ev: &FlowEvent| {
+                if live {
+                    narrate(ev);
+                }
+                obs.on_event(ev);
+            })
             .map_err(|e| format!("grid{n}: flow failed: {e}"))?;
-        let obs = obs.inner;
         let wall = t0.elapsed().as_secs_f64();
         let sinks = tree.sinks().len();
         if sinks != n {

@@ -5,7 +5,7 @@
 //!
 //! * **Phase A — fault schedules.** `--schedules N` randomized
 //!   [`FaultFs`] schedules (ENOSPC/EIO/short/torn at varying rates and
-//!   onsets) over `run_checkpointed`, asserting the flow degrades
+//!   onsets) over checkpointed runs, asserting the flow degrades
 //!   rather than aborts, the produced tree is bit-identical to a clean
 //!   reference, and the surviving journal prefix is readable. Each
 //!   schedule then gets a randomized **kill point**: the checkpoint
@@ -29,7 +29,7 @@
 //! single machine-readable summary line.
 
 use sllt_bench::{arg_flag, arg_parse, arg_value};
-use sllt_cts::{CtsError, HierarchicalCts};
+use sllt_cts::{CheckpointMode, CtsError, HierarchicalCts, RunContext};
 use sllt_design::Design;
 use sllt_obs::journal::read_journal;
 use sllt_obs::vfs::{FaultConfig, FaultFs};
@@ -149,9 +149,12 @@ fn fault_schedule_phase(tally: &mut Tally, design: &Design, schedules: u64, seed
         let spec = schedule_spec(seed, i);
         let path = dir.join(format!("ckpt_{i}.jsonl"));
         let fs = FaultFs::over_real(FaultConfig::parse(&spec).expect("generated spec parses"));
-        let mut faulty = cts();
-        faulty.vfs = Arc::new(fs.clone());
-        match faulty.run_checkpointed(design, &path) {
+        let faulty = RunContext {
+            vfs: Arc::new(fs.clone()),
+            checkpoint: CheckpointMode::Fresh(&path),
+            ..Default::default()
+        };
+        match clean.run_in(design, faulty) {
             Ok(tree) => tally.check(tree == reference, || {
                 format!("schedule {i} ({spec}): degraded run diverged from the clean tree")
             }),
@@ -200,7 +203,16 @@ fn kill_point_resume(
         )
     });
     let clean = cts();
-    match clean.resume(design, path) {
+    let journaled = |checkpoint| {
+        clean.run_in(
+            design,
+            RunContext {
+                checkpoint,
+                ..Default::default()
+            },
+        )
+    };
+    match journaled(CheckpointMode::Resume(path)) {
         Ok(tree) => tally.check(&tree == reference, || {
             format!("schedule {i}: resume after cut at {cut} diverged from the clean tree")
         }),
@@ -209,7 +221,7 @@ fn kill_point_resume(
             // itself is gone): refusing is correct, and a fresh run on
             // the same path must still match.
             std::fs::remove_file(path).ok();
-            match clean.run_checkpointed(design, path) {
+            match journaled(CheckpointMode::Fresh(path)) {
                 Ok(tree) => tally.check(&tree == reference, || {
                     format!("schedule {i}: fresh rebuild after refused prefix diverged")
                 }),

@@ -9,9 +9,11 @@
 //! number of work units executed after `cancel()` is bounded by the
 //! worker count plus a small constant, never by design size.
 //!
-//! Work committed before the cancellation is untouched: with
-//! checkpointing enabled the journal still holds every completed level
-//! and [`HierarchicalCts::resume`](crate::flow::HierarchicalCts::resume)
+//! The token travels in the run's
+//! [`RunContext`](crate::flow::RunContext). Work committed before the
+//! cancellation is untouched: with checkpointing enabled the journal
+//! still holds every completed level, and a run with
+//! [`CheckpointMode::Resume`](crate::flow::CheckpointMode::Resume)
 //! continues from it.
 //!
 //! The token is also the process-interrupt hook: [`install_signals`]
@@ -76,7 +78,7 @@ impl CancelToken {
     }
 
     /// Fires the token. Idempotent; safe from any thread. Also the only
-    /// operation the SIGINT handler performs.
+    /// operation the signal handler performs.
     pub fn cancel(&self) {
         self.inner.fired.store(true, Ordering::Release);
     }
@@ -143,14 +145,6 @@ pub fn install_signals(token: &CancelToken) {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
     }
-}
-
-/// Routes SIGINT (Ctrl-C) to `token.cancel()`. Kept for callers that
-/// predate [`install_signals`]; both signals now share one handler, so
-/// this is the same installation.
-#[cfg(unix)]
-pub fn install_sigint(token: &CancelToken) {
-    install_signals(token);
 }
 
 #[cfg(test)]

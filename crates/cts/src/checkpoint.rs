@@ -54,35 +54,18 @@ fn io_err(context: &str, e: impl std::fmt::Display) -> CtsError {
 
 /// Binds a journal to the exact (config, design) pair that wrote it.
 ///
-/// Hashes every flow field that influences the built tree — notably NOT
+/// Hashes the whole configuration — every field shapes the tree except
 /// [`workers`](HierarchicalCts::workers) (trees are bit-identical at any
-/// worker count) and not the cancel token — plus the design's name,
+/// worker count), which is normalised away — plus the design's name,
 /// clock root, and every sink's coordinate/capacitance bit pattern.
 /// `Debug` formatting of f64 prints the shortest round-trip form, so the
 /// hash is exact, not approximate.
 fn fingerprint(cts: &HierarchicalCts, design: &Design) -> u64 {
-    let config = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{}|{}|{}|{:?}|{:?}",
-        cts.constraints,
-        cts.tech,
-        cts.lib,
-        cts.topology,
-        cts.estimator,
-        cts.use_sa,
-        cts.level_skew_fraction,
-        cts.cluster_latency_slack_ps,
-        cts.sizing_slack,
-        cts.equalize_sizing,
-        cts.sizing_window_fraction,
-        cts.partition_restarts,
-        cts.sa_chains,
-        cts.partition_warm_mcf,
-        cts.seed,
-        design.name,
-        cts.recovery,
-        cts.route_budget,
-    );
-    let mut bytes = config.into_bytes();
+    let config = HierarchicalCts {
+        workers: 0,
+        ..cts.clone()
+    };
+    let mut bytes = format!("{config:?}|{}", design.name).into_bytes();
     bytes.extend_from_slice(&design.clock_root.x.to_bits().to_le_bytes());
     bytes.extend_from_slice(&design.clock_root.y.to_bits().to_le_bytes());
     for s in &design.sinks {
@@ -536,11 +519,12 @@ impl CheckpointWriter {
     /// Starts a fresh journal (truncating any existing file) and writes
     /// the fingerprinted meta record.
     pub(crate) fn create(
+        vfs: &dyn Vfs,
         path: &Path,
         cts: &HierarchicalCts,
         design: &Design,
     ) -> Result<CheckpointWriter, CtsError> {
-        let mut app = DurableAppender::create_with(cts.vfs.as_ref(), path)
+        let mut app = DurableAppender::create_with(vfs, path)
             .map_err(|e| io_err("creating checkpoint journal", e))?;
         let meta = Value::obj()
             .with("type", "sllt-ckpt")
@@ -606,8 +590,8 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Reads and validates a checkpoint journal against the flow
-    /// configuration and design that will resume from it. Only
+    /// Reads (through `vfs`) and validates a checkpoint journal against
+    /// the flow configuration and design that will resume from it. Only
     /// [`CHECKPOINT_SCHEMA`] journals load; any other schema is refused.
     ///
     /// Tolerates (and reports through [`torn`](Self::torn)) a torn
@@ -616,12 +600,12 @@ impl Checkpoint {
     /// schema or fingerprint mismatch, or a gap in the level sequence
     /// is [`CtsError::Checkpoint`].
     pub fn load(
+        vfs: &dyn Vfs,
         path: &Path,
         cts: &HierarchicalCts,
         design: &Design,
     ) -> Result<Checkpoint, CtsError> {
-        let bytes = cts
-            .vfs
+        let bytes = vfs
             .read(path)
             .map_err(|e| io_err("reading checkpoint journal", e))?;
         let journal =
@@ -744,12 +728,6 @@ impl Checkpoint {
     /// torn (partially written) line.
     pub fn torn(&self) -> Option<&str> {
         self.torn.as_deref()
-    }
-
-    /// Byte length of the journal's intact prefix — where a resuming
-    /// writer continues appending.
-    pub fn valid_len(&self) -> u64 {
-        self.valid_len
     }
 }
 
@@ -932,7 +910,7 @@ mod tests {
         )
         .unwrap();
         drop(app);
-        match Checkpoint::load(&path, &cts, &design) {
+        match Checkpoint::load(&sllt_obs::RealFs, &path, &cts, &design) {
             Err(CtsError::Checkpoint { detail }) => {
                 assert!(
                     detail.contains("unsupported checkpoint schema 1 "),

@@ -1,11 +1,11 @@
 //! Deterministic fault injection for exercising the recovery machinery.
 //!
-//! A [`FaultPlan`] attaches to
-//! [`HierarchicalCts::faults`](crate::flow::HierarchicalCts::faults) and
-//! makes a chosen stage fail at a chosen level (and cluster) — as a
-//! typed [`CtsError::InjectedFault`](crate::error::CtsError::InjectedFault)
-//! or, in the route stage, as a real `panic!` that the worker's
-//! containment must catch. The plan is *stateless*: whether a fault
+//! A [`FaultPlan`] attaches to a run through
+//! [`RunContext::faults`](crate::flow::RunContext::faults) and makes a
+//! chosen stage fail at a chosen level (and cluster) — as a typed
+//! [`CtsError::InjectedFault`] or, in the route stage, as a real
+//! `panic!` that the worker's containment must catch. Every stage makes
+//! the same one call, [`FaultPlan::check`]. The plan is *stateless*: whether a fault
 //! fires is a pure function of `(stage, level, cluster, attempt)`, so no
 //! atomics are needed, parallel workers cannot race on it, and runs stay
 //! bit-identical at any worker count.
@@ -18,8 +18,10 @@
 //! drives the ladder to
 //! [`LadderExhausted`](crate::error::CtsError::LadderExhausted).
 //!
-//! An empty plan (the default) injects nothing and costs one `Vec`
-//! emptiness check per stage.
+//! An empty plan (the default) injects nothing and costs one scan of an
+//! empty `Vec` per stage.
+
+use crate::error::CtsError;
 
 /// Which stage a fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +36,7 @@ pub enum FaultStage {
 }
 
 impl FaultStage {
-    /// Stage name as carried in
-    /// [`CtsError::InjectedFault`](crate::error::CtsError::InjectedFault).
+    /// Stage name as carried in [`CtsError::InjectedFault`].
     pub fn name(self) -> &'static str {
         match self {
             FaultStage::Partition => "partition",
@@ -48,8 +49,7 @@ impl FaultStage {
 /// How an injected fault manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The stage returns
-    /// [`CtsError::InjectedFault`](crate::error::CtsError::InjectedFault).
+    /// The stage returns [`CtsError::InjectedFault`].
     Error,
     /// The stage panics (`panic!`). Only the route stage contains
     /// panics; injecting this elsewhere aborts the run, which is itself
@@ -125,26 +125,35 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The first fault matching this site, if any. Pure: same inputs,
-    /// same answer, on every worker.
-    pub(crate) fn fires(
+    /// Fires the first fault planned for this site, if any: a
+    /// [`FaultKind::Error`] returns [`CtsError::InjectedFault`], a
+    /// [`FaultKind::Panic`] panics. Pure: same inputs, same answer, on
+    /// every worker.
+    pub(crate) fn check(
         &self,
         stage: FaultStage,
         level: usize,
         cluster: Option<usize>,
         attempt: usize,
-    ) -> Option<&StageFault> {
-        self.faults.iter().find(|f| {
+    ) -> Result<(), CtsError> {
+        let fault = self.faults.iter().find(|f| {
             f.stage == stage
                 && f.level == level
                 && attempt < f.max_attempt
                 && (f.cluster.is_none() || f.cluster == cluster)
-        })
+        });
+        match fault.map(|f| f.kind) {
+            None => Ok(()),
+            Some(FaultKind::Error) => Err(CtsError::InjectedFault {
+                stage: stage.name(),
+                level,
+                cluster,
+            }),
+            Some(FaultKind::Panic) => panic!(
+                "injected panic: {} level {level} cluster {cluster:?}",
+                stage.name()
+            ),
+        }
     }
 }
 
@@ -152,11 +161,13 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    fn fires(p: &FaultPlan, stage: FaultStage, level: usize, cluster: Option<usize>) -> bool {
+        p.check(stage, level, cluster, 0).is_err()
+    }
+
     #[test]
     fn empty_plan_never_fires() {
-        let p = FaultPlan::none();
-        assert!(p.is_empty());
-        assert!(p.fires(FaultStage::Route, 0, Some(0), 0).is_none());
+        assert!(!fires(&FaultPlan::none(), FaultStage::Route, 0, Some(0)));
     }
 
     #[test]
@@ -167,12 +178,12 @@ mod tests {
             Some(3),
             FaultKind::Error,
         ));
-        assert!(p.fires(FaultStage::Route, 1, Some(3), 0).is_some());
-        assert!(p.fires(FaultStage::Route, 1, Some(3), 1).is_none());
+        assert!(fires(&p, FaultStage::Route, 1, Some(3)));
+        assert_eq!(p.check(FaultStage::Route, 1, Some(3), 1), Ok(()));
         // Wrong level, cluster, or stage: no fire.
-        assert!(p.fires(FaultStage::Route, 0, Some(3), 0).is_none());
-        assert!(p.fires(FaultStage::Route, 1, Some(2), 0).is_none());
-        assert!(p.fires(FaultStage::Sizing, 1, Some(3), 0).is_none());
+        assert!(!fires(&p, FaultStage::Route, 0, Some(3)));
+        assert!(!fires(&p, FaultStage::Route, 1, Some(2)));
+        assert!(!fires(&p, FaultStage::Sizing, 1, Some(3)));
     }
 
     #[test]
@@ -183,9 +194,9 @@ mod tests {
             None,
             FaultKind::Error,
         ));
-        assert!(p.fires(FaultStage::Route, 0, Some(0), 0).is_some());
-        assert!(p.fires(FaultStage::Route, 0, Some(17), 0).is_some());
-        assert!(p.fires(FaultStage::Route, 0, None, 0).is_some());
+        assert!(fires(&p, FaultStage::Route, 0, Some(0)));
+        assert!(fires(&p, FaultStage::Route, 0, Some(17)));
+        assert!(fires(&p, FaultStage::Route, 0, None));
     }
 
     #[test]
@@ -197,7 +208,7 @@ mod tests {
             FaultKind::Error,
         ));
         for attempt in 0..64 {
-            assert!(p.fires(FaultStage::Partition, 2, None, attempt).is_some());
+            assert!(p.check(FaultStage::Partition, 2, None, attempt).is_err());
         }
     }
 }

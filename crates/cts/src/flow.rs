@@ -18,9 +18,14 @@
 //!
 //! When one node remains, the tree is assembled ([`crate::assemble`])
 //! under the design's clock root and long wires get critical-wirelength
-//! repeaters. Each level emits a [`LevelReport`] through the
-//! [`FlowObserver`] the caller passes to
-//! [`HierarchicalCts::run_with_observer`].
+//! repeaters.
+//!
+//! [`HierarchicalCts`] is the pure algorithm configuration: every field
+//! shapes the tree (plus [`workers`](HierarchicalCts::workers), which
+//! never does). Everything else about a run — cancellation, the
+//! filesystem seam, fault injection, checkpointing, telemetry, and the
+//! [`FlowObserver`] receiving the [`FlowEvent`] stream — travels in a
+//! [`RunContext`] to the one entry point, [`HierarchicalCts::run_in`].
 
 use crate::assemble::{assemble, BuiltCluster};
 use crate::cancel::CancelToken;
@@ -30,17 +35,18 @@ use crate::error::CtsError;
 use crate::fault::FaultPlan;
 use crate::partition::partition_level;
 use crate::recovery::{Downgrade, RecoveryPolicy};
-use crate::report::{FlowObserver, LevelReport, NullObserver, StageTimings};
-use crate::route::{route_clusters, LevelNode, NodeSource};
+use crate::report::{FlowEvent, FlowObserver, LevelReport, NullObserver, StageTimings};
+use crate::route::{route_clusters, LevelNode};
 use crate::sizing::size_drivers;
 use sllt_buffer::DelayEstimator;
 use sllt_design::Design;
 use sllt_geom::Point;
 use sllt_obs::vfs::{real_fs, Vfs};
-use sllt_obs::{NullSink, Progress, ProgressEvent, TelemetrySink, WorkBudget};
+use sllt_obs::{NullSink, TelemetrySink, WorkBudget};
 use sllt_route::TopologyScheme;
 use sllt_timing::{BufferLibrary, Technology};
 use sllt_tree::ClockTree;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,7 +105,9 @@ impl TopologyKind {
     }
 }
 
-/// The hierarchical CTS engine.
+/// The hierarchical CTS engine: its algorithm configuration. Every
+/// field but [`workers`](Self::workers) shapes the tree and enters the
+/// checkpoint fingerprint; run plumbing goes in a [`RunContext`].
 #[derive(Debug, Clone)]
 pub struct HierarchicalCts {
     /// Design constraints (paper Table 5).
@@ -145,14 +153,6 @@ pub struct HierarchicalCts {
     /// combination yields bit-identical trees. Must be at least 1 when
     /// [`use_sa`](Self::use_sa) is set.
     pub sa_chains: usize,
-    /// Whether the per-cluster capacity assignment inside balanced
-    /// K-means warm-starts from the nearest-centre seed and repairs only
-    /// the overflow with a small min-cost flow, instead of solving the
-    /// dense point×centre flow from scratch each balance round. Exact —
-    /// the repaired assignment reaches the dense optimum's total cost —
-    /// and several times faster; disable only to cross-check trees
-    /// against the cold solver.
-    pub partition_warm_mcf: bool,
     /// Worker threads for the per-cluster route stage: 0 picks the
     /// machine's available parallelism, 1 routes serially. Any value
     /// yields bit-identical trees.
@@ -169,33 +169,6 @@ pub struct HierarchicalCts {
     /// Exceeding it yields [`CtsError::StageDeadline`] *before* any
     /// cluster routes — same cutoff on every run, at any worker count.
     pub route_budget: Option<u64>,
-    /// Fault injection for the recovery test harness; empty (injecting
-    /// nothing) by default. See [`crate::fault`].
-    pub faults: FaultPlan,
-    /// Cooperative cancellation flag, polled at cluster and SA-sweep
-    /// granularity by every stage. Inert by default; clone the token
-    /// before the run and [`cancel`](CancelToken::cancel) it from any
-    /// thread (or wire it to Ctrl-C with
-    /// [`install_sigint`](crate::cancel::install_sigint)) to stop the
-    /// flow with [`CtsError::Cancelled`] within a bounded number of
-    /// work units.
-    pub cancel: CancelToken,
-    /// Filesystem seam for every durable write the flow performs
-    /// (checkpoint journal). The default is the real filesystem;
-    /// install a [`FaultFs`](sllt_obs::FaultFs) to exercise the
-    /// storage-failure paths deterministically. Excluded from the
-    /// checkpoint fingerprint — the seam never changes the tree.
-    pub vfs: Arc<dyn Vfs>,
-    /// Live progress reporting: level start/done and within-level
-    /// decile events with deterministic work-budget completion
-    /// fractions (see [`sllt_obs::progress`]). Inert by default.
-    /// Observation-only — attaching a sink never changes the tree.
-    /// On a *failing* level attempt the serial route path stops at the
-    /// first error while workers drain in-flight clusters, so decile
-    /// events from failed attempts may differ across worker counts;
-    /// every emitted fraction is still deterministic, and successful
-    /// runs emit a worker-count-independent event set.
-    pub progress: Progress,
 }
 
 impl Default for HierarchicalCts {
@@ -219,66 +192,132 @@ impl Default for HierarchicalCts {
             sizing_slack: 1.3,
             partition_restarts: 4,
             sa_chains: 2,
-            partition_warm_mcf: true,
             workers: 0,
             seed: 0x05117C75,
             recovery: RecoveryPolicy::default(),
             route_budget: None,
-            faults: FaultPlan::default(),
-            cancel: CancelToken::default(),
-            vfs: real_fs(),
-            progress: Progress::none(),
         }
+    }
+}
+
+/// How a run interacts with a checkpoint journal. Checkpointing is
+/// observational: a resumed run builds the tree an uninterrupted run
+/// would, at any worker count (see `DESIGN.md`, *Durability model*).
+#[derive(Debug, Clone, Copy)]
+pub enum CheckpointMode<'p> {
+    /// No journal.
+    Off,
+    /// Start a fresh journal at the path, truncating any existing file,
+    /// and append a crash-safe record after every committed level.
+    Fresh(&'p Path),
+    /// Validate the journal against this configuration and design
+    /// (fingerprint), restore the last committed level, and continue —
+    /// appending new levels to the same file. A torn final record
+    /// (crash mid-append) is discarded and rebuilt.
+    Resume(&'p Path),
+}
+
+/// Everything about one run that is not algorithm configuration: none
+/// of it enters the checkpoint fingerprint. Build one with
+/// [`RunContext::new`] or [`Default`] and struct-update the rest.
+pub struct RunContext<'a> {
+    /// Cooperative cancellation flag, polled at cluster and SA-sweep
+    /// granularity by every stage. Clone the token before the run and
+    /// [`cancel`](CancelToken::cancel) it from any thread (or wire it
+    /// to Ctrl-C/SIGTERM with
+    /// [`install_signals`](crate::cancel::install_signals)) to stop the
+    /// flow with [`CtsError::Cancelled`] within a bounded number of work
+    /// units.
+    pub cancel: CancelToken,
+    /// Filesystem seam for every durable write the flow performs (the
+    /// checkpoint journal). Install a [`FaultFs`](sllt_obs::FaultFs) to
+    /// exercise the storage-failure paths deterministically.
+    pub vfs: Arc<dyn Vfs>,
+    /// Fault injection for the recovery test harness; empty (injecting
+    /// nothing) by default. See [`crate::fault`].
+    pub faults: FaultPlan,
+    /// Whether and how the run journals its committed levels.
+    pub checkpoint: CheckpointMode<'a>,
+    /// Span and metric recording. With [`NullSink`] every
+    /// instrumentation site reduces to one relaxed atomic load; with a
+    /// [`RecordingSink`](sllt_obs::RecordingSink) the run's span tree
+    /// and counters land in the sink's registry.
+    pub telemetry: &'a dyn TelemetrySink,
+    /// Receives the run's [`FlowEvent`] stream.
+    pub observer: &'a mut dyn FlowObserver,
+}
+
+impl<'a> RunContext<'a> {
+    /// A context delivering events to `observer` and metrics to
+    /// `telemetry`, with an inert cancel token, the real filesystem, no
+    /// injected faults, and no checkpoint.
+    pub fn new(observer: &'a mut dyn FlowObserver, telemetry: &'a dyn TelemetrySink) -> Self {
+        RunContext {
+            cancel: CancelToken::new(),
+            vfs: real_fs(),
+            faults: FaultPlan::none(),
+            checkpoint: CheckpointMode::Off,
+            telemetry,
+            observer,
+        }
+    }
+}
+
+impl Default for RunContext<'_> {
+    /// Observes nothing and records nothing.
+    fn default() -> Self {
+        // Leaking a zero-sized observer allocates nothing.
+        RunContext::new(Box::leak(Box::new(NullObserver)), &NullSink)
     }
 }
 
 /// Per-run state threaded through the stages: the built-cluster arena,
 /// the current level's nodes, and the level counter.
-struct FlowContext {
+struct FlowState {
     clusters: Vec<BuiltCluster>,
     nodes: Vec<LevelNode>,
     level: usize,
-}
-
-impl FlowContext {
-    /// Level 0: one node per design flip-flop, zero accumulated delay.
-    fn seed(design: &Design) -> Self {
-        FlowContext {
-            clusters: Vec::new(),
-            nodes: design
-                .sinks
-                .iter()
-                .enumerate()
-                .map(|(i, s)| LevelNode {
-                    pos: s.pos,
-                    cap_ff: s.cap_ff,
-                    interval_ps: (0.0, 0.0),
-                    source: NodeSource::DesignSink(i),
-                })
-                .collect(),
-            level: 0,
-        }
-    }
 }
 
 /// Levels past this are a divergence, not a deep design: each level must
 /// at least halve the node count.
 const MAX_LEVELS: usize = 40;
 
-/// How [`HierarchicalCts::run_core`] interacts with a checkpoint
-/// journal.
-enum CheckpointMode<'p> {
-    /// No journal (the plain [`run`](HierarchicalCts::run) family).
-    Off,
-    /// Start a fresh journal at the path, truncating any existing file.
-    Fresh(&'p std::path::Path),
-    /// Load the journal, restore the last committed level, and append.
-    Resume(&'p std::path::Path),
-}
-
 impl HierarchicalCts {
     /// Runs the flow on a design and returns the assembled, buffered
-    /// clock tree. Sink nodes carry the design's sink indices.
+    /// clock tree — [`run_in`](Self::run_in) with a default context.
+    pub fn run(&self, design: &Design) -> Result<ClockTree, CtsError> {
+        self.run_in(design, RunContext::default())
+    }
+
+    /// [`run`](Self::run), delivering the event stream to `observer`.
+    pub fn run_with_observer(
+        &self,
+        design: &Design,
+        observer: &mut dyn FlowObserver,
+    ) -> Result<ClockTree, CtsError> {
+        self.run_in(design, RunContext::new(observer, &NullSink))
+    }
+
+    /// [`run_with_observer`](Self::run_with_observer), additionally
+    /// recording spans and metrics into `sink`.
+    pub fn run_with_telemetry(
+        &self,
+        design: &Design,
+        observer: &mut dyn FlowObserver,
+        sink: &dyn TelemetrySink,
+    ) -> Result<ClockTree, CtsError> {
+        self.run_in(design, RunContext::new(observer, sink))
+    }
+
+    /// The one engine entry point: validate, optionally restore
+    /// checkpointed state, build levels (checkpointing each commit),
+    /// assemble. Sink nodes of the returned tree carry the design's
+    /// sink indices. Nothing in `ctx` changes the tree: telemetry and
+    /// observers are observational, checkpointing and resuming rebuild
+    /// the uninterrupted tree bit-identically, and a failing journal
+    /// write degrades the run to in-memory-only operation
+    /// ([`FlowEvent::StorageDegraded`]) instead of aborting it.
     ///
     /// This never panics on user input: constraints, the design, and
     /// the buffer library are all checked up front, and per-level
@@ -298,117 +337,13 @@ impl HierarchicalCts {
     /// [`CtsError::LevelRunaway`] when partitioning stops reducing the
     /// node count, per-level routing errors
     /// ([`CtsError::ClusterRoute`], [`CtsError::ClusterPanicked`],
-    /// [`CtsError::StageDeadline`]) when recovery is disabled, and
+    /// [`CtsError::StageDeadline`]) when recovery is disabled,
     /// [`CtsError::LadderExhausted`] when it is enabled but every rung
-    /// failed.
-    pub fn run(&self, design: &Design) -> Result<ClockTree, CtsError> {
-        self.run_with_observer(design, &mut NullObserver)
-    }
-
-    /// [`run`](Self::run), reporting each level and the final assembly
-    /// to `observer` as the flow progresses.
-    pub fn run_with_observer(
-        &self,
-        design: &Design,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_with_telemetry(design, observer, &NullSink)
-    }
-
-    /// [`run_with_observer`](Self::run_with_observer), additionally
-    /// recording spans and metrics into `sink`. With [`NullSink`] every
-    /// instrumentation site reduces to one relaxed atomic load; with a
-    /// [`RecordingSink`](sllt_obs::RecordingSink) the run's span tree
-    /// and counters land in the sink's registry for post-run inspection
-    /// or run-record serialization. Telemetry is observational only —
-    /// the built tree is bit-identical either way, at any worker count.
-    pub fn run_with_telemetry(
-        &self,
-        design: &Design,
-        observer: &mut dyn FlowObserver,
-        sink: &dyn TelemetrySink,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(design, observer, sink, CheckpointMode::Off)
-    }
-
-    /// [`run`](Self::run), writing a crash-safe level checkpoint to
-    /// `journal` after every committed level (truncating any existing
-    /// file first). If the process dies — or the run is
-    /// [cancelled](Self::cancel) — [`resume`](Self::resume) with the
-    /// same configuration continues from the last committed level and
-    /// produces a tree bit-identical to an uninterrupted run, at any
-    /// worker count. See `DESIGN.md`, *Durability model*.
-    pub fn run_checkpointed(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(
-            design,
-            &mut NullObserver,
-            &NullSink,
-            CheckpointMode::Fresh(journal),
-        )
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) with a progress
-    /// observer.
-    pub fn run_checkpointed_with_observer(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(design, observer, &NullSink, CheckpointMode::Fresh(journal))
-    }
-
-    /// Resumes an interrupted [`run_checkpointed`](Self::run_checkpointed)
-    /// from its journal: validates the journal against this configuration
-    /// and the design (fingerprint), restores the last committed level,
-    /// and continues — appending new level checkpoints to the same file.
-    /// A torn final record (crash mid-append) is discarded and rebuilt.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::Checkpoint`] when the journal is unreadable, corrupt
-    /// beyond its final record, or was written by a different
-    /// configuration or design; plus everything [`run`](Self::run) can
-    /// return for the remaining levels.
-    pub fn resume(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(
-            design,
-            &mut NullObserver,
-            &NullSink,
-            CheckpointMode::Resume(journal),
-        )
-    }
-
-    /// [`resume`](Self::resume) with a progress observer. Checkpointed
-    /// levels are replayed through
-    /// [`FlowObserver::on_resumed_level`] before live reports begin.
-    pub fn resume_with_observer(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(design, observer, &NullSink, CheckpointMode::Resume(journal))
-    }
-
-    /// The single engine loop behind every public entry point: validate,
-    /// optionally restore checkpointed state, build levels (checkpointing
-    /// each commit), assemble.
-    fn run_core(
-        &self,
-        design: &Design,
-        observer: &mut dyn FlowObserver,
-        sink: &dyn TelemetrySink,
-        mode: CheckpointMode<'_>,
-    ) -> Result<ClockTree, CtsError> {
+    /// failed, [`CtsError::Cancelled`] when the token fires, and
+    /// [`CtsError::Checkpoint`] when the journal cannot be created, or
+    /// on resume is unreadable, corrupt beyond its final record, or was
+    /// written by a different configuration or design.
+    pub fn run_in(&self, design: &Design, mut ctx: RunContext<'_>) -> Result<ClockTree, CtsError> {
         self.constraints.validate()?;
         if design.sinks.is_empty() {
             return Err(CtsError::NoSinks);
@@ -433,10 +368,9 @@ impl HierarchicalCts {
         }
         // Declared before the spans: guards drop in reverse declaration
         // order, so every span closes before the scope merges its shard.
-        let _scope = sink.registry().map(|r| r.install("main"));
+        let _scope = ctx.telemetry.registry().map(|r| r.install("main"));
         let _flow_span = sllt_obs::span("cts.flow");
-        observer.on_flow_start(design.sinks.len(), self.effective_workers(usize::MAX));
-        self.progress.emit(&ProgressEvent::FlowStart {
+        ctx.observer.on_event(&FlowEvent::FlowStart {
             sinks: design.sinks.len(),
         });
         // Deterministic completion model: a level's work is its node
@@ -446,29 +380,44 @@ impl HierarchicalCts {
         // are folded in below so a resumed run's fractions line up.
         let mut budget = WorkBudget::new();
 
-        let mut cx = FlowContext::seed(design);
-        let mut writer = match mode {
+        let mut cx = FlowState {
+            clusters: Vec::new(),
+            nodes: crate::checkpoint::seed_nodes(design),
+            level: 0,
+        };
+        let mut writer = match ctx.checkpoint {
             CheckpointMode::Off => None,
-            CheckpointMode::Fresh(path) => Some(CheckpointWriter::create(path, self, design)?),
+            CheckpointMode::Fresh(path) => Some(CheckpointWriter::create(
+                ctx.vfs.as_ref(),
+                path,
+                self,
+                design,
+            )?),
             CheckpointMode::Resume(path) => {
-                let ckpt = Checkpoint::load(path, self, design)?;
-                // Replay the committed history, then continue from the
-                // restored state. An empty journal (meta only) resumes
-                // from the design sinks — identical to a fresh run.
-                for report in ckpt.reports() {
-                    budget.start_level(report.num_nodes as u64 * self.topology.cost_weight());
-                    budget.finish_level();
-                    observer.on_resumed_level(report);
-                }
-                if ckpt.levels() > 0 {
-                    cx = FlowContext {
-                        level: ckpt.levels(),
+                let ckpt = Checkpoint::load(ctx.vfs.as_ref(), path, self, design)?;
+                // Continue from the restored state. An empty journal
+                // (meta only) resumes from the design sinks — identical
+                // to a fresh run.
+                if !ckpt.reports.is_empty() {
+                    cx = FlowState {
+                        level: ckpt.reports.len(),
                         clusters: ckpt.clusters,
                         nodes: ckpt.nodes,
                     };
                 }
+                // Replay the committed history before any live level.
+                for report in ckpt.reports {
+                    budget.start_level(report.num_nodes as u64 * self.topology.cost_weight());
+                    let fraction = budget.fraction_at(budget.level_work());
+                    budget.finish_level();
+                    ctx.observer.on_event(&FlowEvent::LevelDone {
+                        report,
+                        fraction,
+                        resumed: true,
+                    });
+                }
                 Some(CheckpointWriter::reopen(
-                    self.vfs.as_ref(),
+                    ctx.vfs.as_ref(),
                     path,
                     ckpt.valid_len,
                     &cx.nodes,
@@ -476,7 +425,7 @@ impl HierarchicalCts {
             }
         };
         while cx.nodes.len() > 1 {
-            if self.cancel.poll() {
+            if ctx.cancel.poll() {
                 return Err(CtsError::Cancelled);
             }
             if cx.level >= MAX_LEVELS {
@@ -486,12 +435,12 @@ impl HierarchicalCts {
                 });
             }
             budget.start_level(cx.nodes.len() as u64 * self.topology.cost_weight());
-            self.progress.emit(&ProgressEvent::LevelStart {
+            ctx.observer.on_event(&FlowEvent::LevelStart {
                 level: cx.level,
                 nodes: cx.nodes.len(),
                 fraction: budget.fraction_at(0),
             });
-            let report = self.build_level(&mut cx, &budget)?;
+            let report = self.build_level(&mut cx, &mut ctx, &budget)?;
             let write_err = match writer.as_mut() {
                 Some(w) => {
                     // The level just committed: the clusters it appended
@@ -507,28 +456,25 @@ impl HierarchicalCts {
                 // the journal and continue in-memory-only. The run still
                 // produces its tree; only crash-resumability is lost —
                 // which the degradation event and counter make visible.
-                let detail = e.to_string();
                 writer = None;
                 if sllt_obs::enabled() {
                     sllt_obs::count("cts.storage.degraded", 1);
                 }
-                observer.on_storage_degraded(cx.level, &detail);
-                self.progress.emit(&ProgressEvent::StorageDegraded {
+                ctx.observer.on_event(&FlowEvent::StorageDegraded {
                     level: cx.level,
-                    detail,
+                    detail: e.to_string(),
                 });
             }
-            observer.on_level(&report);
             // Exit fraction *before* folding the level in: with the
             // level's work done, (completed + W)/(completed + 2W) —
             // which equals the next level's entry fraction exactly when
             // levels halve, keeping the stream monotone.
-            let exit_fraction = budget.fraction_at(budget.level_work());
+            let fraction = budget.fraction_at(budget.level_work());
             budget.finish_level();
-            self.progress.emit(&ProgressEvent::LevelDone {
-                level: cx.level,
-                parents: report.num_clusters,
-                fraction: exit_fraction,
+            ctx.observer.on_event(&FlowEvent::LevelDone {
+                report,
+                fraction,
+                resumed: false,
             });
             if sllt_obs::enabled() {
                 // Memory-footprint gauges, sampled once per committed
@@ -545,10 +491,9 @@ impl HierarchicalCts {
         }
 
         let assemble_span = sllt_obs::span("cts.assemble");
-        let (tree, assemble_report) = assemble(self, design, &cx.clusters, &cx.nodes[0]);
+        let (tree, report) = assemble(self, design, &cx.clusters, &cx.nodes[0]);
         drop(assemble_span);
-        observer.on_assemble(&assemble_report);
-        self.progress.emit(&ProgressEvent::Done { fraction: 1.0 });
+        ctx.observer.on_event(&FlowEvent::Assembled { report });
         Ok(tree)
     }
 
@@ -564,7 +509,8 @@ impl HierarchicalCts {
     /// [`CtsError::LadderExhausted`] wrapping the final attempt's error.
     fn build_level(
         &self,
-        cx: &mut FlowContext,
+        cx: &mut FlowState,
+        ctx: &mut RunContext<'_>,
         budget: &WorkBudget,
     ) -> Result<LevelReport, CtsError> {
         let _level_span = sllt_obs::span("cts.level");
@@ -588,7 +534,7 @@ impl HierarchicalCts {
                 owned = relaxed;
                 &owned
             };
-            match Self::try_level(eff, cx, attempt, budget) {
+            match Self::try_level(eff, cx, ctx, attempt, budget) {
                 Ok((mut report, next, built)) => {
                     report.attempts = attempt + 1;
                     report.downgrades = downgrades;
@@ -634,7 +580,8 @@ impl HierarchicalCts {
     #[allow(clippy::type_complexity)]
     fn try_level(
         eff: &HierarchicalCts,
-        cx: &FlowContext,
+        cx: &FlowState,
+        ctx: &mut RunContext<'_>,
         attempt: usize,
         budget: &WorkBudget,
     ) -> Result<(LevelReport, Vec<LevelNode>, Vec<BuiltCluster>), CtsError> {
@@ -645,20 +592,12 @@ impl HierarchicalCts {
         let t0 = Instant::now();
         let part = {
             let _s = sllt_obs::span("cts.partition");
-            partition_level(eff, &positions, &caps, cx.level, attempt)?
+            partition_level(eff, ctx, &positions, &caps, cx.level, attempt)?
         };
         let t1 = Instant::now();
         let routed = {
             let _s = sllt_obs::span("cts.route");
-            route_clusters(
-                eff,
-                &cx.nodes,
-                &part.assignment,
-                part.k,
-                cx.level,
-                attempt,
-                budget,
-            )?
+            route_clusters(eff, ctx, &cx.nodes, &part, cx.level, attempt, budget)?
         };
         let t2 = Instant::now();
 
@@ -668,7 +607,7 @@ impl HierarchicalCts {
 
         let (next, built, stats) = {
             let _s = sllt_obs::span("cts.sizing");
-            size_drivers(eff, routed, cx.clusters.len(), cx.level, attempt)?
+            size_drivers(eff, ctx, routed, cx.clusters.len(), cx.level, attempt)?
         };
         let t3 = Instant::now();
 

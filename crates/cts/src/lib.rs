@@ -10,8 +10,10 @@
 //! * [`constraints`] — the design constraints of paper Table 5,
 //! * [`flow`] — the paper's flow ("Ours"): [`flow::HierarchicalCts`],
 //!   a staged engine coordinating [`partition`] → [`route`] (parallel
-//!   across clusters) → [`sizing`] per level, then [`assemble`]; typed
-//!   failures in [`error`], per-level observability in [`report`],
+//!   across clusters) → [`sizing`] per level, then [`assemble`], run
+//!   through one entry point ([`HierarchicalCts::run_in`]) with the run
+//!   plumbing in a [`RunContext`]; typed failures in [`error`], the
+//!   [`FlowEvent`] stream in [`report`],
 //! * [`baseline`] — `OpenRoadLike` (TritonCTS-style structural H-tree
 //!   with per-level buffering) and `CommercialLike` (same hierarchical
 //!   engine tuned the way commercial CTS behaves: tight skew targets,
@@ -60,14 +62,12 @@ pub use constraints::CtsConstraints;
 pub use error::CtsError;
 pub use eval::{evaluate, TreeReport};
 pub use fault::{FaultKind, FaultPlan, FaultStage, StageFault};
-pub use flow::{HierarchicalCts, TopologyKind};
+pub use flow::{CheckpointMode, HierarchicalCts, RunContext, TopologyKind};
 pub use ocv::{derate_skew, ocv_analysis, OcvModel, OcvReport};
 pub use recovery::{Downgrade, LadderStep, RecoveryPolicy};
 pub use report::{
-    AssembleReport, CollectingObserver, FlowObserver, LevelReport, NullObserver, StageTimings,
+    AssembleReport, CollectingObserver, FlowEvent, FlowObserver, LevelReport, NullObserver,
+    ProgressJournal, StageTimings,
 };
-pub use sllt_obs::{
-    CollectingProgress, JournalProgress, NullSink, Progress, ProgressEvent, ProgressSink,
-    RecordingSink, TelemetrySink,
-};
+pub use sllt_obs::{NullSink, RecordingSink, TelemetrySink};
 pub use telemetry::{assemble_value, downgrade_value, level_value, run_record};

@@ -2,8 +2,8 @@
 //! restarts, and SA boundary refinement (paper §3.2).
 
 use crate::error::CtsError;
-use crate::fault::{FaultKind, FaultStage};
-use crate::flow::HierarchicalCts;
+use crate::fault::FaultStage;
+use crate::flow::{HierarchicalCts, RunContext};
 use sllt_geom::Point;
 use sllt_partition::sa;
 
@@ -24,28 +24,17 @@ pub(crate) struct LevelPartition {
 /// cap) by roughly k.
 pub(crate) fn partition_level(
     cts: &HierarchicalCts,
+    ctx: &RunContext<'_>,
     positions: &[Point],
     caps: &[f64],
     level: usize,
     attempt: usize,
 ) -> Result<LevelPartition, CtsError> {
-    if !cts.faults.is_empty() {
-        if let Some(f) = cts
-            .faults
-            .fires(FaultStage::Partition, level, None, attempt)
-        {
-            match f.kind {
-                FaultKind::Error => {
-                    return Err(CtsError::InjectedFault {
-                        stage: "partition",
-                        level,
-                        cluster: None,
-                    })
-                }
-                FaultKind::Panic => panic!("injected panic: partition level {level}"),
-            }
-        }
-    }
+    ctx.faults
+        .check(FaultStage::Partition, level, None, attempt)?;
+    // The stages' stop callbacks run on partition workers: share just
+    // the (Sync) token.
+    let cancel = &ctx.cancel;
     let cons = &cts.constraints;
     let n = positions.len();
     let by_fanout = n.div_ceil(cons.max_fanout);
@@ -76,10 +65,7 @@ pub(crate) fn partition_level(
     // (10 ms at 300 points, ~700 ms at 1400), so levels past a few
     // hundred nodes pay seconds per restart; the cell path bounds every
     // solve at `max_cell` points and stays near-linear.
-    let kcfg = sllt_partition::KmeansConfig {
-        warm_mcf: cts.partition_warm_mcf,
-        ..Default::default()
-    };
+    let kcfg = sllt_partition::KmeansConfig::default();
     let part = if n > 600 {
         // Cell size bounds the min-cost-flow's quadratic blowup: at ~300
         // points a cell assigns in ~10 ms where 1200-point cells cost
@@ -94,7 +80,7 @@ pub(crate) fn partition_level(
             cts.seed ^ level as u64,
             cts.effective_workers(usize::MAX),
             &kcfg,
-            &|| cts.cancel.poll(),
+            &|| cancel.poll(),
         )
         .ok_or(CtsError::Cancelled)?
     } else {
@@ -119,7 +105,7 @@ pub(crate) fn partition_level(
             cts.effective_workers(cts.partition_restarts),
             &kcfg,
             &|cand| adaptive_cluster_cost(cts, positions, caps, cand, p, q),
-            &|| cts.cancel.poll(),
+            &|| cancel.poll(),
         )
         .ok_or(CtsError::Cancelled)?
     };
@@ -149,7 +135,7 @@ pub(crate) fn partition_level(
             },
             cts.sa_chains.max(1),
             cts.effective_workers(cts.sa_chains.max(1)),
-            &|| cts.cancel.poll(),
+            &|| cancel.poll(),
         )
         .ok_or(CtsError::Cancelled)?;
     }
@@ -206,7 +192,7 @@ mod tests {
             ..Default::default()
         };
         let (pts, caps) = grid(40);
-        let err = partition_level(&cts, &pts, &caps, 0, 0).unwrap_err();
+        let err = partition_level(&cts, &RunContext::default(), &pts, &caps, 0, 0).unwrap_err();
         assert_eq!(err, CtsError::NoPartitionRestarts);
     }
 
@@ -214,7 +200,7 @@ mod tests {
     fn partition_covers_every_node() {
         let cts = HierarchicalCts::default();
         let (pts, caps) = grid(120);
-        let part = partition_level(&cts, &pts, &caps, 0, 0).unwrap();
+        let part = partition_level(&cts, &RunContext::default(), &pts, &caps, 0, 0).unwrap();
         assert_eq!(part.assignment.len(), 120);
         assert!(part.k >= 2, "120 nodes must split");
         assert!(part.assignment.iter().all(|&a| a < part.k));
@@ -228,7 +214,7 @@ mod tests {
                 partition_restarts: restarts,
                 ..Default::default()
             };
-            let part = partition_level(&cts, &pts, &caps, 0, 0).unwrap();
+            let part = partition_level(&cts, &RunContext::default(), &pts, &caps, 0, 0).unwrap();
             assert_eq!(part.assignment.len(), 90);
         }
     }

@@ -1,12 +1,20 @@
-//! Per-level flow observability.
+//! Flow observability: one typed event stream.
 //!
-//! The engine reports one [`LevelReport`] per bottom-up level and one
-//! [`AssembleReport`] for the final assembly through a [`FlowObserver`].
-//! Observers see the flow as it runs — benchmark tables, progress
-//! displays, and the tie-out tests all hang off this trait instead of
-//! re-instrumenting the engine.
+//! The engine reports everything an observer can see as a single
+//! stream of [`FlowEvent`]s delivered to the run's [`FlowObserver`]:
+//! flow start, per-level start, within-level cluster deciles, one
+//! [`LevelReport`] per committed bottom-up level, storage degradation,
+//! and the final [`AssembleReport`]. Benchmark tables, the CLI's
+//! `--progress` display, the `slltd` progress journal
+//! ([`ProgressJournal`]), and the tie-out tests all hang off this one
+//! stream instead of re-instrumenting the engine. Completion fractions
+//! are deterministic work-budget values (see [`sllt_obs::progress`]).
+//! Spans and counters are metrics, not events: they go to the run's
+//! telemetry sink.
 
 use crate::recovery::Downgrade;
+use sllt_obs::{DurableAppender, Value};
+use std::path::Path;
 use std::time::Duration;
 
 /// Wall time spent in each stage of one level.
@@ -76,42 +84,118 @@ pub struct AssembleReport {
     pub elapsed: Duration,
 }
 
-/// Receives engine progress. All methods default to no-ops, so an
-/// observer implements only what it cares about.
-pub trait FlowObserver {
-    /// The flow is starting over `num_sinks` flip-flops with the route
-    /// stage configured for `workers` threads.
-    fn on_flow_start(&mut self, num_sinks: usize, workers: usize) {
-        let _ = (num_sinks, workers);
-    }
+/// One event of a run, in delivery order. Every `fraction` is in
+/// `[0, 1]` and deterministic (work-budget based, never wall time).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FlowEvent {
+    /// The flow is starting.
+    FlowStart {
+        /// Leaf sinks the flow starts from.
+        sinks: usize,
+    },
+    /// A level is about to run.
+    LevelStart {
+        /// Level index (0 = the design flip-flops).
+        level: usize,
+        /// Clock nodes entering the level (the work-budget base).
+        nodes: usize,
+        /// Completion fraction entering the level.
+        fraction: f64,
+    },
+    /// The level's routed work crossed a decile boundary. Sent live by
+    /// whichever route worker crossed it; each decile exactly once.
+    ClusterDecile {
+        /// Level index.
+        level: usize,
+        /// Which tenth of the level's work completed (1–10).
+        tenths: u32,
+        /// Completion fraction at the crossing.
+        fraction: f64,
+    },
+    /// A level committed — or, with `resumed`, was restored from a
+    /// checkpoint (replayed in order before any live level).
+    LevelDone {
+        /// What the level did.
+        report: LevelReport,
+        /// Completion fraction leaving the level.
+        fraction: f64,
+        /// Restored from the checkpoint journal, not built by this run.
+        resumed: bool,
+    },
+    /// A checkpoint write failed at `level` and the flow degraded to
+    /// in-memory-only operation. Nonfatal: the run continues and still
+    /// produces its tree, but a crash after this point loses
+    /// resumability. Sent before that level's `LevelDone`.
+    StorageDegraded {
+        /// Level whose checkpoint write failed.
+        level: usize,
+        /// The storage error, for the record.
+        detail: String,
+    },
+    /// The tree is assembled and buffered; the run is complete.
+    Assembled {
+        /// What the assembly did.
+        report: AssembleReport,
+    },
+}
 
-    /// One level finished.
-    fn on_level(&mut self, report: &LevelReport) {
-        let _ = report;
+impl FlowEvent {
+    /// The event's progress-journal record (`{"t":"progress","ev":…}`,
+    /// record names `flow_start`, `level_start`, `clusters`,
+    /// `level_done`, `storage_degraded`, `done`). Carries no wall-clock
+    /// field, so it is the form to compare across runs. `None` for a
+    /// resumed level: the journal records only work this run did.
+    pub fn progress_record(&self) -> Option<Value> {
+        let base = Value::obj().with("t", "progress");
+        Some(match self {
+            FlowEvent::FlowStart { sinks } => base.with("ev", "flow_start").with("sinks", *sinks),
+            FlowEvent::LevelStart {
+                level,
+                nodes,
+                fraction,
+            } => base
+                .with("ev", "level_start")
+                .with("level", *level)
+                .with("nodes", *nodes)
+                .with("fraction", *fraction),
+            FlowEvent::ClusterDecile {
+                level,
+                tenths,
+                fraction,
+            } => base
+                .with("ev", "clusters")
+                .with("level", *level)
+                .with("tenths", u64::from(*tenths))
+                .with("fraction", *fraction),
+            FlowEvent::LevelDone { resumed: true, .. } => return None,
+            FlowEvent::LevelDone {
+                report, fraction, ..
+            } => base
+                .with("ev", "level_done")
+                .with("level", report.level)
+                .with("parents", report.num_clusters)
+                .with("fraction", *fraction),
+            FlowEvent::StorageDegraded { level, detail } => base
+                .with("ev", "storage_degraded")
+                .with("level", *level)
+                .with("detail", detail.as_str()),
+            FlowEvent::Assembled { .. } => base.with("ev", "done").with("fraction", 1.0),
+        })
     }
+}
 
-    /// A level restored from a checkpoint during
-    /// [`resume`](crate::flow::HierarchicalCts::resume) — replayed in
-    /// order before any freshly built level reports. Defaults to
-    /// [`on_level`](Self::on_level) so collectors see a resumed run as a
-    /// complete level sequence; override to distinguish replay from live
-    /// progress (e.g. to skip re-printing).
-    fn on_resumed_level(&mut self, report: &LevelReport) {
-        self.on_level(report);
-    }
+/// Receives a run's [`FlowEvent`] stream. `Send` because
+/// [`FlowEvent::ClusterDecile`] arrives from route worker threads (one
+/// at a time: the engine serializes delivery). Any
+/// `FnMut(&FlowEvent) + Send` closure is an observer.
+pub trait FlowObserver: Send {
+    /// Handles one event. Must not panic.
+    fn on_event(&mut self, event: &FlowEvent);
+}
 
-    /// The tree is assembled and buffered.
-    fn on_assemble(&mut self, report: &AssembleReport) {
-        let _ = report;
-    }
-
-    /// A checkpoint/journal write failed at `level` and the flow
-    /// degraded to in-memory-only operation (see
-    /// [`HierarchicalCts::vfs`](crate::HierarchicalCts::vfs)). Nonfatal:
-    /// the run continues, but a crash after this point loses
-    /// resumability. Defaults to a no-op.
-    fn on_storage_degraded(&mut self, level: usize, detail: &str) {
-        let _ = (level, detail);
+impl<F: FnMut(&FlowEvent) + Send> FlowObserver for F {
+    fn on_event(&mut self, event: &FlowEvent) {
+        self(event);
     }
 }
 
@@ -120,7 +204,9 @@ pub trait FlowObserver {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl FlowObserver for NullObserver {}
+impl FlowObserver for NullObserver {
+    fn on_event(&mut self, _: &FlowEvent) {}
+}
 
 /// Keeps every report for post-run inspection and rendering.
 #[derive(Debug, Clone, Default)]
@@ -261,13 +347,48 @@ impl CollectingObserver {
     }
 }
 
+/// Resumed levels are collected too, so a resumed run reads as a
+/// complete level sequence.
 impl FlowObserver for CollectingObserver {
-    fn on_level(&mut self, report: &LevelReport) {
-        self.levels.push(report.clone());
+    fn on_event(&mut self, event: &FlowEvent) {
+        match event {
+            FlowEvent::LevelDone { report, .. } => self.levels.push(report.clone()),
+            FlowEvent::Assembled { report } => self.assemble = Some(report.clone()),
+            _ => {}
+        }
     }
+}
 
-    fn on_assemble(&mut self, report: &AssembleReport) {
-        self.assemble = Some(report.clone());
+/// Streams every event's [progress record](FlowEvent::progress_record)
+/// into a sealed JSONL journal — a `slltd` job's progress file, which
+/// the daemon tails for `status`/`watch`. Write errors stop the journal
+/// after the first: progress must never fail a run.
+#[derive(Debug)]
+pub struct ProgressJournal {
+    app: Option<DurableAppender>,
+}
+
+impl ProgressJournal {
+    /// Creates (or truncates) the progress journal at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors from creating the file.
+    pub fn create(path: &Path) -> std::io::Result<ProgressJournal> {
+        Ok(ProgressJournal {
+            app: Some(DurableAppender::create(path)?),
+        })
+    }
+}
+
+impl FlowObserver for ProgressJournal {
+    fn on_event(&mut self, event: &FlowEvent) {
+        if let (Some(app), Some(record)) = (self.app.as_mut(), event.progress_record()) {
+            if app.append(&record).is_err() {
+                // Disk went away mid-run: stop writing, keep running.
+                self.app = None;
+            }
+        }
     }
 }
 
@@ -293,18 +414,32 @@ mod tests {
         }
     }
 
+    fn done(report: LevelReport, resumed: bool) -> FlowEvent {
+        FlowEvent::LevelDone {
+            report,
+            fraction: 0.5,
+            resumed,
+        }
+    }
+
+    fn assembled() -> FlowEvent {
+        FlowEvent::Assembled {
+            report: AssembleReport {
+                trunk_wl_um: 10.0,
+                repeaters: 3,
+                repeater_input_cap_ff: 4.5,
+                elapsed: Duration::ZERO,
+            },
+        }
+    }
+
     #[test]
     fn collector_accumulates_in_order() {
         let mut obs = CollectingObserver::new();
-        obs.on_level(&level(0, 100.0));
-        obs.on_level(&level(1, 40.0));
-        obs.on_assemble(&AssembleReport {
-            trunk_wl_um: 10.0,
-            repeaters: 3,
-            repeater_input_cap_ff: 4.5,
-            elapsed: Duration::ZERO,
-        });
-        assert_eq!(obs.levels.len(), 2);
+        obs.on_event(&done(level(0, 100.0), true));
+        obs.on_event(&done(level(1, 40.0), false));
+        obs.on_event(&assembled());
+        assert_eq!(obs.levels.len(), 2, "resumed levels are collected too");
         assert!((obs.total_wirelength_um() - 150.0).abs() < 1e-12);
         assert!((obs.total_buffer_input_cap_ff() - 7.5).abs() < 1e-12);
         let table = obs.render();
@@ -314,8 +449,7 @@ mod tests {
     #[test]
     fn render_includes_totals_footer() {
         let mut obs = CollectingObserver::new();
-        obs.on_level(&level(0, 100.0));
-        obs.on_level(&level(1, 40.0));
+        obs.levels = vec![level(0, 100.0), level(1, 40.0)];
         let table = obs.render();
         let total = table
             .lines()
@@ -336,7 +470,7 @@ mod tests {
             topology: None,
             trigger: "routing cluster 3 at level 0 failed".into(),
         });
-        obs.on_level(&l);
+        obs.levels.push(l);
         let table = obs.render();
         assert!(table.contains("downgrade[1]"), "{table}");
         assert!(table.contains("relax skew x1.5"), "{table}");
@@ -344,9 +478,27 @@ mod tests {
     }
 
     #[test]
-    fn null_observer_is_a_no_op() {
-        let mut obs = NullObserver;
-        obs.on_flow_start(5, 1);
-        obs.on_level(&level(0, 1.0));
+    fn progress_journal_writes_the_progress_records() {
+        let path =
+            std::env::temp_dir().join(format!("sllt_progress_rt_{}.jsonl", std::process::id()));
+        let degraded = FlowEvent::StorageDegraded {
+            level: 1,
+            detail: "journal i/o error: No space left on device (os error 28)".into(),
+        };
+        let live = done(level(1, 1.0), false);
+        let mut journal = ProgressJournal::create(&path).unwrap();
+        for ev in [done(level(0, 1.0), true), degraded, live, assembled()] {
+            journal.on_event(&ev);
+        }
+        drop(journal);
+        let records = sllt_obs::read_progress(&path).unwrap();
+        let encoded: Vec<String> = records.iter().map(Value::encode).collect();
+        assert_eq!(encoded.len(), 3, "resumed levels are not journaled");
+        assert!(encoded[0].starts_with(r#"{"t":"progress","ev":"storage_degraded","level":1,"#));
+        assert!(encoded[1].starts_with(
+            r#"{"t":"progress","ev":"level_done","level":1,"parents":2,"fraction":0.5"#
+        ));
+        assert!(encoded[2].starts_with(r#"{"t":"progress","ev":"done","fraction":1"#));
+        std::fs::remove_file(&path).ok();
     }
 }

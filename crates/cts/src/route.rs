@@ -1,19 +1,22 @@
 //! Per-cluster routing — the parallel stage of each level.
 //!
 //! Every cluster routes independently (`route_cluster` needs only
-//! `&HierarchicalCts` and the cluster's members), so the stage fans out
-//! across a `std::thread::scope`: workers pull cluster indices from a
-//! shared atomic counter and write results into per-index slots.
+//! `&HierarchicalCts`, the run's fault plan, and the cluster's members),
+//! so the stage fans out across a `std::thread::scope`: workers pull
+//! cluster indices from a shared atomic counter and write results into
+//! per-index slots.
 //! Collection is by cluster index, and each cluster's RNG stream is
 //! derived up front from the flow seed with SplitMix64 — the output is
 //! bit-identical no matter how many workers run or how they interleave.
 
 use crate::error::CtsError;
-use crate::fault::{FaultKind, FaultStage};
-use crate::flow::{HierarchicalCts, TopologyKind};
+use crate::fault::{FaultPlan, FaultStage};
+use crate::flow::{HierarchicalCts, RunContext, TopologyKind};
+use crate::partition::LevelPartition;
+use crate::report::FlowEvent;
 use sllt_core::cbs::{try_cbs_intervals, CbsConfig};
 use sllt_geom::{centroid, Point};
-use sllt_obs::{ProgressEvent, WorkBudget};
+use sllt_obs::WorkBudget;
 use sllt_rng::SplitMix64;
 use sllt_route::{ghtree, htree, rsmt, salt, try_dme_intervals, DelayModel, DmeOptions};
 use sllt_tree::{ClockNet, ClockTree, NodeKind, Sink};
@@ -64,7 +67,7 @@ struct ClusterJob {
     seed: u64,
 }
 
-/// Groups `nodes` by `assignment` and routes every non-empty cluster.
+/// Groups `nodes` by the partition and routes every non-empty cluster.
 /// Results are returned in cluster-index order; on error the failure of
 /// the lowest-indexed failing cluster is reported (also independent of
 /// worker interleaving). A panic inside any cluster's routing kernel is
@@ -73,9 +76,9 @@ struct ClusterJob {
 /// take down the run or poison its siblings.
 pub(crate) fn route_clusters(
     cts: &HierarchicalCts,
+    ctx: &mut RunContext<'_>,
     nodes: &[LevelNode],
-    assignment: &[usize],
-    k: usize,
+    part: &LevelPartition,
     level: usize,
     attempt: usize,
     budget: &WorkBudget,
@@ -85,8 +88,8 @@ pub(crate) fn route_clusters(
     // which at a million sinks (k ≈ 5·10⁴) costs minutes of pure
     // grouping. Buckets preserve node-index order within each cluster,
     // so the job list is identical to the old filter-per-cluster form.
-    let mut buckets: Vec<Vec<LevelNode>> = vec![Vec::new(); k];
-    for (node, &a) in nodes.iter().zip(assignment) {
+    let mut buckets: Vec<Vec<LevelNode>> = vec![Vec::new(); part.k];
+    for (node, &a) in nodes.iter().zip(&part.assignment) {
         buckets[a].push(*node);
     }
     let mut index = 0usize;
@@ -129,36 +132,40 @@ pub(crate) fn route_clusters(
         }
     }
 
+    let (cancel, faults) = (&ctx.cancel, &ctx.faults);
     let route_contained = |job: &ClusterJob| -> Result<RoutedCluster, CtsError> {
-        catch_unwind(AssertUnwindSafe(|| route_cluster(cts, job, level, attempt))).unwrap_or(Err(
-            CtsError::ClusterPanicked {
-                level,
-                cluster: job.index,
-            },
-        ))
+        catch_unwind(AssertUnwindSafe(|| {
+            route_cluster(cts, faults, job, level, attempt)
+        }))
+        .unwrap_or(Err(CtsError::ClusterPanicked {
+            level,
+            cluster: job.index,
+        }))
     };
 
-    // Within-level progress: whichever completion pushes the done-work
-    // counter (cluster members; the topology weight cancels out of the
-    // ratio) past a tenth of the level total emits that decile's
-    // event. `fetch_add` linearizes the crossings, so each decile is
-    // emitted exactly once and every field is a pure function of
-    // (budget, k) — the emitted set is worker-count independent.
+    // Within-level deciles, sent live: whichever completion pushes the
+    // done-work counter (cluster members; the topology weight cancels
+    // out of the ratio) past a tenth of the level total takes the
+    // observer lock and sends every decile not yet sent up to the one
+    // it crossed. `fetch_add` linearizes the crossings, so each decile
+    // goes out exactly once, in order, and every field is a pure
+    // function of (budget, k) — the stream is worker-count independent.
     let total_members: u64 = jobs.iter().map(|j| j.members.len() as u64).sum();
     let done_members = AtomicU64::new(0);
+    let deciles = Mutex::new((&mut *ctx.observer, 0u64));
     let report_progress = |members: u64| {
-        if !cts.progress.enabled() || total_members == 0 {
-            return;
-        }
         let prev = done_members.fetch_add(members, Ordering::Relaxed);
-        let prev_k = prev * 10 / total_members;
-        let now_k = ((prev + members) * 10 / total_members).min(10);
-        for k in prev_k + 1..=now_k {
-            cts.progress.emit(&ProgressEvent::ClusterProgress {
-                level,
-                tenths: k as u32,
-                fraction: budget.fraction_at(budget.level_work() * k / 10),
-            });
+        let crossed = ((prev + members) * 10 / total_members).min(10);
+        if crossed > prev * 10 / total_members {
+            let (observer, sent) = &mut *deciles.lock().expect("observers must not panic");
+            while *sent < crossed {
+                *sent += 1;
+                observer.on_event(&FlowEvent::ClusterDecile {
+                    level,
+                    tenths: *sent as u32,
+                    fraction: budget.fraction_at(budget.level_work() * *sent / 10),
+                });
+            }
         }
     };
 
@@ -168,7 +175,7 @@ pub(crate) fn route_clusters(
         // bounded by a single cluster's routing work.
         let mut out = Vec::with_capacity(jobs.len());
         for job in &jobs {
-            if cts.cancel.poll() {
+            if cancel.poll() {
                 return Err(CtsError::Cancelled);
             }
             out.push(route_contained(job)?);
@@ -198,7 +205,7 @@ pub(crate) fn route_clusters(
                 loop {
                     // Each worker polls before claiming a cluster, so at
                     // most `workers` clusters start after a cancel fires.
-                    if cts.cancel.poll() {
+                    if cancel.poll() {
                         break;
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -228,29 +235,12 @@ pub(crate) fn route_clusters(
 /// Routes one cluster and computes its timing aggregates.
 fn route_cluster(
     cts: &HierarchicalCts,
+    faults: &FaultPlan,
     job: &ClusterJob,
     level: usize,
     attempt: usize,
 ) -> Result<RoutedCluster, CtsError> {
-    if !cts.faults.is_empty() {
-        if let Some(f) = cts
-            .faults
-            .fires(FaultStage::Route, level, Some(job.index), attempt)
-        {
-            match f.kind {
-                FaultKind::Error => {
-                    return Err(CtsError::InjectedFault {
-                        stage: "route",
-                        level,
-                        cluster: Some(job.index),
-                    })
-                }
-                FaultKind::Panic => {
-                    panic!("injected panic: route level {level} cluster {}", job.index)
-                }
-            }
-        }
-    }
+    faults.check(FaultStage::Route, level, Some(job.index), attempt)?;
     // One span per cluster, nested under the route stage (workers
     // inherit the stage span as base parent) — this is what gives the
     // Chrome trace its per-worker lanes. Inert without telemetry.
@@ -393,7 +383,20 @@ mod tests {
     #[test]
     fn empty_assignment_routes_nothing() {
         let cts = HierarchicalCts::default();
-        let routed = route_clusters(&cts, &[], &[], 4, 0, 0, &WorkBudget::new()).unwrap();
+        let part = LevelPartition {
+            k: 4,
+            assignment: Vec::new(),
+        };
+        let routed = route_clusters(
+            &cts,
+            &mut RunContext::default(),
+            &[],
+            &part,
+            0,
+            0,
+            &WorkBudget::new(),
+        )
+        .unwrap();
         assert!(routed.is_empty());
     }
 
@@ -413,9 +416,20 @@ mod tests {
                 source: NodeSource::DesignSink(i),
             })
             .collect();
-        let assignment = vec![0, 0, 1, 1];
-        let err =
-            route_clusters(&cts, &nodes, &assignment, 2, 0, 0, &WorkBudget::new()).unwrap_err();
+        let part = LevelPartition {
+            k: 2,
+            assignment: vec![0, 0, 1, 1],
+        };
+        let err = route_clusters(
+            &cts,
+            &mut RunContext::default(),
+            &nodes,
+            &part,
+            0,
+            0,
+            &WorkBudget::new(),
+        )
+        .unwrap_err();
         match err {
             CtsError::StageDeadline {
                 level,

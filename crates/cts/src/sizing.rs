@@ -7,8 +7,8 @@
 
 use crate::assemble::BuiltCluster;
 use crate::error::CtsError;
-use crate::fault::{FaultKind, FaultStage};
-use crate::flow::HierarchicalCts;
+use crate::fault::FaultStage;
+use crate::flow::{HierarchicalCts, RunContext};
 use crate::route::{LevelNode, NodeSource, RoutedCluster};
 
 /// Aggregates the sizing stage reports upward for the level report.
@@ -30,25 +30,13 @@ pub(crate) struct SizingStats {
 /// leaves the arena untouched.
 pub(crate) fn size_drivers(
     cts: &HierarchicalCts,
+    ctx: &RunContext<'_>,
     routed: Vec<RoutedCluster>,
     base: usize,
     level: usize,
     attempt: usize,
 ) -> Result<(Vec<LevelNode>, Vec<BuiltCluster>, SizingStats), CtsError> {
-    if !cts.faults.is_empty() {
-        if let Some(f) = cts.faults.fires(FaultStage::Sizing, level, None, attempt) {
-            match f.kind {
-                FaultKind::Error => {
-                    return Err(CtsError::InjectedFault {
-                        stage: "sizing",
-                        level,
-                        cluster: None,
-                    })
-                }
-                FaultKind::Panic => panic!("injected panic: sizing level {level}"),
-            }
-        }
-    }
+    ctx.faults.check(FaultStage::Sizing, level, None, attempt)?;
     // Joint sizing: every cluster total (subtree + driver delay) should
     // land near a common target — the slowest cluster at its fastest
     // legal cell.
@@ -74,7 +62,7 @@ pub(crate) fn size_drivers(
     let mut built = Vec::new();
     let mut stats = SizingStats::default();
     for r in routed {
-        if cts.cancel.poll() {
+        if ctx.cancel.poll() {
             return Err(CtsError::Cancelled);
         }
         let usable = || {

@@ -7,10 +7,11 @@
 //! reference tree — at 1, 2, and 4 workers.
 
 use sllt_cts::flow::HierarchicalCts;
-use sllt_cts::{CancelToken, Checkpoint, CtsError};
+use sllt_cts::{CancelToken, Checkpoint, CheckpointMode, CtsError, RunContext};
 use sllt_design::Design;
 use sllt_geom::{Point, Rect};
-use sllt_tree::Sink;
+use sllt_obs::RealFs;
+use sllt_tree::{ClockTree, Sink};
 use std::path::PathBuf;
 
 fn grid_design() -> Design {
@@ -36,19 +37,35 @@ fn journal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sllt_cancel_{tag}_{}.jsonl", std::process::id()))
 }
 
-fn flow(workers: usize, cancel: CancelToken) -> HierarchicalCts {
+fn flow(workers: usize) -> HierarchicalCts {
     HierarchicalCts {
         workers,
-        cancel,
         ..HierarchicalCts::default()
     }
+}
+
+/// A `workers`-wide run stopped by `cancel`, journaled per `checkpoint`.
+fn run(
+    workers: usize,
+    cancel: CancelToken,
+    design: &Design,
+    checkpoint: CheckpointMode,
+) -> Result<ClockTree, CtsError> {
+    flow(workers).run_in(
+        design,
+        RunContext {
+            cancel,
+            checkpoint,
+            ..Default::default()
+        },
+    )
 }
 
 /// Total polls an uninterrupted serial run performs — the work-unit
 /// budget the fire points sample from.
 fn total_polls(design: &Design) -> u64 {
     let token = CancelToken::new();
-    flow(1, token.clone()).run(design).unwrap();
+    run(1, token.clone(), design, CheckpointMode::Off).unwrap();
     token.polls()
 }
 
@@ -57,7 +74,7 @@ fn pre_fired_token_stops_before_any_work() {
     let design = grid_design();
     let token = CancelToken::new();
     token.cancel();
-    let err = flow(1, token.clone()).run(&design).unwrap_err();
+    let err = run(1, token.clone(), &design, CheckpointMode::Off).unwrap_err();
     assert_eq!(err, CtsError::Cancelled);
     assert!(
         token.polls() <= 2,
@@ -76,10 +93,13 @@ fn cancelled_error_is_not_retried_by_the_ladder() {
     let cts = HierarchicalCts {
         recovery: sllt_cts::RecoveryPolicy::standard(),
         workers: 1,
-        cancel: token.clone(),
         ..HierarchicalCts::default()
     };
-    assert_eq!(cts.run(&design).unwrap_err(), CtsError::Cancelled);
+    let ctx = RunContext {
+        cancel: token.clone(),
+        ..Default::default()
+    };
+    assert_eq!(cts.run_in(&design, ctx).unwrap_err(), CtsError::Cancelled);
     let after = token.polls().saturating_sub(3);
     assert!(
         after <= 3,
@@ -96,7 +116,7 @@ fn inert_token_changes_nothing() {
     }
     .run(&design)
     .unwrap();
-    let tree = flow(1, CancelToken::new()).run(&design).unwrap();
+    let tree = run(1, CancelToken::new(), &design, CheckpointMode::Off).unwrap();
     assert_eq!(tree, reference, "an unfired token must be a no-op");
 }
 
@@ -128,8 +148,12 @@ fn randomized_fire_points_stop_within_bounded_work_and_resume_exactly() {
         for &fire_at in &fire_points {
             let token = CancelToken::fire_after_polls(fire_at.max(1));
             let path = journal_path(&format!("w{workers}_f{fire_at}"));
-            let cts = flow(workers, token.clone());
-            let result = cts.run_checkpointed(&design, &path);
+            let result = run(
+                workers,
+                token.clone(),
+                &design,
+                CheckpointMode::Fresh(&path),
+            );
             match result {
                 Err(CtsError::Cancelled) => {
                     // Bounded latency: after the token fires, each of
@@ -142,10 +166,10 @@ fn randomized_fire_points_stop_within_bounded_work_and_resume_exactly() {
                         "workers={workers} fire_at={fire_at}: {after} polls after fire"
                     );
                     // The journal is valid and resumes to the reference.
-                    let resume_cts = flow(workers, CancelToken::new());
-                    let ckpt = Checkpoint::load(&path, &resume_cts, &design).unwrap();
+                    let ckpt = Checkpoint::load(&RealFs, &path, &flow(workers), &design).unwrap();
                     assert!(ckpt.torn().is_none(), "cancel never tears the journal");
-                    let tree = resume_cts.resume(&design, &path).unwrap();
+                    let resumed = CheckpointMode::Resume(&path);
+                    let tree = run(workers, CancelToken::new(), &design, resumed).unwrap();
                     assert_eq!(
                         tree, reference,
                         "workers={workers} fire_at={fire_at}: resume diverged"
@@ -187,7 +211,7 @@ fn sigterm_cancels_a_running_flow() {
     );
 
     let design = grid_design();
-    let err = flow(1, token).run(&design).unwrap_err();
+    let err = run(1, token, &design, CheckpointMode::Off).unwrap_err();
     assert_eq!(err, CtsError::Cancelled);
 }
 
@@ -201,7 +225,7 @@ fn cancellation_mid_parallel_route_reports_cancelled_not_a_cluster_error() {
     for workers in [2usize, 4] {
         for fire_at in [budget / 4, budget / 3, budget / 2] {
             let token = CancelToken::fire_after_polls(fire_at.max(1));
-            match flow(workers, token).run(&design) {
+            match run(workers, token, &design, CheckpointMode::Off) {
                 Err(CtsError::Cancelled) | Ok(_) => {}
                 Err(other) => panic!("workers={workers} fire_at={fire_at}: {other}"),
             }

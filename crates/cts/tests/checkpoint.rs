@@ -1,21 +1,36 @@
 //! Kill/resume determinism suite.
 //!
 //! Simulates a crash at every point a real kill can leave the journal —
-//! after any record boundary and mid-record — and asserts that
-//! [`HierarchicalCts::resume`] rebuilds a tree bit-identical to the
+//! after any record boundary and mid-record — and asserts that a
+//! [`CheckpointMode::Resume`] run rebuilds a tree bit-identical to the
 //! uninterrupted reference. The small synthetic-design cases run in
 //! every profile; the ISCAS sweeps (s35932, s38584 × 1/2/4 workers) are
 //! release-only and exercised by `scripts/ci.sh`.
 
 use sllt_cts::flow::HierarchicalCts;
+use sllt_cts::CheckpointMode::{self, Fresh, Resume};
 use sllt_cts::{
-    Checkpoint, CtsError, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, StageFault,
+    Checkpoint, CtsError, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, RunContext, StageFault,
 };
-use sllt_cts::{CollectingObserver, FlowObserver, LevelReport};
+use sllt_cts::{CollectingObserver, FlowEvent, FlowObserver, NullSink};
 use sllt_design::{Design, DesignSpec};
 use sllt_geom::{Point, Rect};
+use sllt_obs::RealFs;
 use sllt_tree::{ClockTree, Sink};
 use std::path::{Path, PathBuf};
+
+/// A run journaled per `checkpoint`.
+fn journaled(
+    cts: &HierarchicalCts,
+    design: &Design,
+    checkpoint: CheckpointMode,
+) -> Result<ClockTree, CtsError> {
+    let ctx = RunContext {
+        checkpoint,
+        ..Default::default()
+    };
+    cts.run_in(design, ctx)
+}
 
 fn grid_design() -> Design {
     let sinks: Vec<Sink> = (0..96)
@@ -81,7 +96,7 @@ fn resume_truncated(
     reference: &ClockTree,
 ) -> Result<(), CtsError> {
     std::fs::write(path, &full[..len]).unwrap();
-    let tree = cts.resume(design, path)?;
+    let tree = journaled(cts, design, Resume(path))?;
     assert_eq!(
         &tree, reference,
         "resume from a journal cut at byte {len} diverged"
@@ -98,10 +113,10 @@ fn checkpointed_run_matches_plain_run() {
     };
     let reference = cts.run(&design).unwrap();
     let path = journal_path("plain");
-    let tree = cts.run_checkpointed(&design, &path).unwrap();
+    let tree = journaled(&cts, &design, Fresh(&path)).unwrap();
     assert_eq!(tree, reference, "checkpointing must be observational");
     // The journal parses and carries one record per level.
-    let ckpt = Checkpoint::load(&path, &cts, &design).unwrap();
+    let ckpt = Checkpoint::load(&RealFs, &path, &cts, &design).unwrap();
     assert!(ckpt.levels() >= 2, "expected a multi-level run");
     assert!(ckpt.torn().is_none());
     std::fs::remove_file(&path).ok();
@@ -115,7 +130,7 @@ fn resume_from_every_boundary_and_mid_record_rebuilds_the_same_tree() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("cut");
-    let reference = cts.run_checkpointed(&design, &path).unwrap();
+    let reference = journaled(&cts, &design, Fresh(&path)).unwrap();
     let full = std::fs::read(&path).unwrap();
     let cuts = boundaries(&full);
     assert!(cuts.len() >= 3, "expected meta + at least two levels");
@@ -154,71 +169,66 @@ fn resume_after_kill_appends_a_journal_that_resumes_again() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("rekill");
-    let reference = cts.run_checkpointed(&design, &path).unwrap();
+    let reference = journaled(&cts, &design, Fresh(&path)).unwrap();
     let full = std::fs::read(&path).unwrap();
     let cuts = boundaries(&full);
     // Cut mid-way through the second level record.
     let cut = cuts[2] + 7;
     std::fs::write(&path, &full[..cut.min(full.len())]).unwrap();
-    assert_eq!(cts.resume(&design, &path).unwrap(), reference);
+    assert_eq!(journaled(&cts, &design, Resume(&path)).unwrap(), reference);
     // The resumed run rewrote a complete journal; kill it again.
     let rewritten = std::fs::read(&path).unwrap();
     let cuts2 = boundaries(&rewritten);
     std::fs::write(&path, &rewritten[..cuts2[cuts2.len() / 2]]).unwrap();
-    assert_eq!(cts.resume(&design, &path).unwrap(), reference);
+    assert_eq!(journaled(&cts, &design, Resume(&path)).unwrap(), reference);
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn resume_replays_committed_levels_through_the_observer() {
-    #[derive(Default)]
-    struct Counting {
-        replayed: Vec<usize>,
-        live: Vec<usize>,
-    }
-    impl FlowObserver for Counting {
-        fn on_level(&mut self, report: &LevelReport) {
-            self.live.push(report.level);
-        }
-        fn on_resumed_level(&mut self, report: &LevelReport) {
-            self.replayed.push(report.level);
-        }
-    }
-
     let design = grid_design();
     let cts = HierarchicalCts {
         workers: 1,
         ..HierarchicalCts::default()
     };
     let path = journal_path("replay");
+    let observed = |checkpoint, observer: &mut dyn FlowObserver| {
+        let ctx = RunContext {
+            checkpoint,
+            ..RunContext::new(observer, &NullSink)
+        };
+        cts.run_in(&design, ctx)
+    };
     let mut obs = CollectingObserver::new();
-    let reference = cts
-        .run_checkpointed_with_observer(&design, &path, &mut obs)
-        .unwrap();
+    let reference = observed(Fresh(&path), &mut obs).unwrap();
     let levels = obs.levels.len();
     assert!(levels >= 2);
 
-    // Cut after the first level record and resume.
+    // Cut after the first level record and resume: the committed level
+    // replays (flagged resumed) before the remaining levels run live.
     let full = std::fs::read(&path).unwrap();
     let cuts = boundaries(&full);
     std::fs::write(&path, &full[..cuts[2]]).unwrap();
-    let mut counting = Counting::default();
-    let tree = cts
-        .resume_with_observer(&design, &path, &mut counting)
-        .unwrap();
-    assert_eq!(tree, reference);
-    assert_eq!(counting.replayed, vec![0], "one committed level replays");
+    let mut seen = Vec::new();
+    let mut spy = |ev: &FlowEvent| {
+        if let FlowEvent::LevelDone {
+            report, resumed, ..
+        } = ev
+        {
+            seen.push((report.level, *resumed));
+        }
+    };
+    assert_eq!(observed(Resume(&path), &mut spy).unwrap(), reference);
+    let expect: Vec<(usize, bool)> = (0..levels).map(|l| (l, l == 0)).collect();
     assert_eq!(
-        counting.live,
-        (1..levels).collect::<Vec<_>>(),
-        "remaining levels run live"
+        seen, expect,
+        "one committed level replays, the rest run live"
     );
-    // The default observer hook folds replayed levels into on_level, so
-    // a CollectingObserver sees the full sequence.
+    // A CollectingObserver collects replayed levels too, so it sees the
+    // full sequence.
     std::fs::write(&path, &full[..cuts[2]]).unwrap();
     let mut collected = CollectingObserver::new();
-    cts.resume_with_observer(&design, &path, &mut collected)
-        .unwrap();
+    observed(Resume(&path), &mut collected).unwrap();
     assert_eq!(collected.levels.len(), levels);
     assert_eq!(
         collected.levels.iter().map(|l| l.level).collect::<Vec<_>>(),
@@ -235,7 +245,7 @@ fn fingerprint_guards_config_and_design_drift() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("fp");
-    cts.run_checkpointed(&design, &path).unwrap();
+    journaled(&cts, &design, Fresh(&path)).unwrap();
 
     // Same journal, different seed: refuse.
     let reseeded = HierarchicalCts {
@@ -243,7 +253,7 @@ fn fingerprint_guards_config_and_design_drift() {
         workers: 1,
         ..HierarchicalCts::default()
     };
-    match reseeded.resume(&design, &path) {
+    match journaled(&reseeded, &design, Resume(&path)) {
         Err(CtsError::Checkpoint { detail }) => {
             assert!(detail.contains("fingerprint"), "{detail}")
         }
@@ -253,7 +263,7 @@ fn fingerprint_guards_config_and_design_drift() {
     let mut other = grid_design();
     other.sinks[0].cap_ff += 0.5;
     assert!(matches!(
-        cts.resume(&other, &path),
+        journaled(&cts, &other, Resume(&path)),
         Err(CtsError::Checkpoint { .. })
     ));
     // Different worker count: fine — trees are worker-invariant.
@@ -262,7 +272,7 @@ fn fingerprint_guards_config_and_design_drift() {
         ..HierarchicalCts::default()
     };
     let reference = cts.run(&design).unwrap();
-    assert_eq!(wide.resume(&design, &path).unwrap(), reference);
+    assert_eq!(journaled(&wide, &design, Resume(&path)).unwrap(), reference);
     std::fs::remove_file(&path).ok();
 }
 
@@ -274,14 +284,14 @@ fn corrupt_interior_record_is_refused() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("corrupt");
-    cts.run_checkpointed(&design, &path).unwrap();
+    journaled(&cts, &design, Fresh(&path)).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip one byte inside the second record (not the final line).
     let cuts = boundaries(&bytes);
     let target = cuts[1] + 10;
     bytes[target] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    match cts.resume(&design, &path) {
+    match journaled(&cts, &design, Resume(&path)) {
         Err(CtsError::Checkpoint { detail }) => {
             assert!(
                 detail.contains("corrupt") || detail.contains("line"),
@@ -300,20 +310,28 @@ fn downgraded_levels_checkpoint_and_resume_identically() {
     // from any boundary must still match the recovered reference.
     let design = grid_design();
     let cts = HierarchicalCts {
-        faults: FaultPlan::single(StageFault::once(
-            FaultStage::Route,
-            0,
-            Some(0),
-            FaultKind::Error,
-        )),
         recovery: RecoveryPolicy::standard(),
         workers: 1,
         ..HierarchicalCts::default()
     };
+    let faults = FaultPlan::single(StageFault::once(
+        FaultStage::Route,
+        0,
+        Some(0),
+        FaultKind::Error,
+    ));
     let path = journal_path("downgrade");
-    let reference = cts.run_checkpointed(&design, &path).unwrap();
-    assert_eq!(reference, cts.run(&design).unwrap());
-    let ckpt = Checkpoint::load(&path, &cts, &design).unwrap();
+    let faulty_run = |checkpoint| {
+        let ctx = RunContext {
+            faults: faults.clone(),
+            checkpoint,
+            ..Default::default()
+        };
+        cts.run_in(&design, ctx)
+    };
+    let reference = faulty_run(Fresh(&path)).unwrap();
+    assert_eq!(reference, faulty_run(CheckpointMode::Off).unwrap());
+    let ckpt = Checkpoint::load(&RealFs, &path, &cts, &design).unwrap();
     assert_eq!(
         ckpt.reports()[0].attempts,
         2,
@@ -321,9 +339,12 @@ fn downgraded_levels_checkpoint_and_resume_identically() {
     );
     assert_eq!(ckpt.reports()[0].downgrades.len(), 1);
 
+    // Resumes re-inject the fault, so a cut before level 0 recovers the
+    // same way.
     let full = std::fs::read(&path).unwrap();
     for &cut in &boundaries(&full)[1..] {
-        resume_truncated(&cts, &design, &full, cut, &path, &reference).unwrap();
+        std::fs::write(&path, &full[..cut]).unwrap();
+        assert_eq!(faulty_run(Resume(&path)).unwrap(), reference, "cut {cut}");
     }
     std::fs::remove_file(&path).ok();
 }
@@ -342,7 +363,7 @@ fn iscas_resume_after_kill_is_bit_identical_at_1_2_4_workers() {
             ..HierarchicalCts::default()
         };
         let path = journal_path(&format!("iscas_{name}"));
-        let reference = writer_cts.run_checkpointed(&design, &path).unwrap();
+        let reference = journaled(&writer_cts, &design, Fresh(&path)).unwrap();
         let full = std::fs::read(&path).unwrap();
         let cuts = boundaries(&full);
         assert!(cuts.len() >= 3, "{name}: expected a multi-level journal");

@@ -7,11 +7,12 @@
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
-    CollectingObserver, CtsError, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, StageFault,
+    CollectingObserver, CtsError, FaultKind, FaultPlan, FaultStage, FlowObserver, NullObserver,
+    NullSink, RecoveryPolicy, RunContext, StageFault,
 };
 use sllt_design::Design;
 use sllt_geom::{Point, Rect};
-use sllt_tree::Sink;
+use sllt_tree::{ClockTree, Sink};
 
 /// A 96-FF grid: small enough for fast ladder retries, large enough to
 /// partition into several clusters per level.
@@ -34,25 +35,36 @@ fn grid_design() -> Design {
     }
 }
 
-fn with_fault(fault: StageFault, recovery: RecoveryPolicy, workers: usize) -> HierarchicalCts {
-    HierarchicalCts {
-        faults: FaultPlan::single(fault),
+/// A run of the grid design with `fault` injected.
+fn with_fault(
+    fault: StageFault,
+    recovery: RecoveryPolicy,
+    workers: usize,
+    observer: &mut dyn FlowObserver,
+) -> Result<ClockTree, CtsError> {
+    let cts = HierarchicalCts {
         recovery,
         workers,
         ..HierarchicalCts::default()
-    }
+    };
+    let ctx = RunContext {
+        faults: FaultPlan::single(fault),
+        ..RunContext::new(observer, &NullSink)
+    };
+    cts.run_in(&grid_design(), ctx)
 }
 
 // ---- typed context without recovery ---------------------------------------
 
 #[test]
 fn injected_route_error_is_typed_with_context() {
-    let cts = with_fault(
+    let result = with_fault(
         StageFault::once(FaultStage::Route, 0, Some(1), FaultKind::Error),
         RecoveryPolicy::disabled(),
         1,
+        &mut NullObserver,
     );
-    match cts.run(&grid_design()).unwrap_err() {
+    match result.unwrap_err() {
         CtsError::InjectedFault {
             stage,
             level,
@@ -72,12 +84,13 @@ fn injected_partition_and_sizing_errors_are_typed() {
         (FaultStage::Partition, "partition"),
         (FaultStage::Sizing, "sizing"),
     ] {
-        let cts = with_fault(
+        let result = with_fault(
             StageFault::once(stage, 0, None, FaultKind::Error),
             RecoveryPolicy::disabled(),
             1,
+            &mut NullObserver,
         );
-        match cts.run(&grid_design()).unwrap_err() {
+        match result.unwrap_err() {
             CtsError::InjectedFault {
                 stage: s, level, ..
             } => {
@@ -94,12 +107,13 @@ fn injected_partition_and_sizing_errors_are_typed() {
 #[test]
 fn route_panic_is_contained_to_a_typed_error() {
     for workers in [1usize, 2] {
-        let cts = with_fault(
+        let result = with_fault(
             StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Panic),
             RecoveryPolicy::disabled(),
             workers,
+            &mut NullObserver,
         );
-        match cts.run(&grid_design()).unwrap_err() {
+        match result.unwrap_err() {
             CtsError::ClusterPanicked { level, cluster } => {
                 assert_eq!(level, 0);
                 assert_eq!(cluster, 0);
@@ -115,17 +129,20 @@ fn panicking_cluster_reports_lowest_index_at_any_worker_count() {
     // regardless of which worker hit which cluster first.
     for workers in [1usize, 2, 4] {
         let cts = HierarchicalCts {
+            recovery: RecoveryPolicy::disabled(),
+            workers,
+            ..HierarchicalCts::default()
+        };
+        let ctx = RunContext {
             faults: FaultPlan {
                 faults: vec![
                     StageFault::once(FaultStage::Route, 0, Some(2), FaultKind::Panic),
                     StageFault::once(FaultStage::Route, 0, Some(1), FaultKind::Panic),
                 ],
             },
-            recovery: RecoveryPolicy::disabled(),
-            workers,
-            ..HierarchicalCts::default()
+            ..Default::default()
         };
-        match cts.run(&grid_design()).unwrap_err() {
+        match cts.run_in(&grid_design(), ctx).unwrap_err() {
             CtsError::ClusterPanicked { cluster, .. } => assert_eq!(cluster, 1),
             other => panic!("expected ClusterPanicked, got {other:?}"),
         }
@@ -136,13 +153,14 @@ fn panicking_cluster_reports_lowest_index_at_any_worker_count() {
 
 #[test]
 fn transient_route_error_recovers_and_records_the_downgrade() {
-    let cts = with_fault(
+    let mut obs = CollectingObserver::new();
+    let tree = with_fault(
         StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Error),
         RecoveryPolicy::standard(),
         1,
-    );
-    let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
+        &mut obs,
+    )
+    .unwrap();
     tree.validate().unwrap();
     assert_eq!(tree.sinks().len(), 96);
 
@@ -164,13 +182,14 @@ fn transient_route_error_recovers_and_records_the_downgrade() {
 
 #[test]
 fn transient_panic_recovers_under_the_ladder() {
-    let cts = with_fault(
+    let mut obs = CollectingObserver::new();
+    let tree = with_fault(
         StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Panic),
         RecoveryPolicy::standard(),
         1,
-    );
-    let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
+        &mut obs,
+    )
+    .unwrap();
     tree.validate().unwrap();
     assert_eq!(obs.levels[0].attempts, 2);
     assert!(obs.levels[0].downgrades[0].trigger.contains("panicked"));
@@ -178,12 +197,13 @@ fn transient_panic_recovers_under_the_ladder() {
 
 #[test]
 fn permanent_fault_exhausts_the_ladder() {
-    let cts = with_fault(
+    let result = with_fault(
         StageFault::permanent(FaultStage::Route, 0, Some(0), FaultKind::Error),
         RecoveryPolicy::standard(),
         1,
+        &mut NullObserver,
     );
-    match cts.run(&grid_design()).unwrap_err() {
+    match result.unwrap_err() {
         CtsError::LadderExhausted {
             level,
             attempts,
@@ -258,21 +278,20 @@ fn stage_deadline_recovers_by_topology_fallback() {
 
 #[test]
 fn recovered_runs_are_bit_identical_at_any_worker_count() {
-    let design = grid_design();
     let fault = || StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Error);
-    let serial = with_fault(fault(), RecoveryPolicy::standard(), 1)
-        .run(&design)
-        .unwrap();
+    let serial = with_fault(fault(), RecoveryPolicy::standard(), 1, &mut NullObserver).unwrap();
     for workers in [2usize, 4] {
-        let parallel = with_fault(fault(), RecoveryPolicy::standard(), workers)
-            .run(&design)
-            .unwrap();
+        let parallel = with_fault(
+            fault(),
+            RecoveryPolicy::standard(),
+            workers,
+            &mut NullObserver,
+        )
+        .unwrap();
         assert_eq!(serial, parallel, "workers={workers} diverged");
     }
     // And recovery itself is reproducible run-to-run.
-    let again = with_fault(fault(), RecoveryPolicy::standard(), 1)
-        .run(&design)
-        .unwrap();
+    let again = with_fault(fault(), RecoveryPolicy::standard(), 1, &mut NullObserver).unwrap();
     assert_eq!(serial, again);
 }
 

@@ -5,13 +5,12 @@
 //! threads (deterministic best-of), the Lloyd nearest-centre scan is
 //! grid-pruned (exact), and the per-round capacity assignment
 //! warm-starts from the nearest-centre seed and repairs only the
-//! overflow (cost-equal to the dense flow). These tests pin the
-//! end-to-end consequences on whole trees:
+//! overflow (cost-equal to the dense flow, which `sllt-partition` keeps
+//! as a test oracle). These tests pin the end-to-end consequences on
+//! whole trees:
 //!
 //! - trees are bit-identical at any worker count, on both the small
 //!   (restart-scored) and large (sharded-grid) partition paths,
-//! - warm and cold assignment produce the same tree on designs with
-//!   random (tie-free) coordinates,
 //! - the chain count changes the search, never the contract.
 
 use sllt_cts::flow::HierarchicalCts;
@@ -22,7 +21,7 @@ use sllt_tree::Sink;
 
 /// A design with irrational-ish random coordinates: distance ties (and
 /// thus alternate-optima ambiguity in the assignment flows) have
-/// measure zero, so warm and cold assignment must agree exactly.
+/// measure zero.
 fn random_design(seed: u64, n: usize, span: f64) -> Design {
     let mut rng = StdRng::seed_from_u64(seed);
     let sinks: Vec<Sink> = (0..n)
@@ -84,30 +83,6 @@ fn sharded_grid_parallelism_is_bit_identical() {
         .run(&design)
         .unwrap();
         assert_eq!(serial, parallel, "workers={workers} diverged from serial");
-    }
-}
-
-#[test]
-fn warm_and_cold_assignment_build_the_same_tree() {
-    // Random coordinates leave no assignment ties, so the exact warm
-    // repair must reproduce the dense cold solve decision-for-decision
-    // — all the way to an identical built tree. Cover both partition
-    // paths.
-    for (seed, n, span) in [(7u64, 300, 500.0), (41, 900, 1100.0)] {
-        let design = random_design(seed, n, span);
-        let warm = HierarchicalCts {
-            partition_warm_mcf: true,
-            ..HierarchicalCts::default()
-        }
-        .run(&design)
-        .unwrap();
-        let cold = HierarchicalCts {
-            partition_warm_mcf: false,
-            ..HierarchicalCts::default()
-        }
-        .run(&design)
-        .unwrap();
-        assert_eq!(warm, cold, "n={n}: warm assignment changed the tree");
     }
 }
 

@@ -7,17 +7,14 @@
 //!    rings) builds the same tree as an untraced run, at 1/2/4 workers;
 //! 2. **Chrome export shape** — the exported trace parses, carries the
 //!    stage spans, per-worker lanes, and the deep-layer counter tracks;
-//! 3. **Progress determinism** — the *set* of progress events (every
-//!    field, fractions included) is identical at any worker count; only
-//!    the interleaving order may differ.
+//! 3. **Event determinism** — the *set* of progress events (every
+//!    field of their journal form, fractions included) is identical at
+//!    any worker count.
 
 use sllt_cts::flow::HierarchicalCts;
-use sllt_cts::{
-    CollectingProgress, NullObserver, NullSink, Progress, ProgressEvent, RecordingSink,
-};
-use sllt_design::DesignSpec;
+use sllt_cts::{FlowEvent, NullObserver, NullSink, RecordingSink};
+use sllt_design::{Design, DesignSpec};
 use sllt_obs::{chrome_trace, read_trace, TraceWriter, Value};
-use std::sync::Arc;
 
 #[test]
 fn traced_runs_build_bit_identical_trees() {
@@ -118,11 +115,28 @@ fn traced_runs_build_bit_identical_trees() {
     }
 }
 
-/// Canonical form for set comparison: the encoded JSON of every event,
-/// sorted. Fractions are pure integer-derived arithmetic, so they must
-/// match to the last bit across worker counts.
-fn canonical(events: &[ProgressEvent]) -> Vec<String> {
-    let mut enc: Vec<String> = events.iter().map(|e| e.to_value().encode()).collect();
+/// Every event of a run at `workers` route threads, in delivery order.
+fn flow_events(design: &Design, workers: usize) -> Vec<FlowEvent> {
+    let cts = HierarchicalCts {
+        workers,
+        ..HierarchicalCts::default()
+    };
+    let mut events = Vec::new();
+    cts.run_with_observer(design, &mut |ev: &FlowEvent| events.push(ev.clone()))
+        .unwrap();
+    events
+}
+
+/// Canonical form for set comparison: the encoded journal form of every
+/// event (no wall-clock fields), sorted. Fractions are pure
+/// integer-derived arithmetic, so they must match to the last bit
+/// across worker counts.
+fn canonical(events: &[FlowEvent]) -> Vec<String> {
+    let mut enc: Vec<String> = events
+        .iter()
+        .filter_map(FlowEvent::progress_record)
+        .map(|r| r.encode())
+        .collect();
     enc.sort();
     enc
 }
@@ -132,28 +146,16 @@ fn progress_event_set_is_worker_count_independent() {
     let design = DesignSpec::by_name("s35932").unwrap().instantiate();
     let mut sets = Vec::new();
     for workers in [1usize, 2, 4] {
-        let progress = Arc::new(CollectingProgress::new());
-        let cts = HierarchicalCts {
-            workers,
-            progress: Progress::new(progress.clone()),
-            ..HierarchicalCts::default()
-        };
-        cts.run(&design).unwrap();
-        let events = progress.snapshot();
+        let events = flow_events(&design, workers);
 
-        // Shape: starts with FlowStart, ends with Done at fraction 1.
-        assert!(matches!(
-            events.first(),
-            Some(ProgressEvent::FlowStart { .. })
-        ));
-        assert!(
-            matches!(events.last(), Some(ProgressEvent::Done { fraction }) if *fraction == 1.0)
-        );
+        // Shape: starts with FlowStart, ends with the assembly.
+        assert!(matches!(events.first(), Some(FlowEvent::FlowStart { .. })));
+        assert!(matches!(events.last(), Some(FlowEvent::Assembled { .. })));
         // Every level crosses all ten deciles exactly once.
         let levels: std::collections::BTreeSet<usize> = events
             .iter()
             .filter_map(|e| match e {
-                ProgressEvent::LevelStart { level, .. } => Some(*level),
+                FlowEvent::LevelStart { level, .. } => Some(*level),
                 _ => None,
             })
             .collect();
@@ -161,7 +163,7 @@ fn progress_event_set_is_worker_count_independent() {
             let mut tenths: Vec<u32> = events
                 .iter()
                 .filter_map(|e| match e {
-                    ProgressEvent::ClusterProgress {
+                    FlowEvent::ClusterDecile {
                         level: l, tenths, ..
                     } if l == level => Some(*tenths),
                     _ => None,
@@ -189,19 +191,18 @@ fn progress_event_set_is_worker_count_independent() {
 #[test]
 fn progress_fractions_are_monotone_in_delivery_order() {
     let design = DesignSpec::by_name("s35932").unwrap().instantiate();
-    let progress = Arc::new(CollectingProgress::new());
-    let cts = HierarchicalCts {
-        progress: Progress::new(progress.clone()),
-        ..HierarchicalCts::default()
-    };
-    cts.run(&design).unwrap();
-    let events = progress.snapshot();
     let mut last = 0.0f64;
-    for ev in &events {
-        let f = ev.fraction();
+    for record in flow_events(&design, 0)
+        .iter()
+        .filter_map(FlowEvent::progress_record)
+    {
+        let Some(f) = record.get("fraction").and_then(Value::as_f64) else {
+            continue;
+        };
         assert!(
             f + 1e-12 >= last,
-            "fraction regressed: {last} -> {f} at {ev:?}"
+            "fraction regressed: {last} -> {f} at {}",
+            record.encode()
         );
         last = f;
     }

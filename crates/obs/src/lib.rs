@@ -51,10 +51,7 @@ pub use chrome::{chrome_trace, write_chrome};
 pub use journal::{fnv1a64, DurableAppender, Journal, JournalError, JournalFrame, TornTail};
 pub use json::Value;
 pub use metrics::{fmt_rate, peak_rss_bytes, rate_per_sec, rss_bytes, Histogram, MetricsMap};
-pub use progress::{
-    read_progress, CollectingProgress, JournalProgress, Progress, ProgressEvent, ProgressSink,
-    WorkBudget,
-};
+pub use progress::{latest_fraction, read_progress, WorkBudget};
 pub use record::{RunRecord, SCHEMA_VERSION};
 pub use registry::{
     count, current, current_span, enabled, gauge, record, record_hist, span, Collected, Registry,

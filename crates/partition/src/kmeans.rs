@@ -20,7 +20,7 @@
 //!   a small *overflow-repair* flow that only routes the few points
 //!   that must move off overloaded centres. The repair is exact (its
 //!   optimum equals the dense solve's optimum); the dense solve remains
-//!   as the cold reference path behind [`KmeansConfig::warm_mcf`].
+//!   only as the test oracle it is checked against.
 
 use crate::cost::weighted_pick;
 use crate::mcf::MinCostFlow;
@@ -74,9 +74,8 @@ impl Partition {
 }
 
 /// Tuning knobs for [`balanced_kmeans_cfg`]. The default reproduces the
-/// production path: 25 Lloyd iterations, two balance rounds, warm
-/// (overflow-repair) capacity assignment, and deterministic reseeding
-/// of emptied centres.
+/// production path: 25 Lloyd iterations, two balance rounds, and
+/// deterministic reseeding of emptied centres.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KmeansConfig {
     /// Maximum unconstrained Lloyd iterations before the capacity
@@ -87,11 +86,6 @@ pub struct KmeansConfig {
     /// their capacity-feasible membership (stops early when the
     /// assignment stops changing).
     pub balance_rounds: usize,
-    /// Warm-start the capacity assignment from the unconstrained
-    /// nearest assignment (overflow repair) instead of solving the
-    /// dense bipartite flow from scratch. Both paths reach an
-    /// assignment of equal total cost; `false` is the cold reference.
-    pub warm_mcf: bool,
     /// Reseed a centre that lost all members to the current farthest
     /// point (deterministically) instead of letting the dead centroid
     /// persist for all remaining iterations.
@@ -103,7 +97,6 @@ impl Default for KmeansConfig {
         KmeansConfig {
             lloyd_iters: 25,
             balance_rounds: 2,
-            warm_mcf: true,
             reseed_empty: true,
         }
     }
@@ -382,7 +375,7 @@ pub fn balanced_kmeans_cfg(
             sllt_obs::count("partition.kmeans.assign_greedy", 1);
             greedy_capacitated(points, &centers, cap)
         } else {
-            capacitated_assign(points, &px, &py, &centers, cap, cfg.warm_mcf)
+            capacitated_assign(&px, &py, &centers, cap)
         };
         let converged = round > 0 && next == assignment;
         assignment = next;
@@ -528,21 +521,10 @@ fn lloyd(
     iters
 }
 
-/// Capacity-exact assignment for flow-sized instances: the warm path
-/// repairs the unconstrained nearest assignment; the cold path solves
-/// the dense bipartite flow. Both are optimal for the given centres.
-fn capacitated_assign(
-    points: &[Point],
-    px: &[f64],
-    py: &[f64],
-    centers: &[Point],
-    cap: usize,
-    warm: bool,
-) -> Vec<usize> {
-    if !warm {
-        sllt_obs::count("partition.kmeans.assign_mcf", 1);
-        return mcf_assign(points, centers, cap);
-    }
+/// Capacity-exact assignment for flow-sized instances: repairs the
+/// unconstrained nearest assignment, which is optimal for the given
+/// centres (the same total cost as the dense flow, `mcf_assign`).
+fn capacitated_assign(px: &[f64], py: &[f64], centers: &[Point], cap: usize) -> Vec<usize> {
     let k = centers.len();
     let n = px.len();
     let cx: Vec<f64> = centers.iter().map(|c| c.x).collect();
@@ -641,8 +623,8 @@ fn repair_assign(
 
 /// Optimal capacitated assignment by dense min-cost flow:
 /// source → point (1, 0); point → centre (1, L1 distance);
-/// centre → sink (cap, 0). The cold reference for
-/// [`repair_assign`]-based warm starts.
+/// centre → sink (cap, 0). The test oracle for [`repair_assign`].
+#[cfg(test)]
 fn mcf_assign(points: &[Point], centers: &[Point], cap: usize) -> Vec<usize> {
     let k = centers.len();
     let n = points.len();
@@ -1313,8 +1295,8 @@ mod tests {
                 .collect();
             let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
             let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
-            let warm = capacitated_assign(&pts, &px, &py, &centers, cap, true);
-            let cold = capacitated_assign(&pts, &px, &py, &centers, cap, false);
+            let warm = capacitated_assign(&px, &py, &centers, cap);
+            let cold = mcf_assign(&pts, &centers, cap);
             let cost =
                 |a: &[usize]| -> f64 { pts.iter().zip(a).map(|(p, &c)| p.dist(centers[c])).sum() };
             let (cw, cc) = (cost(&warm), cost(&cold));
@@ -1563,8 +1545,8 @@ mod tests {
                 .collect();
             let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
             let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
-            let warm = capacitated_assign(&pts, &px, &py, &centers, cap, true);
-            let cold = capacitated_assign(&pts, &px, &py, &centers, cap, false);
+            let warm = capacitated_assign(&px, &py, &centers, cap);
+            let cold = mcf_assign(&pts, &centers, cap);
             let cost = |a: &[usize]| -> f64 {
                 pts.iter().zip(a).map(|(p, &c)| p.dist(centers[c])).sum()
             };

@@ -7,24 +7,26 @@
 //! deterministic backoff ([`crate::backoff`]).
 //!
 //! The child runs with the recovery ladder on, checkpoints levels next
-//! to the daemon's journal, streams progress through a
-//! [`JournalProgress`] sink the daemon tails for `status`/`watch`, and
-//! reports through its exit code plus a final `RESULT {json}` stdout
-//! line (skew, wirelength, `runtime_s`, and the child's peak RSS). A
-//! cancelled child exits [`EXIT_JOB_CANCELLED`] and leaves its
-//! checkpoint for the next attempt to resume.
+//! to the daemon's journal, and watches its own flow event stream: a
+//! [`ProgressJournal`] observer writes the progress journal the daemon
+//! tails for `status`/`watch`, and the same stream flags storage
+//! degradation. It reports through its exit code plus a final
+//! `RESULT {json}` stdout line (skew, wirelength, `runtime_s`, and the
+//! child's peak RSS). A cancelled child exits [`EXIT_JOB_CANCELLED`]
+//! and leaves its checkpoint for the next attempt to resume; a
+//! checkpoint it cannot resume (another configuration, corruption, or a
+//! journal from before the current fingerprint) is discarded and the
+//! job starts fresh.
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
-    evaluate, CancelToken, CtsError, FaultKind, FaultPlan, FaultStage, Progress, RecoveryPolicy,
-    StageFault,
+    evaluate, CancelToken, CheckpointMode, CtsError, FaultKind, FaultPlan, FaultStage, FlowEvent,
+    FlowObserver, NullSink, ProgressJournal, RecoveryPolicy, RunContext, StageFault,
 };
-use sllt_obs::progress::{read_progress, ProgressEvent};
-use sllt_obs::{JournalProgress, Value};
+use sllt_obs::Value;
 use std::collections::HashSet;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Child exit code for a job that failed with a reported error.
@@ -191,43 +193,58 @@ pub fn run_child(args: &ChildArgs) -> Result<(), u8> {
     };
     let mut cts = config_by_name(&args.config).map_err(fail)?;
     cts.workers = args.workers;
-    if args.fault == Some(FaultSpec::Panic) {
-        // The PR-4 fault hook, aimed where no containment wraps it: a
-        // sizing-stage panic unwinds straight out of the child process.
-        cts.faults = FaultPlan::single(StageFault::permanent(
+    let faults = if args.fault == Some(FaultSpec::Panic) {
+        // The engine's fault hook, aimed where no containment wraps it:
+        // a sizing-stage panic unwinds straight out of the child process.
+        FaultPlan::single(StageFault::permanent(
             FaultStage::Sizing,
             0,
             None,
             FaultKind::Panic,
-        ));
-    }
+        ))
+    } else {
+        FaultPlan::none()
+    };
 
     let token = CancelToken::new();
-    cts.cancel = token.clone();
     #[cfg(unix)]
     sllt_cts::cancel::install_signals(&token);
 
     // Live progress into the job's sealed journal; the daemon tails it
     // for status/watch. Not being able to create it is not fatal —
     // progress is observability, never a reason to fail a job.
-    if let Ok(sink) = JournalProgress::create(&progress_path(&args.out_dir, &args.job_id)) {
-        cts.progress = Progress::new(Arc::new(sink));
-    }
+    let mut journal = ProgressJournal::create(&progress_path(&args.out_dir, &args.job_id)).ok();
+    let mut degraded = false;
+    let mut observer = |ev: &FlowEvent| {
+        degraded |= matches!(ev, FlowEvent::StorageDegraded { .. });
+        if let Some(j) = journal.as_mut() {
+            j.on_event(ev);
+        }
+    };
 
     let ckpt = ckpt_path(&args.out_dir, &args.job_id);
+    let mut run = |checkpoint| {
+        let ctx = RunContext {
+            cancel: token.clone(),
+            faults: faults.clone(),
+            checkpoint,
+            ..RunContext::new(&mut observer, &NullSink)
+        };
+        cts.run_in(&design, ctx)
+    };
     let t0 = Instant::now();
     let result = if ckpt.exists() {
-        match cts.resume(&design, &ckpt) {
+        match run(CheckpointMode::Resume(&ckpt)) {
             // Stale/mismatched journal (config drift, corruption beyond
             // the torn-tail tolerance): discard and start fresh.
             Err(CtsError::Checkpoint { .. }) => {
                 std::fs::remove_file(&ckpt).ok();
-                cts.run_checkpointed(&design, &ckpt)
+                run(CheckpointMode::Fresh(&ckpt))
             }
             other => other,
         }
     } else {
-        cts.run_checkpointed(&design, &ckpt)
+        run(CheckpointMode::Fresh(&ckpt))
     };
 
     match result {
@@ -249,16 +266,10 @@ pub fn run_child(args: &ChildArgs) -> Result<(), u8> {
                 .with("tree", tree_file.display().to_string());
             // Nonfatal storage degradation: the flow dropped its
             // checkpoint writer mid-run (full or failing disk) and
-            // finished in memory. The progress stream carries the
+            // finished in memory. The event stream carries the
             // structured event; surface it as a flag in the run record
             // so the daemon's job row (and anything tailing RESULT
             // lines) sees the job succeeded on degraded storage.
-            let degraded = read_progress(&progress_path(&args.out_dir, &args.job_id))
-                .map(|evs| {
-                    evs.iter()
-                        .any(|e| matches!(e, ProgressEvent::StorageDegraded { .. }))
-                })
-                .unwrap_or(false);
             if degraded {
                 v = v.with("storage_degraded", true);
             }

@@ -33,7 +33,7 @@ use crate::state::{
 use crate::supervise::{run_supervised, SuperviseOpts};
 use sllt_cts::CancelToken;
 use sllt_obs::journal::{fnv1a64, read_journal, DurableAppender};
-use sllt_obs::progress::read_progress;
+use sllt_obs::progress::{latest_fraction, read_progress};
 use sllt_obs::vfs::{real_fs, Vfs};
 use sllt_obs::Value;
 use std::collections::{HashMap, HashSet};
@@ -216,8 +216,7 @@ impl Shared {
     }
 
     fn progress_of(&self, id: &str) -> Option<f64> {
-        let events = read_progress(&jobs::progress_path(&self.cfg.state_dir, id)).ok()?;
-        events.last().map(|e| e.fraction())
+        latest_fraction(&read_progress(&jobs::progress_path(&self.cfg.state_dir, id)).ok()?)
     }
 }
 
@@ -815,7 +814,8 @@ fn handle_status(s: &Shared, job: Option<&str>) -> Result<Value, ProtoError> {
         })
         .collect();
     drop(t);
-    // Progress is tailed outside the table lock: it reads files.
+    // The progress journal is tailed outside the table lock: it reads
+    // files.
     let jobs: Vec<Value> = snapshot
         .into_iter()
         .map(|(v, running, id)| {
@@ -940,9 +940,9 @@ fn handle_watch(s: &Shared, w: &mut impl Write, job: &str) -> std::io::Result<()
 }
 
 fn emit_events(s: &Shared, w: &mut impl Write, job: &str, sent: usize) -> std::io::Result<usize> {
-    let events = read_progress(&jobs::progress_path(&s.cfg.state_dir, job)).unwrap_or_default();
-    for ev in events.iter().skip(sent) {
-        write_line(w, &ok().with("event", ev.to_value()))?;
+    let records = read_progress(&jobs::progress_path(&s.cfg.state_dir, job)).unwrap_or_default();
+    for record in records.iter().skip(sent) {
+        write_line(w, &ok().with("event", record.clone()))?;
     }
-    Ok(events.len().max(sent))
+    Ok(records.len().max(sent))
 }

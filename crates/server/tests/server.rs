@@ -581,6 +581,90 @@ fn disk_budget_garbage_collects_finished_job_artifacts() {
 }
 
 #[test]
+fn watch_streams_every_level_from_flow_start_to_the_result() {
+    let mut d = Daemon::start("watch", &["--workers", "1"]);
+    let job = d.submit_ok(&req::submit("grid48", "base"));
+    let mut c = Client::connect(&d.ep).expect("connect");
+    c.send(&req::watch(&job)).expect("send watch");
+
+    // Collect the event stream up to the final (non-event) object;
+    // keep-alive frames are not part of it.
+    let mut events = Vec::new();
+    let last = loop {
+        let v = c
+            .recv()
+            .expect("recv")
+            .expect("stream closed before the result");
+        if v.get("alive").is_some() {
+            continue;
+        }
+        match v.get("event") {
+            Some(ev) => events.push(ev.clone()),
+            None => break v,
+        }
+    };
+    assert_eq!(
+        last.get("done"),
+        Some(&Value::Bool(true)),
+        "{}",
+        last.encode()
+    );
+    assert_eq!(status_of(&last), "ok", "{}", last.encode());
+
+    let ev = |r: &Value| {
+        r.get("ev")
+            .and_then(Value::as_str)
+            .unwrap_or("?")
+            .to_string()
+    };
+    let num = |r: &Value, k: &str| r.get(k).and_then(Value::as_u64);
+    assert_eq!(
+        events.first().map(ev).as_deref(),
+        Some("flow_start"),
+        "{events:?}"
+    );
+    let done = events.last().expect("events before the result");
+    assert_eq!(ev(done), "done", "done precedes the final result object");
+    assert_eq!(done.get("fraction").and_then(Value::as_f64), Some(1.0));
+
+    // Every started level crosses deciles 1..=10 and finishes.
+    let levels: Vec<u64> = events
+        .iter()
+        .filter(|r| ev(r) == "level_start")
+        .filter_map(|r| num(r, "level"))
+        .collect();
+    assert!(!levels.is_empty(), "{events:?}");
+    for level in levels {
+        let mut tenths: Vec<u64> = events
+            .iter()
+            .filter(|r| ev(r) == "clusters" && num(r, "level") == Some(level))
+            .filter_map(|r| num(r, "tenths"))
+            .collect();
+        tenths.sort_unstable();
+        assert_eq!(tenths, (1..=10).collect::<Vec<u64>>(), "level {level}");
+        assert!(
+            events
+                .iter()
+                .any(|r| ev(r) == "level_done" && num(r, "level") == Some(level)),
+            "level {level} never finished"
+        );
+    }
+
+    // Completion fractions never go backwards.
+    let fractions: Vec<f64> = events
+        .iter()
+        .filter_map(|r| r.get("fraction").and_then(Value::as_f64))
+        .collect();
+    assert!(
+        fractions.windows(2).all(|w| w[0] <= w[1]),
+        "fractions regressed: {fractions:?}"
+    );
+
+    d.kill_group();
+    std::fs::remove_dir_all(&d.dir).ok();
+}
+
+#[test]
 fn malformed_frames_get_structured_errors_and_the_connection_survives() {
     use sllt_server::proto::{read_frame, Frame, MAX_LINE};
     use std::io::{BufReader, Write};

@@ -20,6 +20,9 @@ cargo test -q
 echo "== workspace tests"
 cargo test -q --workspace
 
+echo "== frozen benchmark builds and passes against the current API"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "== telemetry equivalence (recording sink must not change the trees)"
 cargo test -q -p sllt-cts --test telemetry
 
@@ -92,10 +95,10 @@ echo "== durability: checkpoint/resume + cancellation suites (release, incl. ISC
 # executes them.)
 cargo test -q --release -p sllt-cts --test checkpoint --test cancel
 
-echo "== partition fast path: worker determinism + warm/cold tree equivalence (release)"
+echo "== partition fast path: worker determinism + warm assignment vs dense-flow oracle (release)"
 # Parallel restarts, SA chains, and the sharded grid must build
 # bit-identical trees at 1/2/4 workers, and the warm overflow-repair
-# assignment must reproduce the cold dense-flow tree exactly.
+# assignment must reach the dense-flow oracle's optimal cost.
 cargo test -q --release -p sllt-cts --test partition_fastpath
 cargo test -q --release -p sllt-partition --features proptest -- \
     proptest_pruned_assignment_matches_scan \
@@ -161,8 +164,8 @@ wait "$SLLTD_PID"
 rm -rf results/slltd_ci
 
 echo "== storage degradation: ENOSPC/EIO/short/torn mid-run must not change trees"
-# Every fault kind against the checkpoint/progress writers: the flow
-# degrades to in-memory, reports StorageDegraded, and still builds the
+# Every fault kind against the checkpoint writer: the flow degrades to
+# in-memory, reports StorageDegraded exactly once, and still builds the
 # bit-identical tree (pre-flight journal-create failures stay fatal).
 cargo test -q --release -p sllt-cts --test storage
 

@@ -12,8 +12,9 @@
 //! ```
 
 use sllt::cts::{baseline, constraints::CtsConstraints, eval, flow::HierarchicalCts, ocv};
+use sllt::cts::{CheckpointMode, CtsError, FlowEvent, NullSink, RunContext};
 use sllt::design::{NetGenerator, SUITE};
-use sllt::obs::{rss_bytes, Progress, ProgressEvent, ProgressSink, RecordingSink, TraceWriter};
+use sllt::obs::{rss_bytes, RecordingSink, TelemetrySink, TraceWriter};
 use sllt::route::{DelayModel, DmeOptions, TopologyScheme};
 use sllt::timing::{BufferLibrary, Technology};
 use sllt::tree::{io as tree_io, svg, ClockTree};
@@ -142,49 +143,62 @@ fn save_outputs(args: &[String], tree: &ClockTree, title: &str) -> Result<(), St
     Ok(())
 }
 
-/// Prints progress events to stderr as they arrive. Fractions are the
+/// Prints the event stream to stderr as it arrives. Fractions are the
 /// engine's deterministic work-budget values, so the printed percentages
-/// are identical at any worker count.
-struct StderrProgress;
-
-impl ProgressSink for StderrProgress {
-    fn emit(&self, ev: &ProgressEvent) {
-        let pct = ev.fraction() * 100.0;
-        match ev {
-            ProgressEvent::FlowStart { sinks } => {
-                eprintln!("[  0.0%] flow start: {sinks} sinks");
-            }
-            ProgressEvent::LevelStart { level, nodes, .. } => {
-                eprintln!("[{pct:5.1}%] level {level}: {nodes} nodes");
-            }
-            ProgressEvent::ClusterProgress { level, tenths, .. } => {
-                eprintln!("[{pct:5.1}%] level {level}: {}% routed", tenths * 10);
-            }
-            ProgressEvent::LevelDone { level, parents, .. } => {
-                eprintln!("[{pct:5.1}%] level {level} done -> {parents} parents");
-            }
-            ProgressEvent::StorageDegraded { level, detail } => {
-                eprintln!("warning: checkpoint write failed at level {level} ({detail}); continuing without checkpoints");
-            }
-            ProgressEvent::Done { .. } => eprintln!("[100.0%] tree assembled"),
+/// are identical at any worker count. Levels restored from a checkpoint
+/// are not reprinted.
+fn print_progress(ev: &FlowEvent) {
+    let pct = |f: &f64| f * 100.0;
+    match ev {
+        FlowEvent::FlowStart { sinks } => eprintln!("[  0.0%] flow start: {sinks} sinks"),
+        FlowEvent::LevelStart {
+            level,
+            nodes,
+            fraction,
+        } => eprintln!("[{:5.1}%] level {level}: {nodes} nodes", pct(fraction)),
+        FlowEvent::ClusterDecile {
+            level,
+            tenths,
+            fraction,
+        } => eprintln!(
+            "[{:5.1}%] level {level}: {}% routed",
+            pct(fraction),
+            tenths * 10
+        ),
+        FlowEvent::LevelDone { resumed: true, .. } => {}
+        FlowEvent::LevelDone {
+            report, fraction, ..
+        } => eprintln!(
+            "[{:5.1}%] level {} done -> {} parents",
+            pct(fraction),
+            report.level,
+            report.num_clusters
+        ),
+        FlowEvent::StorageDegraded { level, detail } => {
+            eprintln!("warning: checkpoint write failed at level {level} ({detail}); continuing without checkpoints");
         }
+        FlowEvent::Assembled { .. } => eprintln!("[100.0%] tree assembled"),
     }
 }
 
-/// Runs the flow with live tracing: a background drainer empties the
-/// per-thread trace rings into `results/trace_<design>.jsonl` every
-/// ~50 ms (also sampling process RSS as a gauge), and after the run the
-/// sealed journal is exported as a Chrome trace-event file
+/// Runs the flow (`run`, given the telemetry sink to record into) with
+/// live tracing: a background drainer empties the per-thread trace
+/// rings into `results/trace_<design>.jsonl` every ~50 ms (also
+/// sampling process RSS as a gauge), and after the run the sealed
+/// journal is exported as a Chrome trace-event file
 /// (`results/trace_<design>.json`) and validated by parsing it back.
-fn run_traced(cts: &HierarchicalCts, design: &sllt::design::Design) -> Result<ClockTree, String> {
+fn run_traced(
+    design: &str,
+    run: impl FnOnce(&dyn TelemetrySink) -> Result<ClockTree, CtsError>,
+) -> Result<ClockTree, String> {
     std::fs::create_dir_all("results").map_err(|e| format!("create results directory: {e}"))?;
-    let jsonl = std::path::PathBuf::from(format!("results/trace_{}.jsonl", design.name));
+    let jsonl = std::path::PathBuf::from(format!("results/trace_{design}.jsonl"));
     let sink = RecordingSink::new();
     let hub = sink
         .registry()
         .enable_tracing(sllt::obs::DEFAULT_TRACE_CAPACITY);
     let mut writer =
-        TraceWriter::create(&jsonl, &design.name).map_err(|e| format!("create trace: {e}"))?;
+        TraceWriter::create(&jsonl, design).map_err(|e| format!("create trace: {e}"))?;
     let stop = Arc::new(AtomicBool::new(false));
     let drainer = std::thread::spawn({
         let hub = hub.clone();
@@ -207,8 +221,7 @@ fn run_traced(cts: &HierarchicalCts, design: &sllt::design::Design) -> Result<Cl
             Ok(writer.chunks_written())
         }
     });
-    let mut obs = sllt::cts::CollectingObserver::new();
-    let result = cts.run_with_telemetry(design, &mut obs, &sink);
+    let result = run(&sink);
     stop.store(true, Ordering::Release);
     let drained = drainer.join().expect("trace drainer panicked");
     let tree = result.map_err(|e| format!("CTS flow failed: {e}"))?;
@@ -216,7 +229,7 @@ fn run_traced(cts: &HierarchicalCts, design: &sllt::design::Design) -> Result<Cl
 
     // Export + self-validate: the Chrome JSON must parse back.
     let tf = sllt::obs::read_trace(&jsonl)?;
-    let chrome = std::path::PathBuf::from(format!("results/trace_{}.json", design.name));
+    let chrome = std::path::PathBuf::from(format!("results/trace_{design}.json"));
     sllt::obs::write_chrome(&chrome, &tf)
         .map_err(|e| format!("write {}: {e}", chrome.display()))?;
     let text =
@@ -234,10 +247,11 @@ fn run_traced(cts: &HierarchicalCts, design: &sllt::design::Design) -> Result<Cl
 }
 
 /// Runs an engine-based flow with Ctrl-C wired to cooperative
-/// cancellation, and optionally journaled to `--checkpoint <file>`.
-/// With `--resume` and an existing journal, the run continues from the
-/// last committed level instead of starting over; an interrupted run
-/// exits nonzero but leaves the journal resumable.
+/// cancellation, optionally traced (`--trace`), printing progress
+/// (`--progress`), and journaled to `--checkpoint <file>`. With
+/// `--resume` and an existing journal, the run continues from the last
+/// committed level instead of starting over; an interrupted run exits
+/// nonzero but leaves the journal resumable.
 fn run_engine(
     cts: HierarchicalCts,
     design: &sllt::design::Design,
@@ -246,39 +260,34 @@ fn run_engine(
     let token = sllt::cts::CancelToken::new();
     #[cfg(unix)]
     sllt::cts::cancel::install_signals(&token);
-    let progress = if has_flag(args, "--progress") {
-        Progress::new(Arc::new(StderrProgress))
-    } else {
-        Progress::none()
-    };
     let cts = HierarchicalCts {
-        cancel: token,
         workers: flag_parse(args, "--workers", cts.workers)?,
-        progress,
         ..cts
     };
-    if has_flag(args, "--trace") {
-        if flag(args, "--checkpoint").is_some() {
-            return Err(
-                "--trace cannot be combined with --checkpoint (each owns its own journal); \
-                 run them separately"
-                    .into(),
-            );
+    let progress = has_flag(args, "--progress");
+    let mut observer = |ev: &FlowEvent| {
+        if progress {
+            print_progress(ev);
         }
-        return run_traced(&cts, design);
-    }
-    let result = match flag(args, "--checkpoint") {
-        Some(path) => {
-            let path = std::path::PathBuf::from(path);
-            if args.iter().any(|a| a == "--resume") && path.exists() {
-                cts.resume(design, &path)
-            } else {
-                cts.run_checkpointed(design, &path)
-            }
-        }
-        None => cts.run(design),
     };
-    result.map_err(|e| format!("CTS flow failed: {e}"))
+    let journal = flag(args, "--checkpoint").map(std::path::PathBuf::from);
+    let checkpoint = match &journal {
+        Some(path) if has_flag(args, "--resume") && path.exists() => CheckpointMode::Resume(path),
+        Some(path) => CheckpointMode::Fresh(path),
+        None => CheckpointMode::Off,
+    };
+    let run = |telemetry: &dyn TelemetrySink| {
+        let ctx = RunContext {
+            cancel: token,
+            checkpoint,
+            ..RunContext::new(&mut observer, telemetry)
+        };
+        cts.run_in(design, ctx)
+    };
+    if has_flag(args, "--trace") {
+        return run_traced(&design.name, run);
+    }
+    run(&NullSink).map_err(|e| format!("CTS flow failed: {e}"))
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
