@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sllt_geom::Point;
 use sllt_partition::{
-    balanced_kmeans_cfg, balanced_kmeans_restarts_scored, nearest_scan_l1, CenterGrid, KmeansConfig,
+    balanced_kmeans, balanced_kmeans_restarts_scored, nearest_scan_l1, CenterGrid,
 };
 use sllt_rng::prelude::*;
 use std::time::Duration;
@@ -59,12 +59,11 @@ fn bench_nearest(c: &mut Criterion) {
 fn bench_warm_assign(c: &mut Criterion) {
     let mut g = c.benchmark_group("balanced_kmeans_assign");
     g.sample_size(15);
-    let cfg = KmeansConfig::default();
     for n in [300usize, 900] {
         let pts = points(n, 11);
         let k = n.div_ceil(32);
         g.bench_with_input(BenchmarkId::new("warm", n), &pts, |b, pts| {
-            b.iter(|| balanced_kmeans_cfg(std::hint::black_box(pts), k, 32, 1, &cfg))
+            b.iter(|| balanced_kmeans(std::hint::black_box(pts), k, 32, 1))
         });
     }
     g.finish();
@@ -76,7 +75,6 @@ fn bench_warm_assign(c: &mut Criterion) {
 fn bench_restarts(c: &mut Criterion) {
     let pts = points(400, 17);
     let k = 400usize.div_ceil(32);
-    let cfg = KmeansConfig::default();
     let score =
         |p: &sllt_partition::Partition| -> f64 { p.centers.iter().map(|c| c.x + c.y).sum::<f64>() };
     c.bench_function("restarts_scored_400x4", |b| {
@@ -88,7 +86,6 @@ fn bench_restarts(c: &mut Criterion) {
                 1,
                 4,
                 1,
-                &cfg,
                 &score,
                 &|| false,
             )

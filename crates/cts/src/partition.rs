@@ -31,7 +31,7 @@ pub(crate) fn partition_level(
     attempt: usize,
 ) -> Result<LevelPartition, CtsError> {
     ctx.faults
-        .check(FaultStage::Partition, level, None, attempt)?;
+        .check(FaultStage::Partition, level, None, attempt, &ctx.cancel)?;
     // The stages' stop callbacks run on partition workers: share just
     // the (Sync) token.
     let cancel = &ctx.cancel;
@@ -65,21 +65,19 @@ pub(crate) fn partition_level(
     // (10 ms at 300 points, ~700 ms at 1400), so levels past a few
     // hundred nodes pay seconds per restart; the cell path bounds every
     // solve at `max_cell` points and stays near-linear.
-    let kcfg = sllt_partition::KmeansConfig::default();
     let part = if n > 600 {
         // Cell size bounds the min-cost-flow's quadratic blowup: at ~300
         // points a cell assigns in ~10 ms where 1200-point cells cost
         // ~450 ms each, and total partition time stays near-linear in
         // the sink count. Cells must still hold one full cluster.
         let max_cell = 300.max(cons.max_fanout);
-        sllt_partition::balanced_kmeans_grid_sharded_cfg(
+        sllt_partition::balanced_kmeans_grid_sharded(
             positions,
             k,
             cons.max_fanout,
             max_cell,
             cts.seed ^ level as u64,
             cts.effective_workers(usize::MAX),
-            &kcfg,
             &|| cancel.poll(),
         )
         .ok_or(CtsError::Cancelled)?
@@ -103,7 +101,6 @@ pub(crate) fn partition_level(
             cts.seed ^ level as u64,
             cts.partition_restarts,
             cts.effective_workers(cts.partition_restarts),
-            &kcfg,
             &|cand| adaptive_cluster_cost(cts, positions, caps, cand, p, q),
             &|| cancel.poll(),
         )

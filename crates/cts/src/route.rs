@@ -1,14 +1,15 @@
 //! Per-cluster routing — the parallel stage of each level.
 //!
 //! Every cluster routes independently (`route_cluster` needs only
-//! `&HierarchicalCts`, the run's fault plan, and the cluster's members),
-//! so the stage fans out across a `std::thread::scope`: workers pull
-//! cluster indices from a shared atomic counter and write results into
-//! per-index slots.
+//! `&HierarchicalCts`, the run's cancel token and fault plan, and the
+//! cluster's members), so the stage fans out across a
+//! `std::thread::scope`: workers pull cluster indices from a shared
+//! atomic counter and write results into per-index slots.
 //! Collection is by cluster index, and each cluster's RNG stream is
 //! derived up front from the flow seed with SplitMix64 — the output is
 //! bit-identical no matter how many workers run or how they interleave.
 
+use crate::cancel::CancelToken;
 use crate::error::CtsError;
 use crate::fault::{FaultPlan, FaultStage};
 use crate::flow::{HierarchicalCts, RunContext, TopologyKind};
@@ -135,7 +136,7 @@ pub(crate) fn route_clusters(
     let (cancel, faults) = (&ctx.cancel, &ctx.faults);
     let route_contained = |job: &ClusterJob| -> Result<RoutedCluster, CtsError> {
         catch_unwind(AssertUnwindSafe(|| {
-            route_cluster(cts, faults, job, level, attempt)
+            route_cluster(cts, cancel, faults, job, level, attempt)
         }))
         .unwrap_or(Err(CtsError::ClusterPanicked {
             level,
@@ -235,12 +236,13 @@ pub(crate) fn route_clusters(
 /// Routes one cluster and computes its timing aggregates.
 fn route_cluster(
     cts: &HierarchicalCts,
+    cancel: &CancelToken,
     faults: &FaultPlan,
     job: &ClusterJob,
     level: usize,
     attempt: usize,
 ) -> Result<RoutedCluster, CtsError> {
-    faults.check(FaultStage::Route, level, Some(job.index), attempt)?;
+    faults.check(FaultStage::Route, level, Some(job.index), attempt, cancel)?;
     // One span per cluster, nested under the route stage (workers
     // inherit the stage span as base parent) — this is what gives the
     // Chrome trace its per-worker lanes. Inert without telemetry.

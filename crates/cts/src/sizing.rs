@@ -36,7 +36,8 @@ pub(crate) fn size_drivers(
     level: usize,
     attempt: usize,
 ) -> Result<(Vec<LevelNode>, Vec<BuiltCluster>, SizingStats), CtsError> {
-    ctx.faults.check(FaultStage::Sizing, level, None, attempt)?;
+    ctx.faults
+        .check(FaultStage::Sizing, level, None, attempt, &ctx.cancel)?;
     // Joint sizing: every cluster total (subtree + driver delay) should
     // land near a common target — the slowest cluster at its fastest
     // legal cell.

@@ -4,6 +4,11 @@
 //! exhaust the ladder into a typed error, panics are contained at
 //! cluster granularity, and recovered runs stay bit-identical at any
 //! worker count.
+//!
+//! The scenario table (`every_scenario_*`) is the one harness for that
+//! contract: it runs on a 96-FF grid in every profile and on s35932 in
+//! release (`cargo test --release -p sllt-cts --test faults`, as
+//! `scripts/ci.sh` does).
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
@@ -272,6 +277,91 @@ fn stage_deadline_recovers_by_topology_fallback() {
         }
         other => panic!("expected StageDeadline, got {other:?}"),
     }
+}
+
+// ---- the recovery contract, scenario by scenario ---------------------------
+
+/// The scenario table for a design of `sinks` sinks: a fault plan and a
+/// route budget each, every one of which the standard ladder must
+/// absorb.
+fn scenarios(sinks: u64) -> [(&'static str, FaultPlan, Option<u64>); 5] {
+    let once = |stage, cluster, kind| FaultPlan::single(StageFault::once(stage, 0, cluster, kind));
+    [
+        (
+            "transient route error",
+            once(FaultStage::Route, Some(0), FaultKind::Error),
+            None,
+        ),
+        (
+            "transient route panic",
+            once(FaultStage::Route, Some(0), FaultKind::Panic),
+            None,
+        ),
+        (
+            "partition error",
+            once(FaultStage::Partition, None, FaultKind::Error),
+            None,
+        ),
+        (
+            "sizing error",
+            once(FaultStage::Sizing, None, FaultKind::Error),
+            None,
+        ),
+        // Level 0 costs 4 units/member under CBS, 1 under RSMT; a budget
+        // just under the BST cost (2/member) forces the ladder all the
+        // way down to the RSMT rung.
+        ("route deadline", FaultPlan::none(), Some(2 * sinks - 1)),
+    ]
+}
+
+/// Runs every scenario at 1, 2 and 4 workers with the standard ladder:
+/// each run recovers into a valid tree over every sink, records at
+/// least one downgrade, and builds the same tree at every worker count.
+fn assert_recovery_contract(design: &Design) {
+    let sinks = design.num_ffs();
+    for (name, faults, route_budget) in scenarios(sinks as u64) {
+        let mut reference: Option<ClockTree> = None;
+        for workers in [1usize, 2, 4] {
+            let cts = HierarchicalCts {
+                route_budget,
+                recovery: RecoveryPolicy::standard(),
+                workers,
+                ..HierarchicalCts::default()
+            };
+            let mut obs = CollectingObserver::new();
+            let ctx = RunContext {
+                faults: faults.clone(),
+                ..RunContext::new(&mut obs, &NullSink)
+            };
+            let tree = cts
+                .run_in(design, ctx)
+                .unwrap_or_else(|e| panic!("{name}, workers={workers}: did not recover: {e}"));
+            if let Err(e) = tree.validate() {
+                panic!("{name}, workers={workers}: invalid tree: {e}");
+            }
+            assert_eq!(tree.sinks().len(), sinks, "{name}, workers={workers}");
+            let downgrades: usize = obs.levels.iter().map(|l| l.downgrades.len()).sum();
+            assert!(
+                downgrades > 0,
+                "{name}, workers={workers}: empty recovery log"
+            );
+            match &reference {
+                Some(r) => assert_eq!(*r, tree, "{name}: workers={workers} diverged"),
+                None => reference = Some(tree),
+            }
+        }
+    }
+}
+
+#[test]
+fn every_scenario_recovers_identically_on_the_grid() {
+    assert_recovery_contract(&grid_design());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
+fn every_scenario_recovers_identically_on_s35932() {
+    assert_recovery_contract(&sllt_design::design_by_name("s35932").unwrap());
 }
 
 // ---- determinism of recovered runs ----------------------------------------

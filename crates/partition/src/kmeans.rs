@@ -73,34 +73,14 @@ impl Partition {
     }
 }
 
-/// Tuning knobs for [`balanced_kmeans_cfg`]. The default reproduces the
-/// production path: 25 Lloyd iterations, two balance rounds, and
-/// deterministic reseeding of emptied centres.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KmeansConfig {
-    /// Maximum unconstrained Lloyd iterations before the capacity
-    /// assignment (stops early when the assignment stabilises).
-    pub lloyd_iters: usize,
-    /// Capacity-assign → re-average rounds. One round reproduces the
-    /// classic assign-once behaviour; two lets the centres settle onto
-    /// their capacity-feasible membership (stops early when the
-    /// assignment stops changing).
-    pub balance_rounds: usize,
-    /// Reseed a centre that lost all members to the current farthest
-    /// point (deterministically) instead of letting the dead centroid
-    /// persist for all remaining iterations.
-    pub reseed_empty: bool,
-}
+/// Maximum unconstrained Lloyd iterations before the capacity
+/// assignment (stops early when the assignment stabilises).
+const LLOYD_ITERS: usize = 25;
 
-impl Default for KmeansConfig {
-    fn default() -> Self {
-        KmeansConfig {
-            lloyd_iters: 25,
-            balance_rounds: 2,
-            reseed_empty: true,
-        }
-    }
-}
+/// Capacity-assign → re-average rounds. Two let the centres settle onto
+/// their capacity-feasible membership (stops early when the assignment
+/// stops changing).
+const BALANCE_ROUNDS: usize = 2;
 
 /// Below this many centres a flat SoA scan beats the grid (build cost
 /// plus ring bookkeeping outweigh the pruning).
@@ -305,8 +285,7 @@ pub fn nearest_scan_l2sq(cx: &[f64], cy: &[f64], px: f64, py: f64) -> usize {
     best_i
 }
 
-/// Clusters `points` into `k` groups of at most `cap` members each with
-/// the default [`KmeansConfig`].
+/// Clusters `points` into `k` groups of at most `cap` members each.
 ///
 /// Lloyd iterations run unconstrained first (k-means++-style seeding
 /// from `seed`); the capacity assignment then holds the per-cluster cap
@@ -318,22 +297,6 @@ pub fn nearest_scan_l2sq(cx: &[f64], cy: &[f64], px: f64, py: f64) -> usize {
 /// Panics when `points` is empty, `k` is zero, or `k·cap` cannot hold
 /// all points.
 pub fn balanced_kmeans(points: &[Point], k: usize, cap: usize, seed: u64) -> Partition {
-    balanced_kmeans_cfg(points, k, cap, seed, &KmeansConfig::default())
-}
-
-/// [`balanced_kmeans`] with explicit [`KmeansConfig`] knobs.
-///
-/// # Panics
-///
-/// As [`balanced_kmeans`]; additionally panics when `lloyd_iters` or
-/// `balance_rounds` is zero.
-pub fn balanced_kmeans_cfg(
-    points: &[Point],
-    k: usize,
-    cap: usize,
-    seed: u64,
-    cfg: &KmeansConfig,
-) -> Partition {
     assert!(!points.is_empty(), "clustering an empty point set");
     assert!(k > 0, "k must be positive");
     assert!(
@@ -341,10 +304,6 @@ pub fn balanced_kmeans_cfg(
         "k*cap too small: {}*{cap} < {}",
         k,
         points.len()
-    );
-    assert!(
-        cfg.lloyd_iters > 0 && cfg.balance_rounds > 0,
-        "iteration counts must be positive"
     );
     let n = points.len();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -358,10 +317,10 @@ pub fn balanced_kmeans_cfg(
 
     // Unconstrained Lloyd.
     let mut assignment = vec![0usize; n];
-    let lloyd_iters = lloyd(points, &px, &py, &mut centers, &mut assignment, cfg);
+    let lloyd_iters = lloyd(points, &px, &py, &mut centers, &mut assignment);
 
     // Capacity-exact assignment, then centre re-averaging; repeated for
-    // `balance_rounds` so the centres settle onto capacity-feasible
+    // `BALANCE_ROUNDS` so the centres settle onto capacity-feasible
     // membership. Min-cost flow is optimal but its
     // successive-shortest-path cost grows with size; above a threshold
     // we switch to the classic same-size-k-means greedy (points ranked
@@ -369,7 +328,7 @@ pub fn balanced_kmeans_cfg(
     // which is near-optimal in practice and linearithmic.
     const MCF_LIMIT: usize = 1500;
     let mut rounds = 0u64;
-    for round in 0..cfg.balance_rounds {
+    for round in 0..BALANCE_ROUNDS {
         rounds += 1;
         let next = if n > MCF_LIMIT {
             sllt_obs::count("partition.kmeans.assign_greedy", 1);
@@ -435,8 +394,7 @@ fn seed_plus_plus(points: &[Point], k: usize, rng: &mut StdRng) -> Vec<Point> {
 /// Unconstrained Lloyd iterations over SoA coordinates. Returns the
 /// iteration count; `centers` and `assignment` are updated in place.
 ///
-/// Centres that lose all members are reseeded (when
-/// [`KmeansConfig::reseed_empty`] is set) to the point currently
+/// Centres that lose all members are reseeded to the point currently
 /// farthest from its assigned centre — deterministically: empties are
 /// processed in ascending centre order, each taking the lowest-index
 /// farthest point not already taken. Without the reseed a dead centroid
@@ -448,14 +406,13 @@ fn lloyd(
     py: &[f64],
     centers: &mut [Point],
     assignment: &mut [usize],
-    cfg: &KmeansConfig,
 ) -> u64 {
     let n = px.len();
     let k = centers.len();
     let mut cx = vec![0.0f64; k];
     let mut cy = vec![0.0f64; k];
     let mut iters = 0u64;
-    for _ in 0..cfg.lloyd_iters {
+    for _ in 0..LLOYD_ITERS {
         iters += 1;
         for (c, ctr) in centers.iter().enumerate() {
             cx[c] = ctr.x;
@@ -485,7 +442,7 @@ fn lloyd(
             }
         }
         let mut reseeded = false;
-        if cfg.reseed_empty && counts.contains(&0) {
+        if counts.contains(&0) {
             // Distance of every point to its (freshly averaged) centre;
             // consumed greedily by the empty centres in ascending order.
             let mut far: Vec<f64> = (0..n)
@@ -702,34 +659,6 @@ fn greedy_capacitated(points: &[Point], centers: &[Point], cap: usize) -> Vec<us
     assignment
 }
 
-/// Capacity-exact clustering for large point sets: the die is split by
-/// recursive median bisection into cells of at most `max_cell` points,
-/// and each cell is clustered independently with [`balanced_kmeans`]
-/// (whose min-cost-flow assignment is exact). `target_k` distributes a
-/// caller-chosen total cluster count proportionally over the cells.
-///
-/// The greedy fallback inside [`balanced_kmeans`] can strand points in
-/// far-away clusters on dense placements (die-spanning clusters hundreds
-/// of µm wide); median bisection keeps every cluster local while the
-/// per-cell flow keeps the capacity exact.
-///
-/// Serial convenience wrapper over [`balanced_kmeans_grid_sharded`]
-/// with one worker and no stop condition.
-///
-/// # Panics
-///
-/// As [`balanced_kmeans`]; additionally panics when `max_cell < cap`.
-pub fn balanced_kmeans_grid(
-    points: &[Point],
-    target_k: usize,
-    cap: usize,
-    max_cell: usize,
-    seed: u64,
-) -> Partition {
-    balanced_kmeans_grid_sharded(points, target_k, cap, max_cell, seed, 1, &|| false)
-        .expect("never stopped")
-}
-
 /// Splits `0..points.len()` into spatial cells of at most `max_cell`
 /// indices by recursive median bisection along the wider extent. Cell
 /// order is a pure function of the point set (LIFO split order, stable
@@ -765,8 +694,29 @@ fn median_split_cells(points: &[Point], max_cell: usize) -> Vec<Vec<usize>> {
     cells
 }
 
-/// [`balanced_kmeans_grid`] with the per-cell clustering fanned out
-/// across `workers` scoped threads, default [`KmeansConfig`].
+/// Capacity-exact clustering for large point sets: the die is split by
+/// recursive median bisection into cells of at most `max_cell` points,
+/// and each cell is clustered independently with [`balanced_kmeans`]
+/// (whose min-cost-flow assignment is exact). `target_k` distributes a
+/// caller-chosen total cluster count proportionally over the cells.
+///
+/// The greedy fallback inside [`balanced_kmeans`] can strand points in
+/// far-away clusters on dense placements (die-spanning clusters hundreds
+/// of µm wide); median bisection keeps every cluster local while the
+/// per-cell flow keeps the capacity exact.
+///
+/// The median bisection runs first and yields a deterministic cell
+/// list; `workers` scoped threads then pull whole cells from a shared
+/// counter and run the per-cell K-means + min-cost-flow independently.
+/// Each cell's seed is anchored to its first (sort-leading) point index
+/// and expanded through SplitMix64 by the RNG layer, so every shard's
+/// random stream is a pure function of the point set and `seed` —
+/// never of worker count or scheduling. Shard results merge in cell
+/// order, which makes the returned partition (assignment *and* centre
+/// numbering) bit-identical at any worker count, including one.
+///
+/// `stop` is polled between cells on every worker; returns `None` when
+/// it fired (the partial partition is discarded).
 ///
 /// # Panics
 ///
@@ -778,48 +728,6 @@ pub fn balanced_kmeans_grid_sharded(
     max_cell: usize,
     seed: u64,
     workers: usize,
-    stop: &(dyn Fn() -> bool + Sync),
-) -> Option<Partition> {
-    balanced_kmeans_grid_sharded_cfg(
-        points,
-        target_k,
-        cap,
-        max_cell,
-        seed,
-        workers,
-        &KmeansConfig::default(),
-        stop,
-    )
-}
-
-/// [`balanced_kmeans_grid_sharded`] with explicit [`KmeansConfig`].
-///
-/// The median bisection runs first and yields a deterministic cell
-/// list; workers then pull whole cells from a shared counter and run
-/// the per-cell K-means + min-cost-flow independently. Each cell's
-/// seed is anchored to its first (sort-leading) point index and
-/// expanded through SplitMix64 by the RNG layer, so every shard's
-/// random stream is a pure function of the point set and `seed` —
-/// never of worker count or scheduling. Shard results merge in cell
-/// order, which makes the returned partition (assignment *and* centre
-/// numbering) bit-identical at any worker count, including the serial
-/// path.
-///
-/// `stop` is polled between cells on every worker; returns `None` when
-/// it fired (the partial partition is discarded).
-///
-/// # Panics
-///
-/// As [`balanced_kmeans`]; additionally panics when `max_cell < cap`.
-#[allow(clippy::too_many_arguments)]
-pub fn balanced_kmeans_grid_sharded_cfg(
-    points: &[Point],
-    target_k: usize,
-    cap: usize,
-    max_cell: usize,
-    seed: u64,
-    workers: usize,
-    cfg: &KmeansConfig,
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Option<Partition> {
     assert!(!points.is_empty(), "clustering an empty point set");
@@ -836,7 +744,7 @@ pub fn balanced_kmeans_grid_sharded_cfg(
             .max(target_k * cell.len() / n.max(1))
             .max(1)
             .min(cell.len());
-        serial_restarts(&pts, k_cell, cap, seed ^ cell[0] as u64, 2, cfg)
+        serial_restarts(&pts, k_cell, cap, seed ^ cell[0] as u64, 2)
     };
 
     let workers = workers.clamp(1, cells.len().max(1));
@@ -918,17 +826,10 @@ fn l1_score(points: &[Point], part: &Partition) -> f64 {
 
 /// Serial restart loop used inside already-parallel shards (cells run
 /// on their own workers; nesting pools would oversubscribe).
-fn serial_restarts(
-    points: &[Point],
-    k: usize,
-    cap: usize,
-    seed: u64,
-    tries: usize,
-    cfg: &KmeansConfig,
-) -> Partition {
+fn serial_restarts(points: &[Point], k: usize, cap: usize, seed: u64, tries: usize) -> Partition {
     let mut best: Option<(f64, Partition)> = None;
     for t in 0..tries {
-        let part = balanced_kmeans_cfg(points, k, cap, restart_seed(seed, t), cfg);
+        let part = balanced_kmeans(points, k, cap, restart_seed(seed, t));
         let cost = l1_score(points, &part);
         if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
             best = Some((cost, part));
@@ -963,12 +864,11 @@ pub fn balanced_kmeans_restarts(
     tries: usize,
 ) -> Partition {
     assert!(tries > 0, "at least one try");
-    serial_restarts(points, k, cap, seed, tries, &KmeansConfig::default())
+    serial_restarts(points, k, cap, seed, tries)
 }
 
-/// [`balanced_kmeans_restarts`] with a caller-supplied score, explicit
-/// [`KmeansConfig`], and the restarts fanned out across `workers`
-/// scoped threads.
+/// [`balanced_kmeans_restarts`] with a caller-supplied score and the
+/// restarts fanned out across `workers` scoped threads.
 ///
 /// Each restart `t` runs on its own SplitMix64-expanded seed stream
 /// (see [`balanced_kmeans_restarts`]); workers pull restart indices
@@ -982,8 +882,7 @@ pub fn balanced_kmeans_restarts(
 ///
 /// # Panics
 ///
-/// As [`balanced_kmeans_cfg`]; additionally panics when `tries` is
-/// zero.
+/// As [`balanced_kmeans`]; additionally panics when `tries` is zero.
 #[allow(clippy::too_many_arguments)]
 pub fn balanced_kmeans_restarts_scored(
     points: &[Point],
@@ -992,13 +891,12 @@ pub fn balanced_kmeans_restarts_scored(
     seed: u64,
     tries: usize,
     workers: usize,
-    cfg: &KmeansConfig,
     score: &(dyn Fn(&Partition) -> f64 + Sync),
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Option<Partition> {
     assert!(tries > 0, "at least one try");
     let run = |t: usize| -> (f64, Partition) {
-        let part = balanced_kmeans_cfg(points, k, cap, restart_seed(seed, t), cfg);
+        let part = balanced_kmeans(points, k, cap, restart_seed(seed, t));
         (score(&part), part)
     };
     let workers = workers.clamp(1, tries);
@@ -1183,14 +1081,14 @@ mod tests {
         assert_eq!(weighted_pick(&[], 0.0), None);
     }
 
-    /// Satellite regression: a centre whose cluster empties mid-Lloyd
-    /// must be reseeded to the current farthest point instead of
-    /// persisting as a dead centroid.
+    /// Regression: a centre whose cluster empties mid-Lloyd must be
+    /// reseeded to the current farthest point instead of persisting as
+    /// a dead centroid.
     #[test]
     fn lloyd_reseeds_empty_centres() {
         // Two far blobs; three centres, but centre 1 starts remote from
-        // every point. It loses every assignment round, so without
-        // reseeding it persists as a dead centroid forever.
+        // every point. It loses the first assignment round, so only the
+        // reseed can bring it back.
         let mut pts = Vec::new();
         for i in 0..8 {
             pts.push(Point::new((i % 4) as f64, (i / 4) as f64));
@@ -1206,29 +1104,9 @@ mod tests {
             Point::new(501.5, 300.5),
         ];
 
-        let stale = KmeansConfig {
-            reseed_empty: false,
-            ..KmeansConfig::default()
-        };
-        let mut centers = seed_centers.clone();
+        let mut centers = seed_centers;
         let mut assignment = vec![0usize; pts.len()];
-        lloyd(&pts, &px, &py, &mut centers, &mut assignment, &stale);
-        assert!(
-            !assignment.contains(&1),
-            "without the fix, centre 1 stays dead"
-        );
-        assert_eq!(centers[1], seed_centers[1], "stale centre never moved");
-
-        let mut centers = seed_centers.clone();
-        let mut assignment = vec![0usize; pts.len()];
-        lloyd(
-            &pts,
-            &px,
-            &py,
-            &mut centers,
-            &mut assignment,
-            &KmeansConfig::default(),
-        );
+        lloyd(&pts, &px, &py, &mut centers, &mut assignment);
         assert!(
             assignment.contains(&1),
             "reseeded centre must win members back"
@@ -1334,7 +1212,7 @@ mod tests {
                 ));
             }
         }
-        let part = balanced_kmeans_grid(&pts, 1800 / 32, 32, 600, 9);
+        let part = balanced_kmeans_grid_sharded(&pts, 1800 / 32, 32, 600, 9, 1, &|| false).unwrap();
         let k = part.centers.len();
         for c in 0..k {
             let members = part.members(c);
@@ -1365,14 +1243,11 @@ mod tests {
     fn scored_restarts_bit_identical_at_any_worker_count() {
         let pts = random_points(11, 140, 300.0);
         let score = |part: &Partition| l1_score(&pts, part);
-        let cfg = KmeansConfig::default();
         let serial = balanced_kmeans_restarts(&pts, 7, 24, 77, 6);
         for workers in [1usize, 2, 4, 8] {
             let par =
-                balanced_kmeans_restarts_scored(&pts, 7, 24, 77, 6, workers, &cfg, &score, &|| {
-                    false
-                })
-                .unwrap();
+                balanced_kmeans_restarts_scored(&pts, 7, 24, 77, 6, workers, &score, &|| false)
+                    .unwrap();
             assert_eq!(serial.assignment, par.assignment, "workers={workers}");
             assert_eq!(serial.centers.len(), par.centers.len());
             let same = serial
@@ -1389,17 +1264,7 @@ mod tests {
         let pts = random_points(3, 50, 80.0);
         let score = |part: &Partition| l1_score(&pts, part);
         for workers in [1usize, 4] {
-            let out = balanced_kmeans_restarts_scored(
-                &pts,
-                4,
-                16,
-                9,
-                4,
-                workers,
-                &KmeansConfig::default(),
-                &score,
-                &|| true,
-            );
+            let out = balanced_kmeans_restarts_scored(&pts, 4, 16, 9, 4, workers, &score, &|| true);
             assert!(out.is_none(), "workers={workers}: stop must discard");
         }
     }
@@ -1440,7 +1305,7 @@ mod tests {
     #[test]
     fn grid_clustering_survives_degenerate_cells() {
         let pts = vec![Point::new(5.0, 5.0); 64];
-        let part = balanced_kmeans_grid(&pts, 8, 8, 16, 3);
+        let part = balanced_kmeans_grid_sharded(&pts, 8, 8, 16, 3, 1, &|| false).unwrap();
         assert_eq!(part.assignment.len(), 64);
         let k = part.centers.len();
         assert!(part.assignment.iter().all(|&a| a < k));
@@ -1449,7 +1314,7 @@ mod tests {
         }
         // A two-point degenerate set exercises the minimal-cell path.
         let two = vec![Point::ORIGIN; 2];
-        let part = balanced_kmeans_grid(&two, 1, 2, 2, 1);
+        let part = balanced_kmeans_grid_sharded(&two, 1, 2, 2, 1, 1, &|| false).unwrap();
         assert_eq!(part.assignment.len(), 2);
     }
 
@@ -1462,12 +1327,13 @@ mod tests {
 
     /// Sharding is an execution strategy, not a result knob: the
     /// partition (assignment and centre numbering) must be bit-identical
-    /// at every worker count, including the serial wrapper.
+    /// at every worker count, including one.
     #[test]
     fn sharded_grid_is_bit_identical_at_any_worker_count() {
         let pts = random_points(21, 2400, 900.0);
-        let serial = balanced_kmeans_grid(&pts, 2400 / 24, 24, 400, 17);
-        for workers in [1usize, 2, 3, 8] {
+        let serial =
+            balanced_kmeans_grid_sharded(&pts, 2400 / 24, 24, 400, 17, 1, &|| false).unwrap();
+        for workers in [2usize, 3, 8] {
             let sharded =
                 balanced_kmeans_grid_sharded(&pts, 2400 / 24, 24, 400, 17, workers, &|| false)
                     .unwrap();

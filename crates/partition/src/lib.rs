@@ -38,9 +38,9 @@ pub mod sa;
 
 pub use cost::{cluster_cost, variance, weighted_pick};
 pub use kmeans::{
-    balanced_kmeans, balanced_kmeans_cfg, balanced_kmeans_grid, balanced_kmeans_grid_sharded,
-    balanced_kmeans_grid_sharded_cfg, balanced_kmeans_restarts, balanced_kmeans_restarts_scored,
-    nearest_scan_l1, nearest_scan_l2sq, silhouette, CenterGrid, KmeansConfig, Partition,
+    balanced_kmeans, balanced_kmeans_grid_sharded, balanced_kmeans_restarts,
+    balanced_kmeans_restarts_scored, nearest_scan_l1, nearest_scan_l2sq, silhouette, CenterGrid,
+    Partition,
 };
 pub use mcf::MinCostFlow;
 pub use sa::{refine, refine_chains, refine_with_stop, PartitionConstraints, SaConfig};

@@ -7,27 +7,18 @@
 //! floating-point residue is clamped to zero inside the sweep so the
 //! invariant (and termination) survives large coordinates.
 //!
-//! Two fast-path mechanisms keep the partition stage off the profile
-//! (see `DESIGN.md`, *Partition fast path*):
-//!
-//! * **Early-exit Dijkstra.** Each augmentation stops the moment the
-//!   sink settles and updates potentials with the standard partial rule
-//!   (`π[v] += min(dist[v], dist[t])`), so early augmentations — whose
-//!   shortest path is just `source → point → centre → sink` — touch a
-//!   handful of nodes instead of the whole graph. Scratch arrays are
-//!   reset through a touched-node list, never re-allocated.
-//! * **Warm restarts.** [`MinCostFlow::update_edge_cost`] +
-//!   [`MinCostFlow::reoptimize`] re-solve the network after a cost
-//!   change *without* discarding the flow: optimality of a feasible
-//!   flow is exactly the absence of negative-cost residual cycles, so
-//!   the re-solve cancels the few cycles the cost change opened and
-//!   refits the potentials from the final label pass. The balanced
-//!   K-means rounds lean on this to re-assign after centres move
-//!   without paying a from-scratch solve per round.
+//! Each augmentation's Dijkstra stops the moment the sink settles and
+//! updates potentials with the standard partial rule
+//! (`π[v] += min(dist[v], dist[t])`), so early augmentations — whose
+//! shortest path is just `source → point → centre → sink` — touch a
+//! handful of nodes instead of the whole graph. Scratch arrays are
+//! reset through a touched-node list, never re-allocated. Every solve
+//! starts from zero flow; the balanced K-means capacity assignment
+//! builds a small overflow-repair network whenever capacity binds and
+//! solves it once (see `DESIGN.md`, *Partition fast path*).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 /// A directed flow network with unit-precision capacities and `f64`
 /// costs.
@@ -54,13 +45,6 @@ pub struct MinCostFlow {
     cap: Vec<i64>,
     cost: Vec<f64>,
     head: Vec<Vec<usize>>, // adjacency: node -> edge indices
-    /// Johnson potentials, persisted across [`solve`](Self::solve) and
-    /// [`reoptimize`](Self::reoptimize) so warm re-solves start from
-    /// valid duals.
-    potential: Vec<f64>,
-    /// Terminals of the last [`solve`](Self::solve) — the reoptimize
-    /// fallback re-solves between them when cycle canceling degenerates.
-    terminals: Option<(usize, usize)>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -87,8 +71,6 @@ impl MinCostFlow {
             cap: Vec::new(),
             cost: Vec::new(),
             head: vec![Vec::new(); n],
-            potential: vec![0.0; n],
-            terminals: None,
         }
     }
 
@@ -132,60 +114,17 @@ impl MinCostFlow {
         self.cap[id ^ 1]
     }
 
-    /// Rewrites the cost of forward edge `id` (and its reverse) in
-    /// place, keeping whatever flow the edge carries. Pair with
-    /// [`reoptimize`](Self::reoptimize) to restore min-cost optimality
-    /// afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is not a forward edge id returned by
-    /// [`add_edge`](Self::add_edge) or `cost` is negative.
-    pub fn update_edge_cost(&mut self, id: usize, cost: f64) {
-        assert!(
-            id.is_multiple_of(2) && id < self.to.len(),
-            "not a forward edge id"
-        );
-        assert!(cost >= 0.0, "negative cost not supported");
-        self.cost[id] = cost;
-        self.cost[id ^ 1] = -cost;
-    }
-
-    /// Source node of edge `e` (the target of its paired reverse edge).
-    fn tail_of(&self, e: usize) -> usize {
-        self.to[e ^ 1]
-    }
-
-    /// Drains all flow back to zero, restoring every forward capacity.
-    fn reset_flow(&mut self) {
-        for f in (0..self.to.len()).step_by(2) {
-            self.cap[f] += self.cap[f + 1];
-            self.cap[f + 1] = 0;
-        }
-    }
-
-    /// Total flow leaving `s` under the current residual state.
-    fn flow_out_of(&self, s: usize) -> i64 {
-        self.head[s]
-            .iter()
-            .filter(|&&e| e % 2 == 0)
-            .map(|&e| self.flow_on(e))
-            .sum()
-    }
-
-    /// Total cost of the current flow (Σ forward-edge cost × flow).
-    fn current_cost(&self) -> f64 {
-        (0..self.to.len())
-            .step_by(2)
-            .map(|e| self.cost[e] * self.flow_on(e) as f64)
-            .sum()
-    }
-
     /// Sends as much flow as possible from `s` to `t` at minimum total
     /// cost. Returns `(flow, cost)`. The network retains the residual
     /// state, so per-edge flows can be read back with
-    /// [`MinCostFlow::flow_on`], and the Johnson potentials persist for
-    /// a later [`reoptimize`](Self::reoptimize).
+    /// [`MinCostFlow::flow_on`].
+    ///
+    /// Successive shortest augmenting paths from zero flow and zero
+    /// potentials. Scratch is reset through a touched-node list so an
+    /// augmentation that settles 5 nodes pays for 5, not n, and each
+    /// Dijkstra stops the moment the sink settles — the augmenting path
+    /// is final at that point and the rest of the heap is nodes the
+    /// path will never visit.
     ///
     /// # Panics
     ///
@@ -193,64 +132,7 @@ impl MinCostFlow {
     pub fn solve(&mut self, s: usize, t: usize) -> (i64, f64) {
         assert!(s < self.len() && t < self.len() && s != t, "bad terminals");
         let n = self.len();
-        self.potential.clear();
-        self.potential.resize(n, 0.0);
-        self.terminals = Some((s, t));
-        let out = self.augment_rest(s, t);
-        if sllt_obs::enabled() {
-            sllt_obs::count("partition.mcf.solves", 1);
-        }
-        out
-    }
-
-    /// Moves `amount` units onto edge `id` without any optimality
-    /// bookkeeping — the caller is seeding a feasible starting flow
-    /// (e.g. a greedy assignment) to be repaired by
-    /// [`solve_warm`](Self::solve_warm).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the edge lacks `amount` residual capacity.
-    pub fn force_flow(&mut self, id: usize, amount: i64) {
-        assert!(self.cap[id] >= amount, "force_flow exceeds capacity");
-        self.cap[id] -= amount;
-        self.cap[id ^ 1] += amount;
-    }
-
-    /// Like [`solve`](Self::solve), but starts from whatever flow the
-    /// caller seeded with [`force_flow`](Self::force_flow) instead of
-    /// from zero: the seeded flow is repaired to min-cost by
-    /// negative-cycle canceling, then any remaining capacity is routed
-    /// by the usual shortest-path augmentation. A good seed (greedy
-    /// nearest-centre assignment) turns the dense bipartite solve into
-    /// a handful of cycle cancellations.
-    ///
-    /// Returns `(flow, cost)` of the final flow, exactly like
-    /// [`solve`](Self::solve).
-    pub fn solve_warm(&mut self, s: usize, t: usize) -> (i64, f64) {
-        assert!(s < self.len() && t < self.len() && s != t, "bad terminals");
-        self.terminals = Some((s, t));
-        let (flow, cost) = self.cancel_to_optimal(s, t);
-        // The seed normally saturates the source already; if it did
-        // not, top up with shortest-path augmentation. `augment_rest`
-        // reuses the (now valid) potentials from the cycle cancel.
-        let (extra_f, extra_c) = self.augment_rest(s, t);
-        if sllt_obs::enabled() {
-            sllt_obs::count("partition.mcf.solves", 1);
-        }
-        (flow + extra_f, cost + extra_c)
-    }
-
-    /// Successive shortest augmenting paths from the current residual
-    /// state, assuming `self.potential` holds valid duals for it (all
-    /// zeros for an empty flow, or the labels a cycle-cancel pass left
-    /// behind). Scratch is reset through a touched-node list so an
-    /// augmentation that settles 5 nodes pays for 5, not n, and each
-    /// Dijkstra stops the moment the sink settles — the augmenting path
-    /// is final at that point and the rest of the heap is nodes the
-    /// path will never visit.
-    fn augment_rest(&mut self, s: usize, t: usize) -> (i64, f64) {
-        let n = self.len();
+        let mut potential = vec![0.0f64; n];
         let mut total_flow = 0i64;
         let mut total_cost = 0.0f64;
         let mut dist = vec![f64::INFINITY; n];
@@ -297,7 +179,7 @@ impl MinCostFlow {
                     // are pure noise, so clamp to zero: with
                     // non-negative weights every node finalizes at its
                     // first valid pop and the sweep terminates.
-                    let rc = (self.cost[e] + self.potential[v] - self.potential[u]).max(0.0);
+                    let rc = (self.cost[e] + potential[v] - potential[u]).max(0.0);
                     let nd = d + rc;
                     if nd < dist[u] {
                         if dist[u].is_infinite() {
@@ -317,7 +199,7 @@ impl MinCostFlow {
             // or not) by the sink distance — the standard
             // `π[v] += min(dist[v], dist[t])` rule, which keeps every
             // residual reduced cost non-negative.
-            for (v, p) in self.potential.iter_mut().enumerate() {
+            for (v, p) in potential.iter_mut().enumerate() {
                 *p += if settled[v] { dist[v] } else { dt };
             }
             let mut bottleneck = i64::MAX;
@@ -340,153 +222,10 @@ impl MinCostFlow {
                 sllt_obs::count("partition.mcf.augmentations", 1);
             }
         }
+        if sllt_obs::enabled() {
+            sllt_obs::count("partition.mcf.solves", 1);
+        }
         (total_flow, total_cost)
-    }
-
-    /// Restores min-cost optimality of the **current** flow after
-    /// [`update_edge_cost`](Self::update_edge_cost) calls, without
-    /// re-solving from scratch.
-    ///
-    /// A feasible flow is minimum-cost for its value exactly when the
-    /// residual graph has no negative-cost cycle, so the warm re-solve
-    /// is: label every node from a virtual source (SPFA), cancel any
-    /// negative cycle the labeling exposes, repeat; the final clean
-    /// labeling doubles as the refit Johnson potentials. The flow value
-    /// never changes — capacities are untouched — so a saturating
-    /// assignment stays saturating.
-    ///
-    /// Relaxations use a cost-scaled epsilon, which both guarantees
-    /// termination under floating-point noise and bounds the cost gap
-    /// to optimal at `O(eps · cancellations)` — observationally zero
-    /// against a cold solve (see the partition equivalence tests). If
-    /// cycle canceling degenerates (pathological cost change), the flow
-    /// is rebuilt from scratch between the last
-    /// [`solve`](Self::solve)'s terminals — correct, just slower.
-    ///
-    /// Returns `(flow, cost)` of the reoptimized flow, like
-    /// [`solve`](Self::solve).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no [`solve`](Self::solve) ran before.
-    pub fn reoptimize(&mut self) -> (i64, f64) {
-        let (s, t) = self
-            .terminals
-            .expect("reoptimize requires a completed solve");
-        let out = self.cancel_to_optimal(s, t);
-        if sllt_obs::enabled() {
-            sllt_obs::count("partition.mcf.reopt_solves", 1);
-        }
-        out
-    }
-
-    /// Negative-cycle canceling core shared by
-    /// [`reoptimize`](Self::reoptimize) and
-    /// [`solve_warm`](Self::solve_warm): makes the current flow
-    /// min-cost for its value and leaves valid Johnson potentials in
-    /// `self.potential`.
-    fn cancel_to_optimal(&mut self, s: usize, t: usize) -> (i64, f64) {
-        let n = self.len();
-        // Relative epsilon: strictly-improving relaxations by more than
-        // `eps` bound the number of SPFA relaxations (distances are
-        // bounded below by -Σ|cost|), so the label pass terminates even
-        // when rounding residue opens phantom micro-cycles.
-        let max_cost = self
-            .cost
-            .iter()
-            .step_by(2)
-            .fold(0.0f64, |m, c| m.max(c.abs()));
-        let eps = (max_cost + 1.0) * 1e-12 * (n as f64).max(1.0);
-        let limit = 4 * n as u64 + 16;
-        let mut canceled = 0u64;
-
-        let mut dist = vec![0.0f64; n];
-        let mut prev = vec![usize::MAX; n];
-        let mut in_q = vec![false; n];
-        let mut relax_cnt = vec![0u32; n];
-        loop {
-            // SPFA from a virtual source connected to every node with a
-            // zero-cost edge: finds either a valid dual labeling or a
-            // node whose relaxation count betrays a negative cycle.
-            dist.iter_mut().for_each(|d| *d = 0.0);
-            prev.iter_mut().for_each(|p| *p = usize::MAX);
-            in_q.iter_mut().for_each(|q| *q = true);
-            relax_cnt.iter_mut().for_each(|c| *c = 0);
-            let mut queue: VecDeque<usize> = (0..n).collect();
-            let mut cycle_node = usize::MAX;
-            'spfa: while let Some(v) = queue.pop_front() {
-                in_q[v] = false;
-                for &e in &self.head[v] {
-                    if self.cap[e] <= 0 {
-                        continue;
-                    }
-                    let u = self.to[e];
-                    let nd = dist[v] + self.cost[e];
-                    if nd < dist[u] - eps {
-                        dist[u] = nd;
-                        prev[u] = e;
-                        relax_cnt[u] += 1;
-                        if relax_cnt[u] as usize >= n {
-                            cycle_node = u;
-                            break 'spfa;
-                        }
-                        if !in_q[u] {
-                            in_q[u] = true;
-                            queue.push_back(u);
-                        }
-                    }
-                }
-            }
-            if cycle_node == usize::MAX {
-                // No negative cycle: the flow is optimal and the labels
-                // are valid Johnson potentials for any further solve.
-                self.potential.copy_from_slice(&dist);
-                break;
-            }
-            // Walk predecessors n times to land inside the cycle, then
-            // collect and cancel it.
-            let mut v = cycle_node;
-            for _ in 0..n {
-                v = self.tail_of(prev[v]);
-            }
-            let start = v;
-            let mut bottleneck = i64::MAX;
-            let mut u = start;
-            loop {
-                let e = prev[u];
-                bottleneck = bottleneck.min(self.cap[e]);
-                u = self.tail_of(e);
-                if u == start {
-                    break;
-                }
-            }
-            let mut u = start;
-            loop {
-                let e = prev[u];
-                self.cap[e] -= bottleneck;
-                self.cap[e ^ 1] += bottleneck;
-                u = self.tail_of(e);
-                if u == start {
-                    break;
-                }
-            }
-            canceled += 1;
-            if canceled > limit {
-                // Cycle canceling is thrashing — the cost change was no
-                // small perturbation. Fall back to a from-scratch solve:
-                // always correct, and the caller never observes the
-                // difference beyond time.
-                if sllt_obs::enabled() {
-                    sllt_obs::count("partition.mcf.reopt_fallbacks", 1);
-                }
-                self.reset_flow();
-                return self.solve(s, t);
-            }
-        }
-        if sllt_obs::enabled() {
-            sllt_obs::count("partition.mcf.reopt_cycles", canceled);
-        }
-        (self.flow_out_of(s), self.current_cost())
     }
 }
 
@@ -599,125 +338,6 @@ mod tests {
         assert!((c - 5.0).abs() < 1e-9, "got {c}");
     }
 
-    /// Warm restart on the same 3×3 assignment: rewrite the costs so the
-    /// optimum flips, reoptimize, and land on the new optimum with the
-    /// flow value intact.
-    #[test]
-    fn reoptimize_tracks_a_cost_change() {
-        let cost = [[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]];
-        let mut g = MinCostFlow::new(8);
-        let mut ids = [[0usize; 3]; 3];
-        for (w, row) in cost.iter().enumerate() {
-            g.add_edge(0, 1 + w, 1, 0.0);
-            for (j, &c) in row.iter().enumerate() {
-                ids[w][j] = g.add_edge(1 + w, 4 + j, 1, c);
-            }
-        }
-        for j in 0..3 {
-            g.add_edge(4 + j, 7, 1, 0.0);
-        }
-        let (f, _) = g.solve(0, 7);
-        assert_eq!(f, 3);
-        // New costs: the identity diagonal becomes free, everything
-        // else expensive — optimum is w0→j0, w1→j1, w2→j2 at cost 0.
-        for (w, row) in ids.iter().enumerate() {
-            for (j, &e) in row.iter().enumerate() {
-                g.update_edge_cost(e, if w == j { 0.0 } else { 10.0 });
-            }
-        }
-        let (f2, c2) = g.reoptimize();
-        assert_eq!(f2, 3, "flow value must survive the warm re-solve");
-        assert!(c2.abs() < 1e-9, "expected the zero-cost diagonal: {c2}");
-        for (w, row) in ids.iter().enumerate() {
-            for (j, &e) in row.iter().enumerate() {
-                assert_eq!(g.flow_on(e), i64::from(w == j), "edge {w}->{j}");
-            }
-        }
-    }
-
-    /// A no-op cost change must keep the flow untouched and cancel no
-    /// cycles; an already-optimal flow is the common warm-restart case.
-    #[test]
-    fn reoptimize_is_stable_on_unchanged_costs() {
-        let mut g = MinCostFlow::new(4);
-        let cheap = g.add_edge(0, 1, 1, 1.0);
-        g.add_edge(1, 3, 1, 1.0);
-        let dear = g.add_edge(0, 2, 1, 5.0);
-        g.add_edge(2, 3, 1, 5.0);
-        let (f, c) = g.solve(0, 3);
-        let (f2, c2) = g.reoptimize();
-        assert_eq!(f, f2);
-        assert!((c - c2).abs() < 1e-9);
-        assert_eq!(g.flow_on(cheap), 1);
-        assert_eq!(g.flow_on(dear), 1);
-    }
-
-    /// Seeding a deliberately bad assignment and warm-solving must land
-    /// on the same optimum as a cold solve.
-    #[test]
-    fn solve_warm_repairs_a_bad_seed() {
-        let cost = [[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]];
-        let mut g = MinCostFlow::new(8);
-        let mut src = [0usize; 3];
-        let mut ids = [[0usize; 3]; 3];
-        let mut snk = [0usize; 3];
-        for (w, row) in cost.iter().enumerate() {
-            src[w] = g.add_edge(0, 1 + w, 1, 0.0);
-            for (j, &c) in row.iter().enumerate() {
-                ids[w][j] = g.add_edge(1 + w, 4 + j, 1, c);
-            }
-        }
-        for (j, e) in snk.iter_mut().enumerate() {
-            *e = g.add_edge(4 + j, 7, 1, 0.0);
-        }
-        // Worst-possible seed: w0→j0 (4), w1→j2 (5), w2→j1 (2) = 11.
-        let seed = [(0, 0), (1, 2), (2, 1)];
-        for &(w, j) in &seed {
-            g.force_flow(src[w], 1);
-            g.force_flow(ids[w][j], 1);
-            g.force_flow(snk[j], 1);
-        }
-        let (f, c) = g.solve_warm(0, 7);
-        assert_eq!(f, 3);
-        // Optimal: w0→j1 (1), w1→j0 (2), w2→j2 (2) = 5.
-        assert!((c - 5.0).abs() < 1e-9, "got {c}");
-    }
-
-    /// A warm solve whose seed only covers part of the supply must top
-    /// the rest up by augmentation and still reach the optimum.
-    #[test]
-    fn solve_warm_tops_up_a_partial_seed() {
-        let cost = [[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]];
-        let mut g = MinCostFlow::new(8);
-        let mut src = [0usize; 3];
-        let mut ids = [[0usize; 3]; 3];
-        let mut snk = [0usize; 3];
-        for (w, row) in cost.iter().enumerate() {
-            src[w] = g.add_edge(0, 1 + w, 1, 0.0);
-            for (j, &c) in row.iter().enumerate() {
-                ids[w][j] = g.add_edge(1 + w, 4 + j, 1, c);
-            }
-        }
-        for (j, e) in snk.iter_mut().enumerate() {
-            *e = g.add_edge(4 + j, 7, 1, 0.0);
-        }
-        // Seed only one (suboptimal) unit: w0→j2.
-        g.force_flow(src[0], 1);
-        g.force_flow(ids[0][2], 1);
-        g.force_flow(snk[2], 1);
-        let (f, c) = g.solve_warm(0, 7);
-        assert_eq!(f, 3);
-        assert!((c - 5.0).abs() < 1e-9, "got {c}");
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a completed solve")]
-    fn reoptimize_before_solve_rejected() {
-        let mut g = MinCostFlow::new(2);
-        g.add_edge(0, 1, 1, 1.0);
-        let _ = g.reoptimize();
-    }
-
     #[test]
     #[should_panic(expected = "negative cost")]
     fn negative_cost_rejected() {
@@ -754,59 +374,6 @@ mod tests {
                 let fl = g.flow_on(e);
                 prop_assert!((0..=1).contains(&fl));
             }
-        });
-    }
-
-    /// Warm-start equivalence: perturb the costs of a solved random
-    /// assignment, reoptimize, and compare against a cold solve of the
-    /// same perturbed instance — the totals must agree.
-    #[test]
-    #[cfg(feature = "proptest")]
-    fn proptest_reoptimize_matches_cold_solve() {
-        use proptest::prelude::*;
-        proptest!(|(seed in 0u64..150)| {
-            use sllt_rng::prelude::*;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (n, k) = (rng.random_range(2usize..24), rng.random_range(1usize..6));
-            let cap = n.div_ceil(k) + rng.random_range(0..3);
-            let t = 1 + n + k;
-            let costs: Vec<f64> =
-                (0..n * k).map(|_| rng.random_range(0.0..100.0)).collect();
-            let deltas: Vec<f64> =
-                (0..n * k).map(|_| rng.random_range(-5.0..5.0)).collect();
-            let build = |costs: &[f64]| {
-                let mut g = MinCostFlow::new(2 + n + k);
-                let mut ids = Vec::new();
-                for i in 0..n {
-                    g.add_edge(0, 1 + i, 1, 0.0);
-                    for c in 0..k {
-                        ids.push(g.add_edge(1 + i, 1 + n + c, 1, costs[i * k + c]));
-                    }
-                }
-                for c in 0..k {
-                    g.add_edge(1 + n + c, t, cap as i64, 0.0);
-                }
-                (g, ids)
-            };
-            let perturbed: Vec<f64> = costs
-                .iter()
-                .zip(&deltas)
-                .map(|(c, d)| (c + d).max(0.0))
-                .collect();
-            let (mut warm, ids) = build(&costs);
-            let (f0, _) = warm.solve(0, t);
-            prop_assert_eq!(f0 as usize, n);
-            for (&e, &c) in ids.iter().zip(&perturbed) {
-                warm.update_edge_cost(e, c);
-            }
-            let (fw, cw) = warm.reoptimize();
-            let (mut cold, _) = build(&perturbed);
-            let (fc, cc) = cold.solve(0, t);
-            prop_assert_eq!(fw, fc, "flow value drifted");
-            prop_assert!(
-                (cw - cc).abs() <= 1e-6 * (1.0 + cc.abs()),
-                "warm {} vs cold {}", cw, cc
-            );
         });
     }
 }

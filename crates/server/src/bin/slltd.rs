@@ -11,7 +11,7 @@
 
 use sllt_cts::CancelToken;
 use sllt_obs::vfs::{FaultConfig, FaultFs};
-use sllt_server::jobs::{run_child, ChildArgs, FaultSpec};
+use sllt_server::jobs::{run_child, ChildArgs};
 use sllt_server::net::Endpoint;
 use sllt_server::server::{serve, ServerConfig};
 use std::path::PathBuf;
@@ -170,13 +170,6 @@ fn child_main(job_id: String) -> ExitCode {
             std::process::exit(2);
         })
     };
-    let fault = arg_value("--fault").map(|raw| match raw.parse::<FaultSpec>() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    });
     let args = ChildArgs {
         job_id,
         design: arg_value("--design").unwrap_or_default(),
@@ -184,7 +177,7 @@ fn child_main(job_id: String) -> ExitCode {
         config: arg_value("--config").unwrap_or("base".into()),
         workers: arg_parse("--workers", 1),
         out_dir: PathBuf::from(need("--out")),
-        fault,
+        fault: arg_value("--fault"),
     };
     match run_child(&args) {
         Ok(()) => ExitCode::SUCCESS,

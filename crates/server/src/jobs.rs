@@ -1,6 +1,6 @@
 //! Job definitions and the child-side runner.
 //!
-//! A job is `design × config (× fault hook)`. The daemon never runs a
+//! A job is `design × config (× fault word)`. The daemon never runs a
 //! flow in-process: every attempt re-execs `slltd --job …` so a panic,
 //! OOM kill, or stack overflow is contained by the process boundary
 //! ([`crate::supervise`]), and a failed attempt retries after a
@@ -17,11 +17,18 @@
 //! checkpoint it cannot resume (another configuration, corruption, or a
 //! journal from before the current fingerprint) is discarded and the
 //! job starts fresh.
+//!
+//! A job's fault word (`panic`, `hang`, `oom`, `sleep:<ms>`) is the
+//! test lever behind the isolation, deadline, and drain contracts. The
+//! daemon only carries the word; the child parses it into a
+//! [`FaultPlan`] and hands it to the flow like any other run context, so
+//! the fault fires at its planned stage site — after the design has
+//! loaded and the checkpoint exists.
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
-    evaluate, CancelToken, CheckpointMode, CtsError, FaultKind, FaultPlan, FaultStage, FlowEvent,
-    FlowObserver, NullSink, ProgressJournal, RecoveryPolicy, RunContext, StageFault,
+    evaluate, CancelToken, CheckpointMode, CtsError, FaultPlan, FlowEvent, FlowObserver, NullSink,
+    ProgressJournal, RecoveryPolicy, RunContext,
 };
 use sllt_obs::Value;
 use std::collections::HashSet;
@@ -62,51 +69,6 @@ pub fn config_by_name(name: &str) -> Result<HierarchicalCts, String> {
 /// or a synthetic `grid<N>` register grid for smoke-scale jobs.
 pub use sllt_design::design_by_name;
 
-/// Fault-injection hooks a submit may attach — the test levers behind
-/// the isolation, deadline, and drain contracts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSpec {
-    /// The child panics mid-flow through the PR-4 [`FaultPlan`] hook
-    /// (an uncontained sizing-stage panic: a genuine process panic).
-    Panic,
-    /// The child wedges forever; only SIGKILL (the deadline) ends it.
-    Hang,
-    /// The child sleeps this long before running — a deterministic
-    /// "slow job" for backpressure and kill-window tests.
-    Sleep(u64),
-    /// The child balloons its address space until the allocator gives
-    /// up — the test lever for the `--mem-limit` RLIMIT_AS ceiling and
-    /// its distinct `oom` classification.
-    Oom,
-}
-
-impl std::str::FromStr for FaultSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FaultSpec, String> {
-        match s {
-            "panic" => Ok(FaultSpec::Panic),
-            "hang" => Ok(FaultSpec::Hang),
-            "oom" => Ok(FaultSpec::Oom),
-            _ => match s.strip_prefix("sleep:").and_then(|ms| ms.parse().ok()) {
-                Some(ms) => Ok(FaultSpec::Sleep(ms)),
-                None => Err(format!("unknown fault {s:?}")),
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for FaultSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultSpec::Panic => write!(f, "panic"),
-            FaultSpec::Hang => write!(f, "hang"),
-            FaultSpec::Sleep(ms) => write!(f, "sleep:{ms}"),
-            FaultSpec::Oom => write!(f, "oom"),
-        }
-    }
-}
-
 /// A job child's checkpoint journal path.
 pub fn ckpt_path(out_dir: &Path, job_id: &str) -> PathBuf {
     out_dir.join(format!("ckpt_{job_id}.jsonl"))
@@ -139,8 +101,8 @@ pub struct ChildArgs {
     pub workers: usize,
     /// State directory (checkpoints, progress, trees).
     pub out_dir: PathBuf,
-    /// Optional fault hook.
-    pub fault: Option<FaultSpec>,
+    /// Optional fault word, parsed by the child into a [`FaultPlan`].
+    pub fault: Option<String>,
 }
 
 /// Runs one job attempt in this process. Returns the exit code to
@@ -153,35 +115,11 @@ pub fn run_child(args: &ChildArgs) -> Result<(), u8> {
         EXIT_JOB_ERROR as u8
     };
 
-    match args.fault {
-        Some(FaultSpec::Hang) => loop {
-            // A wedged job: burns nothing, never exits, ignores the
-            // cooperative machinery. The deadline's SIGKILL is the only
-            // way out — exactly what the timeout tests need.
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
-        Some(FaultSpec::Sleep(ms)) => {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        Some(FaultSpec::Oom) => {
-            // Balloon the address space in untouched reservations: under
-            // an RLIMIT_AS ceiling the allocator hits the wall within a
-            // few chunks and libstd aborts with "memory allocation of N
-            // bytes failed" on stderr — the signature the daemon
-            // classifies as `oom`. Without a ceiling the reservations
-            // stay unmapped (no RSS), the 64 GiB cap runs out, and the
-            // job fails as a plain error instead of hurting the host.
-            let mut hoard: Vec<Vec<u8>> = Vec::new();
-            for _ in 0..1024 {
-                hoard.push(Vec::with_capacity(64 << 20));
-            }
-            drop(hoard);
-            eprintln!("error: oom fault exhausted its cap without hitting a memory ceiling");
-            return Err(EXIT_JOB_ERROR as u8);
-        }
-        _ => {}
-    }
-
+    let faults: FaultPlan = args
+        .fault
+        .as_deref()
+        .map_or(Ok(FaultPlan::none()), str::parse)
+        .map_err(fail)?;
     let design = match &args.design_file {
         Some(path) => {
             let f = std::fs::File::open(path)
@@ -193,18 +131,6 @@ pub fn run_child(args: &ChildArgs) -> Result<(), u8> {
     };
     let mut cts = config_by_name(&args.config).map_err(fail)?;
     cts.workers = args.workers;
-    let faults = if args.fault == Some(FaultSpec::Panic) {
-        // The engine's fault hook, aimed where no containment wraps it:
-        // a sizing-stage panic unwinds straight out of the child process.
-        FaultPlan::single(StageFault::permanent(
-            FaultStage::Sizing,
-            0,
-            None,
-            FaultKind::Panic,
-        ))
-    } else {
-        FaultPlan::none()
-    };
 
     let token = CancelToken::new();
     #[cfg(unix)]
@@ -392,16 +318,6 @@ fn write_tree_atomic(path: &Path, tree: &sllt_tree::ClockTree) -> Result<(), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fault_specs_round_trip_and_reject_garbage() {
-        for s in ["panic", "hang", "sleep:250", "oom"] {
-            let f: FaultSpec = s.parse().unwrap();
-            assert_eq!(f.to_string(), s);
-        }
-        assert!("explode".parse::<FaultSpec>().is_err());
-        assert!("sleep:soon".parse::<FaultSpec>().is_err());
-    }
 
     #[test]
     fn configs_resolve_and_unknowns_are_named() {

@@ -28,7 +28,12 @@
 //! [`E_TOO_LARGE`]. A torn final line (client died mid-write) is
 //! discarded silently. The fuzz suite (`tests/proto_prop.rs`) pins all
 //! of this down over arbitrary byte soup.
+//!
+//! A submit may carry a `"fault"` word (`panic`, `hang`, `oom`, or
+//! `sleep:<ms>`), a test lever. It is checked by the one fault grammar,
+//! [`FaultPlan`]'s `FromStr`, and carried verbatim from then on.
 
+use sllt_cts::FaultPlan;
 use sllt_obs::json::{parse, Value};
 use std::io::BufRead;
 
@@ -91,8 +96,8 @@ pub struct SubmitSpec {
     pub timeout_s: Option<f64>,
     /// Extra attempts after a failed one; `None` = server default.
     pub retries: Option<u32>,
-    /// Fault-injection hook (`panic` | `hang` | `sleep:<ms>` | `oom`),
-    /// test use.
+    /// Fault word (`panic` | `hang` | `sleep:<ms>` | `oom`), test use;
+    /// accepted only if it parses as a [`FaultPlan`].
     pub fault: Option<String>,
     /// Client-supplied tenant id for admission quotas; `None` lands in
     /// the shared anonymous bucket when quotas are on.
@@ -148,23 +153,6 @@ fn field_bool(v: &Value, key: &str) -> Result<bool, ProtoError> {
     }
 }
 
-/// The fault hooks a submit may name (mirrors `jobs::FaultSpec`).
-fn validate_fault(s: &str) -> Result<(), ProtoError> {
-    let ok = s == "panic"
-        || s == "hang"
-        || s == "oom"
-        || s.strip_prefix("sleep:")
-            .is_some_and(|ms| ms.parse::<u64>().is_ok());
-    if ok {
-        Ok(())
-    } else {
-        Err(ProtoError::new(
-            E_PARSE,
-            format!("unknown fault {s:?}; expected panic, hang, oom, or sleep:<ms>"),
-        ))
-    }
-}
-
 /// Parses one request line (raw bytes, newline stripped).
 ///
 /// # Errors
@@ -212,7 +200,8 @@ pub fn parse_request(line: &[u8]) -> Result<Request, ProtoError> {
             };
             let fault = field_str(&v, "fault")?;
             if let Some(f) = &fault {
-                validate_fault(f)?;
+                f.parse::<FaultPlan>()
+                    .map_err(|e| ProtoError::new(E_PARSE, e))?;
             }
             Ok(Request::Submit(SubmitSpec {
                 design,

@@ -20,7 +20,7 @@
 
 use crate::backoff::default_backoff_ms;
 use crate::cache::DesignCache;
-use crate::jobs::{self, ChildArgs, FaultSpec, EXIT_JOB_CANCELLED, EXIT_JOB_ERROR};
+use crate::jobs::{self, ChildArgs, EXIT_JOB_CANCELLED, EXIT_JOB_ERROR};
 use crate::net::{Endpoint, Listener, Stream};
 use crate::proto::{
     parse_request, read_frame, Frame, ProtoError, Request, SubmitSpec, E_BUSY, E_DRAINING,
@@ -396,7 +396,7 @@ fn run_job(s: &Shared, id: &str) {
             r.config.clone(),
             r.timeout_s,
             r.retries,
-            r.fault,
+            r.fault.clone(),
             r.attempt,
         )
     };
@@ -438,7 +438,7 @@ fn run_job(s: &Shared, id: &str) {
             config: config.clone(),
             workers: s.cfg.child_workers,
             out_dir: s.cfg.state_dir.clone(),
-            fault,
+            fault: fault.clone(),
         };
         let outcome = run_attempt(
             &child_args,
@@ -515,7 +515,7 @@ fn run_attempt(
         cmd.arg("--design-file").arg(f);
     }
     if let Some(f) = &args.fault {
-        cmd.arg("--fault").arg(f.to_string());
+        cmd.arg("--fault").arg(f);
     }
     let opts = SuperviseOpts {
         timeout,
@@ -763,17 +763,13 @@ fn handle_submit(s: &Shared, spec: &SubmitSpec) -> Result<Value, ProtoError> {
             format!("queue at capacity ({}); retry later", s.cfg.queue_cap),
         ));
     }
-    let fault = spec
-        .fault
-        .as_deref()
-        .map(|f| f.parse::<FaultSpec>().expect("fault pre-validated"));
     let (id, rec) = t.submit(
         &design_name,
         design_file,
         &spec.config,
         spec.timeout_s,
         spec.retries.unwrap_or(s.cfg.default_retries),
-        fault,
+        spec.fault.clone(),
         spec.tenant.clone(),
     );
     drop(t);

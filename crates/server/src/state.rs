@@ -12,7 +12,7 @@
 //! in-flight transition beyond reality — and the torn-tail tolerance
 //! of [`read_journal`] absorbs a record cut mid-write by the kill.
 
-use crate::jobs::FaultSpec;
+use sllt_cts::FaultPlan;
 use sllt_obs::journal::Journal;
 use sllt_obs::Value;
 use std::collections::{BTreeMap, VecDeque};
@@ -62,8 +62,8 @@ pub struct JobRecord {
     pub timeout_s: Option<f64>,
     /// Retry budget (total attempts = retries + 1).
     pub retries: u32,
-    /// Optional fault hook (test lever).
-    pub fault: Option<FaultSpec>,
+    /// Optional fault word (test lever), as submitted and journaled.
+    pub fault: Option<String>,
     /// Tenant id the submit was billed against (admission quotas).
     pub tenant: Option<String>,
     /// Admission order; also the resume re-enqueue order.
@@ -185,7 +185,7 @@ impl JobTable {
         config: &str,
         timeout_s: Option<f64>,
         retries: u32,
-        fault: Option<FaultSpec>,
+        fault: Option<String>,
         tenant: Option<String>,
     ) -> (String, Value) {
         self.next_seq += 1;
@@ -398,7 +398,7 @@ impl JobTable {
                     .and_then(Value::as_u64)
                     .ok_or_else(|| format!("job_submitted without seq: {}", rec.encode()))?;
                 let fault = match get("fault") {
-                    Some(s) => Some(s.parse::<FaultSpec>()?),
+                    Some(s) => Some(s.parse::<FaultPlan>().map(|_| s.to_string())?),
                     None => None,
                 };
                 let r = JobRecord {
@@ -468,8 +468,8 @@ fn submitted_record(r: &JobRecord) -> Value {
     if let Some(t) = r.timeout_s {
         v = v.with("timeout_s", t);
     }
-    if let Some(f) = r.fault {
-        v = v.with("fault", f.to_string());
+    if let Some(f) = &r.fault {
+        v = v.with("fault", f.as_str());
     }
     if let Some(t) = &r.tenant {
         v = v.with("tenant", t.as_str());
@@ -569,7 +569,7 @@ mod tests {
             "tight",
             None,
             0,
-            Some(FaultSpec::Sleep(10)),
+            Some("sleep:10".into()),
             Some("alice".into()),
         );
         records.push(rec);
@@ -590,7 +590,7 @@ mod tests {
         assert_eq!(requeued, vec![b.clone(), c.clone()]);
         assert_eq!(t.get(&a).unwrap().state, JobState::Done(STATUS_OK.into()));
         assert_eq!(t.get(&b).unwrap().state, JobState::Queued);
-        assert_eq!(t.get(&b).unwrap().fault, Some(FaultSpec::Sleep(10)));
+        assert_eq!(t.get(&b).unwrap().fault.as_deref(), Some("sleep:10"));
         assert_eq!(t.get(&c).unwrap().state, JobState::Queued);
         // New submissions continue the id sequence.
         let mut t = t;
@@ -602,5 +602,19 @@ mod tests {
     fn replay_rejects_missing_or_foreign_head() {
         let j = journal_of(&[Value::obj().with("kind", "suite-meta")]);
         assert!(JobTable::replay(&j).is_err());
+    }
+
+    #[test]
+    fn replay_refuses_a_malformed_fault_word() {
+        let row = Value::obj()
+            .with("kind", "job_submitted")
+            .with("job", "j1")
+            .with("design", "grid36")
+            .with("config", "base")
+            .with("retries", 0u64)
+            .with("seq", 1u64)
+            .with("fault", "sleep:soon");
+        let err = JobTable::replay(&journal_of(&[JobTable::meta(), row])).unwrap_err();
+        assert!(err.contains("sleep:<ms>"), "{err}");
     }
 }

@@ -80,12 +80,10 @@ echo "== trace property tests: Chrome export survives hostile names"
 cargo test -q -p sllt-obs --features proptest --test trace_prop
 
 echo "== fault smoke: ladder recovers on s35932, log non-empty, runs bit-identical"
-# The bin exits nonzero if any scenario fails to recover, records no
-# downgrades, or diverges across worker counts; double-check the
-# artifact landed with a non-empty recovery log.
-cargo run --release -q -p sllt-bench --bin faultsweep -- --design s35932
-test -s results/faultsweep_s35932.json
-grep -q '"triggers":\["' results/faultsweep_s35932.json
+# The fault suite's scenario table runs on s35932 in release only: every
+# scenario must recover into a valid tree with a non-empty downgrade log
+# and build the same tree at 1/2/4 workers.
+cargo test -q --release -p sllt-cts --test faults
 
 echo "== durability: checkpoint/resume + cancellation suites (release, incl. ISCAS kill/resume)"
 # Covers: truncate-at-every-boundary resume, torn-tail tolerance,
@@ -102,8 +100,7 @@ echo "== partition fast path: worker determinism + warm assignment vs dense-flow
 cargo test -q --release -p sllt-cts --test partition_fastpath
 cargo test -q --release -p sllt-partition --features proptest -- \
     proptest_pruned_assignment_matches_scan \
-    proptest_warm_assignment_cost_matches_cold \
-    proptest_reoptimize_matches_cold_solve
+    proptest_warm_assignment_cost_matches_cold
 
 echo "== scale smoke: grid200000 end-to-end under a wall budget"
 # Near-linear scaling regression gate: ~110 us/sink on the reference

@@ -62,7 +62,7 @@ const USAGE: &str = "usage:
             [--connect <socket|host:port>] [--job <id>]
             [--design <name> | --design-file <file>] [--config base|tight|nosa]
             [--timeout <s>] [--retries N] [--tenant <id>] [--wait]
-            [--io-timeout <s>]
+            [--fault panic|hang|oom|sleep:<ms>] [--io-timeout <s>]
 
 `sllt run --trace` streams span/counter/gauge events into
 results/trace_<design>.jsonl and exports a Chrome/Perfetto trace to
@@ -73,7 +73,8 @@ prints deterministic work-budget completion fractions to stderr.
 results/slltd/slltd.sock); responses are printed as JSON lines.
 Socket reads/writes are bounded (default 10s, `--io-timeout` adjusts;
 `result --wait` is unbounded unless --io-timeout is given). `--tenant`
-tags a submit for per-tenant admission quotas.";
+tags a submit for per-tenant admission quotas. `--fault` attaches a
+test fault to a submitted job (see DESIGN.md §7).";
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
