@@ -13,7 +13,10 @@
 //! telemetry sink.
 
 use crate::recovery::Downgrade;
-use sllt_obs::{DurableAppender, Value};
+use sllt_obs::journal::seal;
+use sllt_obs::Value;
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
@@ -361,11 +364,16 @@ impl FlowObserver for CollectingObserver {
 
 /// Streams every event's [progress record](FlowEvent::progress_record)
 /// into a sealed JSONL journal — a `slltd` job's progress file, which
-/// the daemon tails for `status`/`watch`. Write errors stop the journal
-/// after the first: progress must never fail a run.
+/// the daemon tails for `status`/`watch`. Each record is one unbuffered
+/// `write`, so a reader sees it at once, but nothing is fsync'd: no one
+/// reads a progress journal after a crash (a new attempt truncates it,
+/// and job state lives in the daemon's journal and the level
+/// checkpoint), and the journal reader already tolerates the torn tail
+/// a crash can leave. Write errors stop the journal after the first:
+/// progress must never fail a run.
 #[derive(Debug)]
 pub struct ProgressJournal {
-    app: Option<DurableAppender>,
+    file: Option<File>,
 }
 
 impl ProgressJournal {
@@ -376,17 +384,19 @@ impl ProgressJournal {
     /// Propagates filesystem errors from creating the file.
     pub fn create(path: &Path) -> std::io::Result<ProgressJournal> {
         Ok(ProgressJournal {
-            app: Some(DurableAppender::create(path)?),
+            file: Some(File::create(path)?),
         })
     }
 }
 
 impl FlowObserver for ProgressJournal {
     fn on_event(&mut self, event: &FlowEvent) {
-        if let (Some(app), Some(record)) = (self.app.as_mut(), event.progress_record()) {
-            if app.append(&record).is_err() {
+        if let (Some(file), Some(record)) = (self.file.as_mut(), event.progress_record()) {
+            let mut line = seal(&record);
+            line.push('\n');
+            if file.write_all(line.as_bytes()).is_err() {
                 // Disk went away mid-run: stop writing, keep running.
-                self.app = None;
+                self.file = None;
             }
         }
     }
@@ -499,6 +509,23 @@ mod tests {
             r#"{"t":"progress","ev":"level_done","level":1,"parents":2,"fraction":0.5"#
         ));
         assert!(encoded[2].starts_with(r#"{"t":"progress","ev":"done","fraction":1"#));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn progress_records_reach_the_file_as_their_events_do() {
+        // `watch` tails a live journal: every record must be readable as
+        // soon as its event is observed, not when the journal closes.
+        let path =
+            std::env::temp_dir().join(format!("sllt_progress_live_{}.jsonl", std::process::id()));
+        let mut journal = ProgressJournal::create(&path).unwrap();
+        for k in 1..=4 {
+            journal.on_event(&done(level(k, 1.0), false));
+            assert_eq!(sllt_obs::read_progress(&path).unwrap().len(), k);
+        }
+        journal.on_event(&assembled());
+        assert_eq!(sllt_obs::read_progress(&path).unwrap().len(), 5);
+        drop(journal);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,20 +1,24 @@
 //! Append-only, fsync'd, checksummed JSONL journals.
 //!
-//! The durability layer under the engine's level checkpoints, progress
-//! journals, and the `slltd` job journal. A journal is a plain JSONL
-//! file where every line is one JSON object *sealed* with a trailing
-//! `"crc"` member — the FNV-1a-64 checksum (hex) of the line's encoding
-//! without that member. Because [`Value`](crate::json::Value) objects preserve
-//! member order, stripping the final `crc` member and re-encoding
-//! reproduces exactly the bytes that were checksummed.
+//! The durability layer under the engine's level checkpoints and the
+//! `slltd` job journal; progress journals use the same sealed line
+//! format ([`seal`]) and reader without the fsync. A journal is a plain
+//! JSONL file where every line is one JSON object *sealed* with a
+//! trailing `"crc"` member — the FNV-1a-64 checksum (hex) of the line's
+//! encoding without that member. Because [`Value`](crate::json::Value)
+//! objects preserve member order, stripping the final `crc` member and
+//! re-encoding reproduces exactly the bytes that were checksummed.
 //!
 //! Write contract ([`DurableAppender`]): each record is written as one
 //! `write` of `line + "\n"` followed by `File::sync_data`, so after a
 //! crash the file is a sequence of intact records possibly followed by
-//! **one** torn fragment. The reader ([`read_journal`]) accepts exactly
-//! that shape: a final line that is unterminated, unparseable, or fails
-//! its checksum is reported as a [`TornTail`] and skipped; a bad record
-//! *followed by more records* is real corruption and a hard error.
+//! **one** torn fragment. [`DurableAppender::append_all`] writes a whole
+//! batch with one `write` + `sync_data`, for a snapshot file that is
+//! renamed into place only once complete. The reader ([`read_journal`])
+//! accepts exactly that shape: a final line that is unterminated,
+//! unparseable, or fails its checksum is reported as a [`TornTail`] and
+//! skipped; a bad record *followed by more records* is real corruption
+//! and a hard error.
 //!
 //! [`Journal::valid_len`] is the byte length of the intact prefix; a
 //! writer resuming after a crash truncates to it before appending, which
@@ -385,9 +389,26 @@ impl DurableAppender {
     /// Propagates filesystem errors; on error the record may be torn on
     /// disk, which the reader tolerates.
     pub fn append(&mut self, record: &Value) -> std::io::Result<()> {
-        let mut line = seal(record);
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.append_all(std::slice::from_ref(record))
+    }
+
+    /// Seals every record and writes them all with one `write` and one
+    /// fsync — the same bytes as one [`append`](Self::append) per
+    /// record, for a snapshot that only goes live once it is complete
+    /// (temp file, then rename). After this returns, all records are
+    /// durable.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; on error any suffix of the batch
+    /// may be missing or torn on disk.
+    pub fn append_all(&mut self, records: &[Value]) -> std::io::Result<()> {
+        let mut buf = String::new();
+        for record in records {
+            buf.push_str(&seal(record));
+            buf.push('\n');
+        }
+        self.file.write_all(buf.as_bytes())?;
         self.file.sync_data()
     }
 

@@ -304,13 +304,17 @@ pub fn gc_artifacts(
     Ok(report)
 }
 
-/// Writes the result tree via temp + rename so a child killed mid-write
-/// can never leave a torn tree that a later comparison would trust.
+/// Writes the result tree via temp + sync + rename, so neither a child
+/// killed mid-write nor a power loss after the daemon journals `ok` can
+/// leave a torn tree that a later comparison would trust (an unsynced
+/// directory can still lose the rename: the tree is absent, not torn).
 fn write_tree_atomic(path: &Path, tree: &sllt_tree::ClockTree) -> Result<(), String> {
     let tmp = path.with_extension("sllt.tmp");
     let mut f =
         std::fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
     sllt_tree::io::write_tree(tree, &mut f).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    f.sync_data()
+        .map_err(|e| format!("sync {}: {e}", tmp.display()))?;
     drop(f);
     std::fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", path.display()))
 }

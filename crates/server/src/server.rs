@@ -337,8 +337,8 @@ pub fn serve(cfg: ServerConfig, drain: CancelToken) -> Result<(), String> {
 }
 
 /// Rewrites `jobs.jsonl` as a compacted snapshot of `table` — temp file
-/// alongside, then atomic rename — and returns an appender positioned
-/// at its end.
+/// alongside, one write and one fsync, then atomic rename — and returns
+/// an appender positioned at its end.
 fn compact_journal(
     vfs: &dyn Vfs,
     path: &Path,
@@ -347,10 +347,8 @@ fn compact_journal(
     let tmp = path.with_extension("jsonl.tmp");
     let mut app = DurableAppender::create_with(vfs, &tmp)
         .map_err(|e| format!("create {}: {e}", tmp.display()))?;
-    for rec in table.compact_records() {
-        app.append(&rec)
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    }
+    app.append_all(&table.compact_records())
+        .map_err(|e| format!("write {}: {e}", tmp.display()))?;
     drop(app);
     let len = std::fs::metadata(&tmp)
         .map_err(|e| format!("stat {}: {e}", tmp.display()))?
@@ -522,7 +520,6 @@ fn run_attempt(
         interrupt: Some(interrupt.clone()),
         grace,
         mem_limit,
-        ..SuperviseOpts::default()
     };
     let sup = run_supervised(&mut cmd, &opts)?;
     let result = sup
@@ -941,4 +938,44 @@ fn emit_events(s: &Shared, w: &mut impl Write, job: &str, sent: usize) -> std::i
         write_line(w, &ok().with("event", record.clone()))?;
     }
     Ok(records.len().max(sent))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sllt_obs::vfs::{FaultConfig, FaultFs};
+
+    #[test]
+    fn compaction_syncs_the_snapshot_once() {
+        let dir = std::env::temp_dir().join(format!("sllt_compact_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut table = JobTable::new();
+        for design in ["grid36", "grid48", "grid36"] {
+            table.submit(design, None, "base", None, 0, None, None);
+        }
+        let id = table.pop_ready().expect("queued job");
+        table.mark_start(&id, 0);
+        table.mark_done(&id, STATUS_OK, true, 1.0, None, Some(Value::obj()));
+        let snapshot = table.compact_records();
+        assert!(snapshot.len() >= 5, "several records: {}", snapshot.len());
+
+        // A schedule that never faults: it only counts operations.
+        let vfs = FaultFs::over_real(FaultConfig {
+            fail_after: u64::MAX,
+            ..FaultConfig::default()
+        });
+        let path = dir.join("jobs.jsonl");
+        drop(compact_journal(&vfs, &path, &table).unwrap());
+        assert_eq!(
+            vfs.ops(),
+            5,
+            "create, one write, one fsync, rename, reopen for a {}-record snapshot",
+            snapshot.len()
+        );
+        let journal = read_journal(&path).unwrap();
+        assert!(journal.torn_tail.is_none());
+        assert_eq!(journal.records, snapshot);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

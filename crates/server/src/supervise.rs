@@ -1,9 +1,15 @@
 //! Child-process supervision: spawn, watch, interrupt, kill.
 //!
 //! The isolation primitive of the `slltd` scheduler. A job child is
-//! spawned with piped output and watched by polling
-//! [`Child::try_wait`]; the supervisor enforces two independent stop
-//! paths:
+//! spawned with piped output and reaped by the supervision loop's own
+//! [`Child::try_wait`]. The loop sleeps on a channel that a small waiter
+//! thread signals the moment the child exits: the waiter blocks in
+//! `waitid(P_PID, pid, WEXITED | WNOWAIT)`, which observes the exit
+//! without reaping. The loop therefore stays the only reaper, and a
+//! SIGINT or SIGKILL it sends can never reach a recycled pid. Between
+//! wakeups the loop checks its deadline and interrupt token on a
+//! private 15 ms tick (the only wakeup on platforms without the
+//! waiter). The supervisor enforces two independent stop paths:
 //!
 //! * **Deadline** — a wall-clock timeout after which the child is
 //!   SIGKILLed (it may be wedged; SIGKILL is the only signal a wedged
@@ -21,7 +27,14 @@
 use sllt_cts::CancelToken;
 use std::io::Read;
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How often the supervision loop re-checks the deadline and the
+/// interrupt token while the child runs; its exit wakes the loop at
+/// once ([`exit_signal`]).
+const TICK: Duration = Duration::from_millis(15);
 
 /// Supervision policy for one child run.
 #[derive(Debug, Clone)]
@@ -33,8 +46,6 @@ pub struct SuperviseOpts {
     pub interrupt: Option<CancelToken>,
     /// How long a SIGINTed child may keep running before SIGKILL.
     pub grace: Duration,
-    /// try_wait polling period.
-    pub poll: Duration,
     /// Address-space ceiling (RLIMIT_AS, bytes) installed in the child
     /// before exec, so one runaway job cannot take the host (or its
     /// sibling workers) down with it. `None` = unlimited; ignored off
@@ -48,7 +59,6 @@ impl Default for SuperviseOpts {
             timeout: None,
             interrupt: None,
             grace: Duration::from_secs(5),
-            poll: Duration::from_millis(15),
             mem_limit: None,
         }
     }
@@ -165,7 +175,60 @@ fn limit_child_memory(cmd: &mut Command, bytes: u64) {
 #[cfg(not(unix))]
 fn limit_child_memory(_cmd: &mut Command, _bytes: u64) {}
 
-fn drain(pipe: Option<impl Read + Send + 'static>) -> std::thread::JoinHandle<Vec<u8>> {
+/// Returns a channel that receives `()` once `child` has exited, and
+/// the waiter thread behind it, for the caller to join after the reap.
+///
+/// The waiter blocks in `waitid(P_PID, pid, WEXITED | WNOWAIT)`, which
+/// observes the exit but leaves the child unreaped, so the pid stays
+/// ours until the supervision loop's `try_wait` reaps it; once it is
+/// reaped the waiter has returned or returns at once. It makes one
+/// syscall and one send into a preallocated channel: it allocates
+/// nothing and runs on a small stack, so a daemon supervising several
+/// children keeps its memory high-water mark. If it cannot be spawned,
+/// or `waitid` fails, the sender is dropped and the loop falls back to
+/// its tick.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+fn exit_signal(child: &Child) -> (Receiver<()>, Option<JoinHandle<()>>) {
+    extern "C" {
+        fn waitid(idtype: i32, id: u32, infop: *mut u64, options: i32) -> i32;
+    }
+    const P_PID: i32 = 1;
+    const WEXITED: i32 = 4;
+    #[cfg(target_os = "linux")]
+    const WNOWAIT: i32 = 0x0100_0000;
+    #[cfg(target_os = "macos")]
+    const WNOWAIT: i32 = 0x20;
+    const WAITER_STACK: usize = 32 * 1024;
+    let (tx, rx) = sync_channel(1);
+    let pid = child.id();
+    let waiter = move || {
+        // Room for a siginfo_t (128 bytes on Linux, 104 on macOS).
+        let mut info = [0u64; 16];
+        // SAFETY: waitid(2) on our own unreaped child, writing at most
+        // sizeof(siginfo_t) bytes into `info`; WNOWAIT leaves the child
+        // for the supervision loop to reap.
+        while unsafe { waitid(P_PID, pid, info.as_mut_ptr(), WEXITED | WNOWAIT) } != 0 {
+            if std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+                return;
+            }
+        }
+        tx.send(()).ok();
+    };
+    let handle = std::thread::Builder::new()
+        .stack_size(WAITER_STACK)
+        .spawn(waiter)
+        .ok();
+    (rx, handle)
+}
+
+/// No exit waiter here: the sender is dropped at once and the
+/// supervision loop wakes on its tick alone.
+#[cfg(not(any(target_os = "linux", target_os = "macos")))]
+fn exit_signal(_child: &Child) -> (Receiver<()>, Option<JoinHandle<()>>) {
+    (sync_channel(1).1, None)
+}
+
+fn drain(pipe: Option<impl Read + Send + 'static>) -> JoinHandle<Vec<u8>> {
     std::thread::spawn(move || {
         let mut buf = Vec::new();
         if let Some(mut p) = pipe {
@@ -193,6 +256,7 @@ pub fn run_supervised(cmd: &mut Command, opts: &SuperviseOpts) -> std::io::Resul
     let mut child = cmd.spawn()?;
     let out = drain(child.stdout.take());
     let err = drain(child.stderr.take());
+    let (exited, waiter) = exit_signal(&child);
 
     let mut timed_out = false;
     let mut interrupted = false;
@@ -217,11 +281,16 @@ pub fn run_supervised(cmd: &mut Command, opts: &SuperviseOpts) -> std::io::Resul
             timed_out = true;
             child.kill().ok(); // SIGKILL; reaped on the next try_wait
         }
-        std::thread::sleep(opts.poll);
+        if exited.recv_timeout(TICK) == Err(RecvTimeoutError::Disconnected) {
+            std::thread::sleep(TICK);
+        }
     };
     // Wall clock stops at the reap; the pipe drains below may outlive
     // the child if it leaked its fds to an orphaned grandchild.
     let wall = start.elapsed();
+    if let Some(waiter) = waiter {
+        waiter.join().ok();
+    }
     Ok(Supervised {
         status,
         stdout: String::from_utf8_lossy(&out.join().unwrap_or_default()).into_owned(),

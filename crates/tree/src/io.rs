@@ -13,12 +13,19 @@
 //! Node ids are the writer's arena indices; parents always precede
 //! children. Routed edge lengths are stored explicitly, so detour wire
 //! round-trips exactly.
+//!
+//! [`write_tree`] batches its own output through a private 64 KiB
+//! buffer, so a caller may hand it a raw `File`: it costs about one
+//! `write(2)` per 64 KiB either way.
 
 use crate::{ClockTree, NodeId, NodeKind};
 use sllt_geom::Point;
 use std::error::Error;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufWriter, Write};
+
+/// Size of [`write_tree`]'s private output buffer, in bytes.
+const WRITE_BUF: usize = 64 * 1024;
 
 /// Errors from [`read_tree`].
 #[derive(Debug)]
@@ -62,10 +69,15 @@ impl From<std::io::Error> for ParseTreeError {
 
 /// Writes the tree in the v1 text format.
 ///
+/// Output goes through a private 64 KiB buffer that is flushed before
+/// this returns, so `w` sees about one `write` per 64 KiB whatever
+/// writer it is.
+///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_tree<W: Write>(tree: &ClockTree, w: &mut W) -> std::io::Result<()> {
+    let mut w = BufWriter::with_capacity(WRITE_BUF, w);
     writeln!(w, "sllt-tree v1")?;
     let src = tree.source_pos();
     writeln!(w, "source {} {}", src.x, src.y)?;
@@ -115,7 +127,7 @@ pub fn write_tree<W: Write>(tree: &ClockTree, w: &mut W) -> std::io::Result<()> 
             }
         }
     }
-    Ok(())
+    w.flush()
 }
 
 /// Reads a tree from the v1 text format.
@@ -331,6 +343,74 @@ mod tests {
                 other => panic!("{input:?}: expected syntax error, got {other:?}"),
             }
         }
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `side`×`side` sink grid at 15 µm pitch, one buffered steiner
+    /// spine per row, every third sink with a detour.
+    fn grid_tree(side: usize) -> ClockTree {
+        let mut t = ClockTree::new(Point::new(-7.5, 0.0));
+        for row in 0..side {
+            let y = row as f64 * 15.0;
+            let b = t.add_buffer(t.root(), Point::new(0.0, y), row % 4);
+            let s = t.add_steiner(b, Point::new(7.5, y));
+            for col in 0..side {
+                let i = row * side + col;
+                let k = t.add_sink_indexed(s, Point::new(col as f64 * 15.0, y + 0.25), 0.8, i);
+                if i.is_multiple_of(3) {
+                    t.add_detour(k, 1.5);
+                }
+            }
+        }
+        t
+    }
+
+    /// `grid_tree(64)`'s text as the unbuffered writer produced it.
+    const GRID64_LEN: usize = 219_601;
+    const GRID64_FNV: u64 = 0x968e_bb39_ecd7_975c;
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn write_tree_batches_its_output_into_few_writes() {
+        let t = grid_tree(64);
+        let mut w = CountingWriter::default();
+        write_tree(&t, &mut w).unwrap();
+        let bound = w.bytes.len().div_ceil(WRITE_BUF) + 1;
+        assert!(
+            w.writes <= bound,
+            "{} writes for {} bytes of {} nodes, bound {bound}",
+            w.writes,
+            w.bytes.len(),
+            t.len()
+        );
+        // The bytes written before the buffering, pinned.
+        assert_eq!(w.bytes.len(), GRID64_LEN);
+        assert_eq!(fnv1a64(&w.bytes), GRID64_FNV);
+        let back = read_tree(&mut w.bytes.as_slice()).unwrap();
+        assert_eq!(back.len(), t.len());
     }
 
     #[test]

@@ -160,6 +160,15 @@ $JOBS drain --connect "$SOCK"
 wait "$SLLTD_PID"
 rm -rf results/slltd_ci
 
+echo "== slltd benchmark smoke: every daemon tree byte-identical to the in-process tree"
+# The benchmark's slltd_mix workload (run as is, short) byte-compares
+# each tree the daemon writes with the in-process tree of the same
+# design, so a tree-writer or supervisor regression fails here.
+CARGO_TARGET_DIR=target python3 perfbench/run.py --workload slltd_mix --seed 1 \
+    --seconds 3 --trace 0 > results/perfbench_slltd_mix.txt
+tail -n 1 results/perfbench_slltd_mix.txt | grep -q '"correct":true'
+rm -f results/perfbench_slltd_mix.txt
+
 echo "== storage degradation: ENOSPC/EIO/short/torn mid-run must not change trees"
 # Every fault kind against the checkpoint writer: the flow degrades to
 # in-memory, reports StorageDegraded exactly once, and still builds the
