@@ -1,8 +1,11 @@
 //! Criterion: CBS construction cost — scaling with net size, skew bound
-//! and SALT ε (the ablation dimensions DESIGN.md calls out).
+//! and SALT ε (the ablation dimensions DESIGN.md calls out), plus the
+//! hierarchical flow's level-0 workload. Recorded in `BENCH_kernels.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sllt_core::cbs::{cbs, CbsConfig};
+use sllt_core::cbs::{cbs, try_cbs_intervals, CbsConfig};
+use sllt_cts::flow::HierarchicalCts;
+use sllt_design::GridSpec;
 use sllt_geom::Point;
 use sllt_rng::prelude::*;
 use sllt_route::DelayModel;
@@ -68,9 +71,62 @@ fn bench_cbs_eps(c: &mut Criterion) {
     g.finish();
 }
 
+/// The flow's level-0 routing: one CBS call per cluster of a 40 000-sink
+/// square grid at 15 µm pitch, clustered by the sharded balanced K-means
+/// into ~22-sink cells, with the route stage's configuration (its
+/// scheme, Elmore, half the 80 ps skew budget, ε relaxed to 6 ps of
+/// latency slack). Each iteration routes the next cluster, so the
+/// figure is the mean time per cluster.
+fn bench_level0_cluster(c: &mut Criterion) {
+    let design = GridSpec::square(40_000).instantiate();
+    let flow = HierarchicalCts::default();
+    let points: Vec<Point> = design.sinks.iter().map(|s| s.pos).collect();
+    let k = points.len() / 22;
+    let part = sllt_partition::balanced_kmeans_grid_sharded(&points, k, 32, 300, 7, 1, &|| false)
+        .expect("never stopped");
+    let sllt_cts::TopologyKind::Cbs { scheme, eps } = flow.topology else {
+        unreachable!("the default flow routes with CBS")
+    };
+    let slack_len = (2.0 * flow.cluster_latency_slack_ps
+        / (flow.tech.unit_res_ohm * flow.tech.unit_cap_ff * 1e-3))
+        .sqrt();
+    let nets: Vec<(ClockNet, CbsConfig)> = part
+        .members_all()
+        .into_iter()
+        .map(|members| {
+            let sinks: Vec<Sink> = members.into_iter().map(|i| design.sinks[i]).collect();
+            let tap = sllt_geom::centroid(&sinks.iter().map(|s| s.pos).collect::<Vec<_>>())
+                .expect("clusters are nonempty");
+            let net = ClockNet::new(tap, sinks);
+            let cfg = CbsConfig {
+                scheme,
+                skew_bound: flow.constraints.skew_ps * flow.level_skew_fraction,
+                eps: eps.max(slack_len / net.max_source_dist() - 1.0).min(10.0),
+                model: DelayModel::Elmore(flow.tech),
+            };
+            (net, cfg)
+        })
+        .collect();
+    let intervals: Vec<Vec<(f64, f64)>> = nets
+        .iter()
+        .map(|(n, _)| vec![(0.0, 0.0); n.len()])
+        .collect();
+    let mut g = c.benchmark_group("cbs_level0_cluster");
+    g.bench_function(format!("grid40k_{}_clusters", nets.len()).as_str(), |b| {
+        let mut next = 0;
+        b.iter(|| {
+            let i = next % nets.len();
+            next += 1;
+            let (net, cfg) = &nets[i];
+            try_cbs_intervals(std::hint::black_box(net), cfg, &intervals[i])
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    targets = bench_cbs_size, bench_cbs_bound, bench_cbs_eps
+    targets = bench_cbs_size, bench_cbs_bound, bench_cbs_eps, bench_level0_cluster
 }
 criterion_main!(benches);

@@ -106,7 +106,7 @@ pub fn downstream_caps(
     lib: Option<&BufferLibrary>,
 ) -> Vec<f64> {
     let order = tree.topo_order();
-    let n_slots = tree.path_lengths().len();
+    let n_slots = tree.arena_len();
     let mut caps = vec![0.0f64; n_slots];
     for &v in order.iter().rev() {
         let node = tree.node(v);

@@ -68,7 +68,7 @@ fn first_violation(
     max_slew_ps: f64,
 ) -> Option<NodeId> {
     let caps = crate::repeater::downstream_caps(tree, tech, Some(lib));
-    let n_slots = tree.path_lengths().len();
+    let n_slots = tree.arena_len();
     let mut slew = vec![tech.source_slew_ps; n_slots];
     for v in tree.topo_order() {
         let node = tree.node(v);
@@ -95,7 +95,7 @@ fn first_violation(
 /// Worst slew anywhere in the tree, ps.
 pub fn max_slew(tree: &ClockTree, lib: &BufferLibrary, tech: &Technology) -> f64 {
     let caps = crate::repeater::downstream_caps(tree, tech, Some(lib));
-    let n_slots = tree.path_lengths().len();
+    let n_slots = tree.arena_len();
     let mut slew = vec![tech.source_slew_ps; n_slots];
     let mut worst = tech.source_slew_ps;
     for v in tree.topo_order() {

@@ -263,6 +263,12 @@ fn try_step5_restore_skew_intervals(
         let mut refined = reembed.clone();
         sllt_route::rsmt::steinerize(&mut refined);
         edits::eliminate_redundant_steiner(&mut refined);
+        let (legal_wl, refined_wl) = (legal.wirelength(), refined.wirelength());
+        // legal ≤ refined ≤ reembed: the legalized tree wins whichever
+        // of the two the skew check would keep, so skip the check.
+        if legal_wl <= refined_wl && refined_wl <= reembed.wirelength() {
+            return Ok(legal);
+        }
         if sllt_route::skew_of(&refined, &cfg.model) <= cfg.skew_bound + 1e-9 {
             reembed = refined;
         }
@@ -273,6 +279,37 @@ fn try_step5_restore_skew_intervals(
     } else {
         reembed
     })
+}
+
+/// Step 5 as it was before the skew check learned to skip candidates
+/// that have already lost: the oracle [`try_cbs_intervals`] must equal.
+/// Also reports whether the skip applies (legal ≤ refined ≤ reembed).
+#[cfg(test)]
+fn restore_skew_always_checking(
+    net: &ClockNet,
+    mut legal: ClockTree,
+    topo: &HintedTopology,
+    cfg: &CbsConfig,
+) -> (ClockTree, bool) {
+    let zero = vec![(0.0, 0.0); net.len()];
+    sllt_route::skew_legalize_intervals(&mut legal, &cfg.model, cfg.skew_bound, &zero);
+    edits::eliminate_redundant_steiner(&mut legal);
+    let mut reembed = sllt_route::try_dme_intervals(net, topo, &cfg.dme_options(), &zero).unwrap();
+    edits::eliminate_redundant_steiner(&mut reembed);
+    let mut refined = reembed.clone();
+    sllt_route::rsmt::steinerize(&mut refined);
+    edits::eliminate_redundant_steiner(&mut refined);
+    let skippable =
+        legal.wirelength() <= refined.wirelength() && refined.wirelength() <= reembed.wirelength();
+    if sllt_route::skew_of(&refined, &cfg.model) <= cfg.skew_bound + 1e-9 {
+        reembed = refined;
+    }
+    let tree = if legal.wirelength() <= reembed.wirelength() {
+        legal
+    } else {
+        reembed
+    };
+    (tree, skippable)
 }
 
 /// Resets every edge to its plain Manhattan length, discarding detour
@@ -335,6 +372,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn skipping_the_lost_skew_check_changes_no_tree() {
+        let (mut skipped, mut checked) = (0, 0);
+        for seed in 0..12 {
+            let net = random_net(seed + 900, 8 + 2 * seed as usize);
+            for scheme in TopologyScheme::ALL {
+                for bound in [5.0, 20.0, 80.0] {
+                    for model in [
+                        DelayModel::PathLength,
+                        DelayModel::Elmore(sllt_timing::Technology::n28()),
+                    ] {
+                        let cfg = CbsConfig {
+                            scheme,
+                            skew_bound: bound,
+                            model,
+                            ..CbsConfig::default()
+                        };
+                        let zero = vec![(0.0, 0.0); net.len()];
+                        let fast = try_cbs_intervals(&net, &cfg, &zero).unwrap();
+                        let isllt = step1_initial_bst(&net, &cfg);
+                        let relaxed = step3_salt_relax(&net, isllt, cfg.eps);
+                        let (normalized, topo) = step4_normalize_and_extract(relaxed);
+                        let (want, skippable) =
+                            restore_skew_always_checking(&net, normalized, &topo, &cfg);
+                        assert!(fast == want, "{scheme} seed {seed} bound {bound}");
+                        checked += 1;
+                        skipped += usize::from(skippable);
+                    }
+                }
+            }
+        }
+        // Both paths ran: the skip and the full check.
+        assert!(
+            0 < skipped && skipped < checked,
+            "{skipped} of {checked} skipped"
+        );
     }
 
     #[test]

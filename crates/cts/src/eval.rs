@@ -48,7 +48,7 @@ pub fn evaluate(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary) -> Tre
     assert!(!sinks.is_empty(), "evaluating a sinkless tree");
     let caps = downstream_caps(tree, tech, Some(lib));
 
-    let n_slots = tree.path_lengths().len();
+    let n_slots = tree.arena_len();
     let mut delay = vec![0.0f64; n_slots];
     let mut slew = vec![tech.source_slew_ps; n_slots];
     let mut max_slew = tech.source_slew_ps;

@@ -133,7 +133,7 @@ pub fn derate_skew(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary, der
 
     // Per node: max of (1+derate)·D_i and min of (1−derate)·D_j over
     // sinks below.
-    let n_slots = tree.path_lengths().len();
+    let n_slots = tree.arena_len();
     let mut late = vec![f64::NEG_INFINITY; n_slots];
     let mut early = vec![f64::INFINITY; n_slots];
     let order = tree.topo_order();
@@ -168,7 +168,7 @@ pub fn derate_skew(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary, der
 /// [`crate::eval::evaluate`]).
 fn nominal_delays(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary) -> Vec<f64> {
     let caps = downstream_caps(tree, tech, Some(lib));
-    let n_slots = tree.path_lengths().len();
+    let n_slots = tree.arena_len();
     let mut delay = vec![0.0f64; n_slots];
     let mut slew = vec![tech.source_slew_ps; n_slots];
     for v in tree.topo_order() {
@@ -211,7 +211,7 @@ fn trial_with_rng(
     let sinks = tree.sinks();
     assert!(!sinks.is_empty(), "OCV analysis of a sinkless tree");
     let caps = downstream_caps(tree, tech, Some(lib));
-    let n_slots = tree.path_lengths().len();
+    let n_slots = tree.arena_len();
     let mut delay = vec![0.0f64; n_slots];
     let mut slew = vec![tech.source_slew_ps; n_slots];
 

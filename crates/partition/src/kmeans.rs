@@ -659,22 +659,140 @@ fn greedy_capacitated(points: &[Point], centers: &[Point], cap: usize) -> Vec<us
     assignment
 }
 
+/// The order a cell's points would be in after the stable sorts of
+/// every split above it. Stable sorts compose: sorting by `k1` and then
+/// by `k2` orders by `(k2, k1, index)`. With two axes, a cell's order is
+/// therefore (last split axis, the other axis if an ancestor split on
+/// it, index) — one of five keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CellOrder {
+    /// Never split: index order.
+    Index,
+    /// Split on x only.
+    X,
+    /// Split on y only.
+    Y,
+    /// Last split on x, an earlier one on y.
+    XThenY,
+    /// Last split on y, an earlier one on x.
+    YThenX,
+}
+
+impl CellOrder {
+    /// The order after one more stable sort, along x when `by_x`.
+    fn then_split(self, by_x: bool) -> CellOrder {
+        use CellOrder::*;
+        match (self, by_x) {
+            (Index | X, true) => X,
+            (Index | Y, false) => Y,
+            (Y | XThenY | YThenX, true) => XThenY,
+            (X | XThenY | YThenX, false) => YThenX,
+        }
+    }
+
+    /// Compares points `a` and `b` (indices into `points`) under this key.
+    fn cmp(self, points: &[Point], a: usize, b: usize) -> std::cmp::Ordering {
+        let (pa, pb) = (points[a], points[b]);
+        let x = || pa.x.total_cmp(&pb.x);
+        let y = || pa.y.total_cmp(&pb.y);
+        let index = || a.cmp(&b);
+        match self {
+            CellOrder::Index => index(),
+            CellOrder::X => x().then_with(index),
+            CellOrder::Y => y().then_with(index),
+            CellOrder::XThenY => x().then_with(y).then_with(index),
+            CellOrder::YThenX => y().then_with(x).then_with(index),
+        }
+    }
+}
+
+/// Cells at least this large hand one half to another worker; below
+/// it a thread costs more than the split it would share. (Tiny under
+/// test, so the oracle comparison covers the parallel path.)
+const PARALLEL_SPLIT_MIN: usize = if cfg!(test) { 64 } else { 1 << 15 };
+
 /// Splits `0..points.len()` into spatial cells of at most `max_cell`
 /// indices by recursive median bisection along the wider extent. Cell
-/// order is a pure function of the point set (LIFO split order, stable
-/// sorts), so downstream cluster numbering is reproducible.
-fn median_split_cells(points: &[Point], max_cell: usize) -> Vec<Vec<usize>> {
+/// order is a pure function of the point set, so downstream cluster
+/// numbering is reproducible at any `workers`.
+///
+/// The result is exactly that of stable-sorting each oversized cell
+/// along its wider axis, splitting it at `len / 2`, and emitting cells
+/// in LIFO order (upper half first): a split only needs the *set* below
+/// the median, which `select_nth_unstable_by` finds under the composite
+/// [`CellOrder`] key the stable sorts would have produced, and each
+/// final cell is sorted once by that key (see `DESIGN.md`, *Exact
+/// kernels*). Halves of large cells split on separate `workers`.
+fn median_split_cells(points: &[Point], max_cell: usize, workers: usize) -> Vec<Vec<usize>> {
+    let mut cell: Vec<usize> = (0..points.len()).collect();
+    let mut cells = Vec::new();
+    split_cell(
+        points,
+        &mut cell,
+        CellOrder::Index,
+        max_cell,
+        workers.max(1),
+        &mut cells,
+    );
+    cells
+}
+
+/// Emits the cells of `cell` (whose indices are keyed by `order`) into
+/// `out`, upper half before lower half at every split.
+fn split_cell(
+    points: &[Point],
+    cell: &mut [usize],
+    order: CellOrder,
+    max_cell: usize,
+    workers: usize,
+    out: &mut Vec<Vec<usize>>,
+) {
+    let Some(&first) = cell.first() else {
+        // Median splits of nonempty cells keep both halves nonempty,
+        // but an empty cell must be skipped, not crash the flow: it
+        // simply contributes no clusters.
+        return;
+    };
+    if cell.len() <= max_cell {
+        cell.sort_unstable_by(|&a, &b| order.cmp(points, a, b));
+        out.push(cell.to_vec());
+        return;
+    }
+    // Split along the wider extent at the median. The bounding box is a
+    // function of the point set alone, whatever order the points are in.
+    let mut bb = sllt_geom::Rect::new(points[first], points[first]);
+    for &i in &cell[1..] {
+        bb.expand(points[i]);
+    }
+    let order = order.then_split(bb.width() >= bb.height());
+    let parallel = workers > 1 && cell.len() >= PARALLEL_SPLIT_MIN;
+    let mid = cell.len() / 2;
+    cell.select_nth_unstable_by(mid, |&a, &b| order.cmp(points, a, b));
+    let (lo, hi) = cell.split_at_mut(mid);
+    if parallel {
+        let mut lo_cells = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| split_cell(points, lo, order, max_cell, workers / 2, &mut lo_cells));
+            split_cell(points, hi, order, max_cell, workers - workers / 2, out);
+        });
+        out.append(&mut lo_cells);
+    } else {
+        split_cell(points, hi, order, max_cell, workers, out);
+        split_cell(points, lo, order, max_cell, workers, out);
+    }
+}
+
+/// The stable-sort median split [`median_split_cells`] replaced: the
+/// oracle it is checked against.
+#[cfg(test)]
+fn median_split_cells_oracle(points: &[Point], max_cell: usize) -> Vec<Vec<usize>> {
     let mut cells = Vec::new();
     let mut stack: Vec<Vec<usize>> = vec![(0..points.len()).collect()];
     while let Some(mut cell) = stack.pop() {
         if cell.is_empty() {
-            // Median splits of nonempty cells keep both halves nonempty,
-            // but an empty cell must be skipped, not crash the flow: it
-            // simply contributes no clusters.
             continue;
         }
         if cell.len() > max_cell {
-            // Split along the wider extent at the median.
             let pts: Vec<Point> = cell.iter().map(|&i| points[i]).collect();
             let Some(bb) = sllt_geom::Rect::bounding(&pts) else {
                 continue;
@@ -705,8 +823,9 @@ fn median_split_cells(points: &[Point], max_cell: usize) -> Vec<Vec<usize>> {
 /// of µm wide); median bisection keeps every cluster local while the
 /// per-cell flow keeps the capacity exact.
 ///
-/// The median bisection runs first and yields a deterministic cell
-/// list; `workers` scoped threads then pull whole cells from a shared
+/// The median bisection runs first (its large halves split on
+/// `workers` threads) and yields a deterministic cell list; `workers`
+/// scoped threads then pull whole cells from a shared
 /// counter and run the per-cell K-means + min-cost-flow independently.
 /// Each cell's seed is anchored to its first (sort-leading) point index
 /// and expanded through SplitMix64 by the RNG layer, so every shard's
@@ -733,7 +852,7 @@ pub fn balanced_kmeans_grid_sharded(
     assert!(!points.is_empty(), "clustering an empty point set");
     assert!(max_cell >= cap, "cells must hold at least one full cluster");
     let n = points.len();
-    let cells = median_split_cells(points, max_cell);
+    let cells = median_split_cells(points, max_cell, workers);
     sllt_obs::count("partition.grid.cells", cells.len() as u64);
 
     let cluster_cell = |cell: &[usize]| -> Partition {
@@ -1003,6 +1122,63 @@ mod tests {
         (0..n)
             .map(|_| Point::new(rng.random_range(0.0..span), rng.random_range(0.0..span)))
             .collect()
+    }
+
+    #[test]
+    fn median_split_matches_the_stable_sort_oracle() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let duplicates: Vec<Point> = (0..6000)
+            .map(|_| {
+                Point::new(
+                    rng.random_range(0..12) as f64 * 15.0,
+                    rng.random_range(0..9) as f64 * 15.0,
+                )
+            })
+            .collect();
+        let signed_zeros: Vec<Point> = (0..3000)
+            .map(|i| {
+                let z = if i % 3 == 0 { -0.0 } else { 0.0 };
+                Point::new(z, (i % 7) as f64)
+            })
+            .collect();
+        let strip: Vec<Point> = (0..9000)
+            .map(|i| Point::new((i % 12) as f64 * 15.0, (i / 12) as f64 * 15.0))
+            .collect();
+        let sets: Vec<(&str, Vec<Point>)> = vec![
+            ("15 um grid", grid(90, 15.0)),
+            ("strip", strip),
+            ("random", random_points(5, 8000, 3000.0)),
+            ("duplicates", duplicates),
+            ("one point", vec![Point::new(4.0, 4.0); 1000]),
+            (
+                "collinear x",
+                (0..5000).map(|i| Point::new(i as f64, 7.0)).collect(),
+            ),
+            (
+                "collinear y",
+                (0..5000)
+                    .map(|i| Point::new(7.0, (i % 977) as f64))
+                    .collect(),
+            ),
+            ("signed zeros", signed_zeros),
+        ];
+        for (name, pts) in &sets {
+            for max_cell in [32, 300] {
+                let want = median_split_cells_oracle(pts, max_cell);
+                for workers in [1, 2, 4] {
+                    assert!(
+                        median_split_cells(pts, max_cell, workers) == want,
+                        "{name}: max_cell {max_cell}, {workers} workers"
+                    );
+                }
+            }
+        }
+        // Small sets: one cell, in index order.
+        let few = random_points(6, 20, 100.0);
+        assert_eq!(
+            median_split_cells(&few, 32, 2),
+            vec![(0..20).collect::<Vec<_>>()]
+        );
     }
 
     #[test]

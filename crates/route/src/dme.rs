@@ -567,7 +567,32 @@ fn solve_increasing(f: impl Fn(f64) -> f64, start: f64) -> Result<f64, DmeError>
 /// Bisection for a monotone `f` on `[lo, hi]`. With `increasing == true`
 /// returns the root of an increasing function (largest point with
 /// `f ≤ 0`); otherwise of a decreasing one (smallest point with `f ≤ 0`).
+///
+/// Runs up to 70 halvings, but stops at the first one that leaves the
+/// bracket bit-for-bit unchanged: each step is a pure function of
+/// `(lo, hi)`, so every later step would leave it unchanged too, and the
+/// result equals the full 70-step run's exactly.
 fn bisect(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, increasing: bool) -> f64 {
+    #[cfg(test)]
+    if tests::FIXED_BISECT.get() {
+        return bisect_fixed(f, lo, hi, increasing);
+    }
+    for _ in 0..70 {
+        let mid = 0.5 * (lo + hi);
+        let v = f(mid);
+        let go_right = if increasing { v < 0.0 } else { v > 0.0 };
+        let end = if go_right { &mut lo } else { &mut hi };
+        if end.to_bits() == mid.to_bits() {
+            break;
+        }
+        *end = mid;
+    }
+    0.5 * (lo + hi)
+}
+
+/// The always-70-step [`bisect`]: the oracle it is checked against.
+#[cfg(test)]
+fn bisect_fixed(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, increasing: bool) -> f64 {
     for _ in 0..70 {
         let mid = 0.5 * (lo + hi);
         let v = f(mid);
@@ -679,6 +704,62 @@ mod tests {
     use crate::topogen::TopologyScheme;
     use sllt_rng::prelude::*;
     use sllt_tree::{metrics::path_length_skew, Sink, SlltMetrics};
+
+    thread_local! {
+        /// Routes [`bisect`] to its fixed-step oracle on this thread.
+        pub(super) static FIXED_BISECT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Every float of a merge, as bits.
+    fn merged_bits(m: &Result<Merged, DmeError>) -> Result<[u64; 9], DmeError> {
+        let m = m.as_ref().map_err(Clone::clone)?;
+        let (ulo, uhi, vlo, vhi) = m.region.bounds();
+        Ok([ulo, uhi, vlo, vhi, m.lo, m.hi, m.cap, m.ea, m.eb].map(f64::to_bits))
+    }
+
+    /// 10⁵ random merges (half per delay model), with and without hints.
+    #[test]
+    fn early_exit_bisection_equals_the_fixed_70_steps() {
+        let mut rng = StdRng::seed_from_u64(70);
+        for model in [
+            DelayModel::PathLength,
+            DelayModel::Elmore(Technology::n28()),
+        ] {
+            let elmore = matches!(model, DelayModel::Elmore(_));
+            for _ in 0..50_000 {
+                let bound: f64 = rng.random_range(0.0..40.0);
+                let mut node = || {
+                    let p = Point::new(rng.random_range(0.0..150.0), rng.random_range(0.0..150.0));
+                    let lo = rng.random_range(0.0..60.0);
+                    MergeNode {
+                        region: RRect::from_point(p).inflated(rng.random_range(0.0..10.0)),
+                        lo,
+                        hi: lo + rng.random_range(0.0..bound.max(1e-9)),
+                        cap: if elmore {
+                            rng.random_range(0.0..300.0)
+                        } else {
+                            0.0
+                        },
+                        kids: None,
+                        sink: None,
+                    }
+                };
+                let (a, b) = (node(), node());
+                let hint = rng.random_bool(0.3).then(|| {
+                    Point::new(rng.random_range(0.0..150.0), rng.random_range(0.0..150.0))
+                });
+                let opts = DmeOptions {
+                    skew_bound: bound,
+                    model,
+                };
+                let early = merged_bits(&merge(&a, &b, &opts, hint));
+                FIXED_BISECT.set(true);
+                let fixed = merged_bits(&merge(&a, &b, &opts, hint));
+                FIXED_BISECT.set(false);
+                assert_eq!(early, fixed, "{model:?}: bound {bound}");
+            }
+        }
+    }
 
     fn random_net(seed: u64, n: usize) -> ClockNet {
         let mut rng = StdRng::seed_from_u64(seed);

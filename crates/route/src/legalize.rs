@@ -65,12 +65,17 @@ pub fn skew_legalize_intervals(
     intervals: &[(f64, f64)],
 ) -> f64 {
     assert!(bound >= 0.0, "negative skew bound");
-    let n_slots = tree.path_lengths().len();
-    // Per-node downstream cap and delay interval measured from the node.
+    let n_slots = tree.arena_len();
+    // Per-node downstream cap and delay interval measured from the node,
+    // and whether any sink hangs below it (set by the same bottom-up
+    // pass, so each subtree is inspected once).
     let mut cap = vec![0.0f64; n_slots];
     let mut lo = vec![0.0f64; n_slots];
     let mut hi = vec![0.0f64; n_slots];
+    let mut sink_below = vec![false; n_slots];
     let mut added = 0.0;
+    let mut children: Vec<NodeId> = Vec::new();
+    let mut windows: Vec<(NodeId, f64, f64)> = Vec::new();
 
     let order = tree.topo_order();
     for &v in order.iter().rev() {
@@ -81,6 +86,7 @@ pub fn skew_legalize_intervals(
                 "internal load pin {v}: normalize the tree before legalizing"
             );
             cap[v.index()] = node.cap_ff();
+            sink_below[v.index()] = true;
             if !intervals.is_empty() {
                 let (l, h) = intervals[sink_index];
                 lo[v.index()] = l;
@@ -88,15 +94,16 @@ pub fn skew_legalize_intervals(
             }
             continue;
         }
-        let children: Vec<NodeId> = node.children().to_vec();
+        children.clear();
+        children.extend(node.children());
         if children.is_empty() {
             continue; // barren Steiner leaf: no sinks below, nothing to do
         }
         // Children with sinks below them, with their windows as seen
         // from `v` (edge delay included).
-        let mut windows: Vec<(NodeId, f64, f64)> = Vec::with_capacity(children.len());
+        windows.clear();
         for &c in &children {
-            if !has_sink_below(tree, c) {
+            if !sink_below[c.index()] {
                 continue;
             }
             let e = tree.node(c).edge_len();
@@ -106,10 +113,11 @@ pub fn skew_legalize_intervals(
         if windows.is_empty() {
             continue;
         }
+        sink_below[v.index()] = true;
         let slowest = windows.iter().fold(f64::NEG_INFINITY, |m, w| m.max(w.2));
         let mut v_lo = f64::INFINITY;
         let mut v_hi = f64::NEG_INFINITY;
-        for (c, w_lo, w_hi) in windows {
+        for &(c, w_lo, w_hi) in &windows {
             let deficit = (slowest - bound) - w_lo;
             let (w_lo, w_hi) = if deficit > 1e-12 {
                 // Slow this child: grow its edge until its fast end meets
@@ -137,13 +145,6 @@ pub fn skew_legalize_intervals(
                 .sum::<f64>();
     }
     added
-}
-
-fn has_sink_below(tree: &ClockTree, v: NodeId) -> bool {
-    if tree.node(v).kind.is_sink() {
-        return true;
-    }
-    tree.node(v).children().any(|c| has_sink_below(tree, c))
 }
 
 fn wire_delay(model: &DelayModel, e: f64, cap: f64) -> f64 {
@@ -295,6 +296,48 @@ mod tests {
         }
         assert!(added[0] <= added[1] + 1e-9);
         assert!(added[1] <= added[2] + 1e-9);
+    }
+
+    /// Every detour and edge length the cases above produce, digested:
+    /// the value a change to how legalization walks the tree must keep.
+    #[test]
+    fn detours_are_pinned() {
+        let mut bytes = Vec::new();
+        let mut record = |t: &sllt_tree::ClockTree, added: f64| {
+            bytes.extend(added.to_bits().to_le_bytes());
+            for id in t.node_ids() {
+                bytes.extend(t.node(id).edge_len().to_bits().to_le_bytes());
+            }
+        };
+        let elmore = DelayModel::Elmore(Technology::n28());
+        for seed in 0..10 {
+            for (model, net, bounds) in [
+                (
+                    DelayModel::PathLength,
+                    random_net(seed, 20),
+                    [0.0, 10.0, 50.0],
+                ),
+                (elmore, random_net(seed + 40, 25), [0.5, 2.0, 5.0]),
+            ] {
+                for bound in bounds {
+                    let mut t = salt(&net, 0.2);
+                    sllt_tree::edits::sinks_to_leaves(&mut t);
+                    let added = skew_legalize(&mut t, &model, bound);
+                    record(&t, added);
+                }
+            }
+        }
+        let net = random_net(8, 25);
+        for bound in [5.0, 2.0, 0.5] {
+            let mut t = salt(&net, 0.2);
+            sllt_tree::edits::sinks_to_leaves(&mut t);
+            let added = skew_legalize(&mut t, &elmore, bound);
+            record(&t, added);
+        }
+        assert_eq!(
+            format!("{:016x}", sllt_obs::journal::fnv1a64(&bytes)),
+            "8c0c254896874db4"
+        );
     }
 
     #[test]

@@ -105,17 +105,18 @@ fn median3(a: Point, b: Point, c: Point) -> Point {
 /// detour encodes a deliberate delay-balancing decision.
 pub fn steinerize(tree: &mut ClockTree) -> f64 {
     let mut saved = 0.0;
-    // Bounded passes; each pass scans all nodes and applies the best gain
-    // move per node.
+    let mut nbrs = Vec::new();
+    // Bounded passes; each pass scans the nodes live at its start (moves
+    // add Steiner nodes past them, never revive a slot) and applies the
+    // best gain move per node.
     for _ in 0..8 {
         let mut improved = false;
-        let ids: Vec<NodeId> = tree.node_ids().collect();
-        for v in ids {
-            if !tree.is_alive(v) {
+        for i in 0..tree.arena_len() {
+            let Some(v) = tree.live_id(i) else {
                 continue;
-            }
+            };
             loop {
-                let gain = best_median_move(tree, v);
+                let gain = best_median_move(tree, v, &mut nbrs);
                 match gain {
                     Some((a, b, m, g)) if g > 1e-9 => {
                         apply_median_move(tree, v, a, b, m);
@@ -144,13 +145,110 @@ pub fn steinerize(tree: &mut ClockTree) -> f64 {
 /// individual source→sink paths (while shortening total wire), so
 /// shallowness-sensitive callers must re-enforce their budget afterwards.
 pub fn relocate_steiner(tree: &mut ClockTree) -> f64 {
+    /// Component-wise lower median, sorting through the `xs`/`ys`
+    /// scratch buffers.
+    fn median_of(pts: &[Point], xs: &mut Vec<f64>, ys: &mut Vec<f64>) -> Point {
+        xs.clear();
+        ys.clear();
+        xs.extend(pts.iter().map(|p| p.x));
+        ys.extend(pts.iter().map(|p| p.y));
+        // `total_cmp` ties only identical bits, so an unstable sort
+        // yields the same sequence a stable one would.
+        xs.sort_unstable_by(f64::total_cmp);
+        ys.sort_unstable_by(f64::total_cmp);
+        // Lower median: exact optimum for odd counts, optimal-corner for
+        // even ones.
+        Point::new(xs[(xs.len() - 1) / 2], ys[(ys.len() - 1) / 2])
+    }
+    let mut saved = 0.0;
+    let (mut nbr_pos, mut xs, mut ys) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..10 {
+        let mut improved = false;
+        // Relocation moves nodes but never adds or removes any.
+        for i in 0..tree.arena_len() {
+            let Some(v) = tree.live_id(i) else {
+                continue;
+            };
+            let node = tree.node(v);
+            if !node.kind.is_steiner() {
+                continue;
+            }
+            let pv = node.pos;
+            nbr_pos.clear();
+            let mut straight = true;
+            if let Some(p) = node.parent() {
+                straight &= node.edge_len() <= tree.node(p).pos.dist(pv) + 1e-9;
+                nbr_pos.push(tree.node(p).pos);
+            }
+            for c in node.children() {
+                straight &= tree.node(c).edge_len() <= tree.node(c).pos.dist(pv) + 1e-9;
+                nbr_pos.push(tree.node(c).pos);
+            }
+            if !straight || nbr_pos.len() < 2 {
+                continue;
+            }
+            let m = median_of(&nbr_pos, &mut xs, &mut ys);
+            if m.approx_eq(pv) {
+                continue;
+            }
+            let before: f64 = nbr_pos.iter().map(|&q| pv.dist(q)).sum();
+            let after: f64 = nbr_pos.iter().map(|&q| m.dist(q)).sum();
+            if after + 1e-9 < before {
+                tree.move_node(v, m);
+                saved += before - after;
+                improved = true;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    saved
+}
+
+/// [`steinerize`] as it was before its passes walked arena slots and
+/// reused a neighbour buffer: a collected id list per pass and a fresh
+/// `Vec` per node. The oracle the rewrite is checked against.
+#[cfg(test)]
+fn steinerize_collected(tree: &mut ClockTree) -> f64 {
+    let mut saved = 0.0;
+    let mut nbrs = Vec::new();
+    for _ in 0..8 {
+        let mut improved = false;
+        let ids: Vec<NodeId> = tree.node_ids().collect();
+        for v in ids {
+            if !tree.is_alive(v) {
+                continue;
+            }
+            loop {
+                match best_median_move(tree, v, &mut nbrs) {
+                    Some((a, b, m, g)) if g > 1e-9 => {
+                        apply_median_move(tree, v, a, b, m);
+                        saved += g;
+                        improved = true;
+                    }
+                    _ => break,
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    saved
+}
+
+/// [`relocate_steiner`] as it was before its passes walked arena slots
+/// and reused its buffers: a collected id list per pass, fresh `Vec`s
+/// per node and stable median sorts. The oracle the rewrite is checked
+/// against.
+#[cfg(test)]
+fn relocate_collected(tree: &mut ClockTree) -> f64 {
     fn median_of(pts: &[Point]) -> Point {
         let mut xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
         let mut ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
         xs.sort_by(f64::total_cmp);
         ys.sort_by(f64::total_cmp);
-        // Lower median: exact optimum for odd counts, optimal-corner for
-        // even ones.
         Point::new(xs[(xs.len() - 1) / 2], ys[(ys.len() - 1) / 2])
     }
     let mut saved = 0.0;
@@ -197,11 +295,16 @@ pub fn relocate_steiner(tree: &mut ClockTree) -> f64 {
 
 /// Finds the best median insertion around `v`: a pair of its straight
 /// neighbour edges and the median point, with the wirelength gain.
-fn best_median_move(tree: &ClockTree, v: NodeId) -> Option<(NodeId, NodeId, Point, f64)> {
+/// `nbrs` is scratch space.
+fn best_median_move(
+    tree: &ClockTree,
+    v: NodeId,
+    nbrs: &mut Vec<NodeId>,
+) -> Option<(NodeId, NodeId, Point, f64)> {
     let node = tree.node(v);
     let pv = node.pos;
     // Straight (detour-free) neighbours only.
-    let mut nbrs: Vec<NodeId> = Vec::new();
+    nbrs.clear();
     if let Some(p) = node.parent() {
         if node.edge_len() <= tree.node(p).pos.dist(pv) + 1e-9 {
             nbrs.push(p);
@@ -269,6 +372,56 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// Walking arena slots with reused buffers must leave every tree and
+    /// every saving bit-identical to the collected-id passes.
+    #[test]
+    fn slot_walk_passes_match_collected_ids() {
+        let mut trees = Vec::new();
+        for seed in 0..120 {
+            let n = 2 + (seed as usize * 7) % 90;
+            let net = if seed % 3 == 0 {
+                // 15 µm grid positions: ties and coincident points.
+                let mut rng = StdRng::seed_from_u64(seed);
+                ClockNet::new(
+                    Point::new(30.0, 30.0),
+                    (0..n)
+                        .map(|_| {
+                            let (i, j) = (rng.random_range(0..6), rng.random_range(0..6));
+                            Sink::new(Point::new(i as f64 * 15.0, j as f64 * 15.0), 1.0)
+                        })
+                        .collect(),
+                )
+            } else {
+                random_net(seed + 900, n, 75.0)
+            };
+            let topo = crate::topogen::TopologyScheme::GreedyDist.build(&net);
+            let bst = crate::dme::bst_dme(&net, &topo, 5.0);
+            let mut stripped = bst.clone();
+            for id in stripped.node_ids().collect::<Vec<_>>() {
+                if let Some(p) = stripped.node(id).parent() {
+                    let d = stripped.node(p).pos.dist(stripped.node(id).pos);
+                    stripped.set_edge_len(id, d);
+                }
+            }
+            trees.extend([rmst(&net), rsmt(&net), bst, stripped]);
+        }
+        let mut moved = 0;
+        for tree in &trees {
+            // Alternate the passes as SALT does, from each starting shape.
+            let (mut fast, mut full) = (tree.clone(), tree.clone());
+            for _ in 0..3 {
+                let saved = (steinerize(&mut fast), steinerize_collected(&mut full));
+                assert_eq!(saved.0.to_bits(), saved.1.to_bits());
+                assert!(fast == full);
+                let saved = (relocate_steiner(&mut fast), relocate_collected(&mut full));
+                assert_eq!(saved.0.to_bits(), saved.1.to_bits());
+                assert!(fast == full);
+                moved += usize::from(saved.0 > 0.0);
+            }
+        }
+        assert!(moved > 20, "relocation moved nodes in only {moved} trees");
     }
 
     #[test]

@@ -71,8 +71,7 @@ fn enforce_shallowness(net: &ClockNet, tree: &mut ClockTree, eps: f64) {
 
     // DFS with incremental path lengths; children are fetched after the
     // potential reparent of the current node so subtree updates propagate.
-    let mut pl = vec![0.0f64; 0];
-    pl.resize(tree.path_lengths().len(), 0.0);
+    let mut pl = vec![0.0f64; tree.arena_len()];
     let mut stack: Vec<NodeId> = vec![tree.root()];
     // Ancestor chain is recovered by walking parent pointers on demand;
     // path lengths of processed nodes are valid because parents are

@@ -139,12 +139,13 @@ pub fn greedy_dist(net: &ClockNet) -> Topology {
     nnpair::agglomerate::<DistMetric>(dist_states(net))
 }
 
-/// Brute-force Greedy-Dist: full pairwise rescan per merge, O(n³)
-/// overall. Retained as the oracle the accelerated path is cross-checked
-/// against, and as the small-n fast path.
+/// Brute-force Greedy-Dist: every live pair scanned per merge (pair
+/// costs cached), O(n³) overall. Retained as the oracle the accelerated
+/// path is cross-checked against, and as the small-n fast path.
 pub fn greedy_dist_naive(net: &ClockNet) -> Topology {
     check_nonempty(net);
-    agglomerate_naive(dist_states(net), dist_cost, dist_merge)
+    // |a − b| and |b − a| are the same float, and + commutes: symmetric.
+    agglomerate_naive(dist_states(net), dist_cost, dist_merge, true)
 }
 
 /// Greedy-Merge cluster state: DME merging region plus linear-model delay
@@ -237,18 +238,124 @@ pub fn greedy_merge(net: &ClockNet) -> Topology {
     nnpair::agglomerate::<MergeMetric>(merge_states(net))
 }
 
-/// Brute-force Greedy-Merge: full pairwise rescan per merge, O(n³)
-/// overall. Retained as the oracle the accelerated path is cross-checked
-/// against, and as the small-n fast path.
+/// Brute-force Greedy-Merge: every live pair scanned per merge (pair
+/// costs cached), O(n³) overall. Retained as the oracle the accelerated
+/// path is cross-checked against, and as the small-n fast path.
 pub fn greedy_merge_naive(net: &ClockNet) -> Topology {
     check_nonempty(net);
-    agglomerate_naive(merge_states(net), merge_cost, merge_merge)
+    // `f64::max` may return either zero of a ±0 tie, so the region
+    // distance is not provably symmetric in its arguments.
+    agglomerate_naive(merge_states(net), merge_cost, merge_merge, false)
 }
 
 /// The brute-force agglomeration shared by both `*_naive` schemes: scan
 /// every live pair, select the minimum `(cost, lower id, higher id)` —
 /// the same selection key the engine uses — merge, repeat.
+///
+/// Pair costs live in a flat slot × slot matrix, filled once per pair
+/// (one row and column per new cluster) instead of being recomputed by
+/// every scan, and both `swap_remove`s are mirrored on it, so the scan
+/// visits the same slots in the same order with the same keys as a full
+/// rescan. Entry `[i][j]` holds `cost(slot i, slot j)`, the orientation
+/// the scan asks for; a `symmetric` cost is evaluated once per pair,
+/// any other once per orientation (slot order flips when `swap_remove`
+/// moves a cluster down).
 fn agglomerate_naive<S>(
+    initial: Vec<S>,
+    cost: impl Fn(&S, &S) -> f64,
+    merge: impl Fn(&S, &S) -> S,
+    symmetric: bool,
+) -> Topology {
+    struct Cluster<S> {
+        id: u32,
+        topo: Topology,
+        state: S,
+    }
+    let n = initial.len();
+    let mut next_id = n as u32;
+    let mut clusters: Vec<Cluster<S>> = initial
+        .into_iter()
+        .enumerate()
+        .map(|(i, state)| Cluster {
+            id: i as u32,
+            topo: Topology::sink(i),
+            state,
+        })
+        .collect();
+    let mut costs = vec![0.0f64; n * n];
+    let fill = |costs: &mut [f64], clusters: &[Cluster<S>], j: usize| {
+        for i in 0..j {
+            let c = cost(&clusters[i].state, &clusters[j].state);
+            costs[i * n + j] = c;
+            costs[j * n + i] = if symmetric {
+                c
+            } else {
+                cost(&clusters[j].state, &clusters[i].state)
+            };
+        }
+    };
+    for j in 1..n {
+        fill(&mut costs, &clusters, j);
+    }
+    // Mirrors `clusters.swap_remove(k)` while `len` slots are live.
+    let swap_remove = |costs: &mut [f64], k: usize, len: usize| {
+        let last = len - 1;
+        if k != last {
+            for t in 0..last {
+                costs[k * n + t] = costs[last * n + t];
+                costs[t * n + k] = costs[t * n + last];
+            }
+        }
+    };
+    while clusters.len() > 1 {
+        let live = clusters.len();
+        let (mut bi, mut bj) = (0, 1);
+        let mut bk = (f64::INFINITY, u32::MAX, u32::MAX);
+        for i in 0..live {
+            let row = &costs[i * n..i * n + live];
+            for (j, &c) in row.iter().enumerate().skip(i + 1) {
+                // A strictly larger cost loses under `key_less` too (its
+                // `total_cmp` agrees with `>` on non-NaN values): skip
+                // building the key.
+                if c > bk.0 {
+                    continue;
+                }
+                let (lo, hi) = if clusters[i].id < clusters[j].id {
+                    (clusters[i].id, clusters[j].id)
+                } else {
+                    (clusters[j].id, clusters[i].id)
+                };
+                if key_less((c, lo, hi), bk) {
+                    (bi, bj, bk) = (i, j, (c, lo, hi));
+                }
+            }
+        }
+        // Invariant: bi < bj (the scan only visits i < j), so removing bj
+        // first cannot move slot bi — `swap_remove(bj)` relocates only the
+        // final element, whose slot index is ≥ bj > bi. No index fixup is
+        // needed for the second removal.
+        let b = clusters.swap_remove(bj);
+        swap_remove(&mut costs, bj, live);
+        let a = clusters.swap_remove(bi);
+        swap_remove(&mut costs, bi, live - 1);
+        // Orient by creation id, as the engine does: the older cluster is
+        // the left/`a` side of asymmetric merge formulas.
+        let (a, b) = if a.id < b.id { (a, b) } else { (b, a) };
+        clusters.push(Cluster {
+            id: next_id,
+            state: merge(&a.state, &b.state),
+            topo: Topology::merge(a.topo, b.topo),
+        });
+        fill(&mut costs, &clusters, clusters.len() - 1);
+        next_id += 1;
+    }
+    clusters.pop().expect("nonempty").topo
+}
+
+/// The full-rescan agglomeration [`agglomerate_naive`] replaced: every
+/// scan recomputes every pair cost. The oracle it is checked against.
+#[cfg(test)]
+fn agglomerate_rescan<S>(
     initial: Vec<S>,
     cost: impl Fn(&S, &S) -> f64,
     merge: impl Fn(&S, &S) -> S,
@@ -284,14 +391,8 @@ fn agglomerate_naive<S>(
                 }
             }
         }
-        // Invariant: bi < bj (the scan only visits i < j), so removing bj
-        // first cannot move slot bi — `swap_remove(bj)` relocates only the
-        // final element, whose slot index is ≥ bj > bi. No index fixup is
-        // needed for the second removal.
         let b = clusters.swap_remove(bj);
         let a = clusters.swap_remove(bi);
-        // Orient by creation id, as the engine does: the older cluster is
-        // the left/`a` side of asymmetric merge formulas.
         let (a, b) = if a.id < b.id { (a, b) } else { (b, a) };
         clusters.push(Cluster {
             id: next_id,
@@ -439,6 +540,42 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// The cost-matrix agglomeration must pick the same merges as the
+    /// full rescan. 15 µm-grid nets tie on cost at almost every step, so
+    /// the `(cost, lo id, hi id)` order is exercised, not just the cost.
+    #[test]
+    fn cost_matrix_agglomeration_matches_the_full_rescan() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for n in 1..=32 {
+            for trial in 0..6 {
+                // Distinct cells of an 8 × 8 grid at 15 µm pitch, plus
+                // (odd trials) repeated cells: coincident sinks.
+                let sinks: Vec<Sink> = (0..n)
+                    .map(|i| {
+                        let cell = if trial % 2 == 1 && i % 3 == 2 {
+                            rng.random_range(0..64)
+                        } else {
+                            (i * 5 + trial * 7) % 64
+                        };
+                        let pos = Point::new((cell % 8) as f64 * 15.0, (cell / 8) as f64 * 15.0);
+                        Sink::new(pos, 1.0)
+                    })
+                    .collect();
+                let net = ClockNet::new(Point::new(52.5, 52.5), sinks);
+                assert_eq!(
+                    greedy_dist_naive(&net),
+                    agglomerate_rescan(dist_states(&net), dist_cost, dist_merge),
+                    "greedy_dist n {n} trial {trial}"
+                );
+                assert_eq!(
+                    greedy_merge_naive(&net),
+                    agglomerate_rescan(merge_states(&net), merge_cost, merge_merge),
+                    "greedy_merge n {n} trial {trial}"
+                );
+            }
+        }
     }
 
     #[test]

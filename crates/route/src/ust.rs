@@ -343,7 +343,7 @@ pub fn window_violation(
         }
         DelayModel::Elmore(t) => {
             let d = rc.elmore(t, 0.0);
-            let mut by_raw = vec![0.0; tree.path_lengths().len()];
+            let mut by_raw = vec![0.0; tree.arena_len()];
             for (raw, slot) in map.iter().enumerate() {
                 if let Some(ri) = slot {
                     by_raw[raw] = d[*ri];

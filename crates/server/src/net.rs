@@ -116,6 +116,58 @@ impl Listener {
             },
         }
     }
+
+    /// Blocks until a connection is pending or `timeout` passes, and
+    /// reports whether one is pending. The accept loop calls this when
+    /// [`Listener::accept`] finds nothing, so a client is accepted the
+    /// moment it connects while the loop still rechecks its drain flag
+    /// at least once per `timeout`. A signal ends the wait early.
+    pub(crate) fn wait_readable(&self, timeout: Duration) -> bool {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            let fd = match self {
+                Listener::Unix(l, _) => l.as_raw_fd(),
+                Listener::Tcp(l) => l.as_raw_fd(),
+            };
+            poll_readable(fd, timeout)
+        }
+        #[cfg(not(unix))]
+        {
+            std::thread::sleep(timeout);
+            false
+        }
+    }
+}
+
+/// `poll(2)` on one descriptor for readability.
+#[cfg(unix)]
+fn poll_readable(fd: std::os::fd::RawFd, timeout: Duration) -> bool {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    // SAFETY: poll(2) reads and writes exactly the one `PollFd` it is
+    // given, which lives on this stack frame for the whole call; `fd`
+    // is a listening socket the caller keeps open.
+    let ready = unsafe { poll(&mut pfd, 1, timeout_ms) };
+    ready > 0 && pfd.revents & POLLIN != 0
 }
 
 impl Drop for Listener {
@@ -268,5 +320,25 @@ mod tests {
         assert_eq!(&buf, b"hi");
         drop(listener);
         assert!(!path.exists(), "socket file unlinked on drop");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn waiting_listener_wakes_when_a_client_connects() {
+        let path = std::env::temp_dir().join(format!("sllt_wait_{}.sock", std::process::id()));
+        let ep = Endpoint::Unix(path.clone());
+        let listener = Listener::bind(&ep).unwrap();
+        // Nothing pending: the wait times out and says so.
+        assert!(!listener.wait_readable(Duration::from_millis(1)));
+        let (go, wait_started) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            wait_started.recv().unwrap();
+            Stream::connect(&ep).unwrap()
+        });
+        go.send(()).unwrap();
+        // Readable means the connection arrived, not the 5 s timeout.
+        assert!(listener.wait_readable(Duration::from_secs(5)));
+        assert!(listener.accept().unwrap().is_some());
+        drop(client.join().unwrap());
     }
 }

@@ -305,7 +305,9 @@ pub fn serve(cfg: ServerConfig, drain: CancelToken) -> Result<(), String> {
                     }
                 });
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(20)),
+            Ok(None) => {
+                listener.wait_readable(Duration::from_millis(20));
+            }
             Err(e) => return Err(format!("accept: {e}")),
         }
     }

@@ -80,25 +80,42 @@ impl RcTree {
             .collect()
     }
 
-    /// Children-major topological order (parents before children).
+    /// Breadth-first order from the roots (parents before children):
+    /// roots in index order, each node's children in index order.
+    ///
+    /// The child lists are one CSR array built by a counting sort over
+    /// the parents, not one `Vec` per parent.
     ///
     /// # Panics
     ///
     /// Panics if the parent pointers contain a cycle.
     fn topo_order(&self) -> Vec<usize> {
         let n = self.len();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut order = Vec::with_capacity(n);
-        for v in 0..n {
-            match self.parent[v] {
-                Some(p) => children[p].push(v),
-                None => order.push(v),
+        // start[p] counts p's children, then becomes the inclusive prefix
+        // sum; placing children in reverse index order walks each cursor
+        // back to the start of its block, leaving the blocks ascending.
+        let mut start = vec![0usize; n + 1];
+        for &p in self.parent.iter().flatten() {
+            start[p] += 1;
+        }
+        let mut total = 0;
+        for s in &mut start {
+            total += *s;
+            *s = total;
+        }
+        let mut kids = vec![0usize; total];
+        for v in (0..n).rev() {
+            if let Some(p) = self.parent[v] {
+                start[p] -= 1;
+                kids[start[p]] = v;
             }
         }
+        let mut order = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&v| self.parent[v].is_none()));
         let mut i = 0;
         while i < order.len() {
             let v = order[i];
-            order.extend_from_slice(&children[v]);
+            order.extend_from_slice(&kids[start[v]..start[v + 1]]);
             i += 1;
         }
         assert_eq!(order.len(), n, "cycle in RC tree parent pointers");
@@ -109,7 +126,11 @@ impl RcTree {
     /// plus, for each child edge, the edge's wire cap and the child's
     /// downstream cap.
     pub fn downstream_cap(&self, tech: &Technology) -> Vec<f64> {
-        let order = self.topo_order();
+        self.downstream_cap_in(&self.topo_order(), tech)
+    }
+
+    /// [`RcTree::downstream_cap`] over an already computed `order`.
+    fn downstream_cap_in(&self, order: &[usize], tech: &Technology) -> Vec<f64> {
         let mut cap = self.pin_cap.clone();
         for &v in order.iter().rev() {
             if let Some(p) = self.parent[v] {
@@ -126,7 +147,7 @@ impl RcTree {
     /// capacitance.
     pub fn elmore(&self, tech: &Technology, driver_res_ohm: f64) -> Vec<f64> {
         let order = self.topo_order();
-        let cap = self.downstream_cap(tech);
+        let cap = self.downstream_cap_in(&order, tech);
         let mut delay = vec![0.0; self.len()];
         for &v in &order {
             match self.parent[v] {
@@ -148,7 +169,7 @@ impl RcTree {
     /// and degrading per wire segment (Bakoglu ramp approximation).
     pub fn slew(&self, tech: &Technology, slew_in_ps: f64) -> Vec<f64> {
         let order = self.topo_order();
-        let cap = self.downstream_cap(tech);
+        let cap = self.downstream_cap_in(&order, tech);
         let mut slew = vec![slew_in_ps; self.len()];
         for &v in &order {
             if let Some(p) = self.parent[v] {
@@ -232,6 +253,56 @@ mod tests {
         assert_eq!(s[0], 20.0);
         assert!(s[1] > s[0]);
         assert!(s[3] > s[1]);
+    }
+
+    /// The one-`Vec`-per-parent order the CSR build replaced.
+    fn topo_order_by_child_vecs(rc: &RcTree) -> Vec<usize> {
+        let n = rc.len();
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut order = Vec::with_capacity(n);
+        for v in 0..n {
+            match rc.parent[v] {
+                Some(p) => children[p].push(v),
+                None => order.push(v),
+            }
+        }
+        let mut i = 0;
+        while i < order.len() {
+            let v = order[i];
+            order.extend_from_slice(&children[v]);
+            i += 1;
+        }
+        order
+    }
+
+    #[test]
+    fn csr_order_matches_per_parent_child_lists() {
+        // Forests with parents on either side of their children in index
+        // order, several roots, and wide fan-outs.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        for n in [1usize, 2, 3, 17, 64, 300] {
+            for _ in 0..20 {
+                // A random permutation ranks the nodes; each non-root takes
+                // a parent of lower rank, so there are no cycles.
+                let mut rank: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    rank.swap(i, next(i + 1));
+                }
+                let mut rc = RcTree::new(n);
+                for r in 1..n {
+                    if next(5) > 0 {
+                        rc.set_parent(rank[r], rank[next(r)], 1.0);
+                    }
+                }
+                assert_eq!(rc.topo_order(), topo_order_by_child_vecs(&rc));
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ensure "1) the tree should be a binary tree, and 2) the load pin nodes
 //! must be leaf nodes". These passes implement exactly those rules.
 
-use crate::{ClockTree, NodeId, NodeKind};
+use crate::{ClockTree, NodeKind};
 
 /// Removes redundant Steiner nodes: Steiner leaves are deleted and
 /// pass-through (degree-1) Steiner nodes are spliced out, with routed
@@ -15,9 +15,13 @@ pub fn eliminate_redundant_steiner(tree: &mut ClockTree) -> usize {
     let mut removed = 0;
     loop {
         let mut changed = false;
-        let ids: Vec<NodeId> = tree.node_ids().collect();
-        for id in ids {
-            if !tree.is_alive(id) || id == tree.root() {
+        // Passes only remove nodes, so walking the pass-start slots with a
+        // liveness check visits what a collected id list would.
+        for i in 0..tree.arena_len() {
+            let Some(id) = tree.live_id(i) else {
+                continue;
+            };
+            if id == tree.root() {
                 continue;
             }
             let n = tree.node(id);
@@ -50,8 +54,12 @@ pub fn eliminate_redundant_steiner(tree: &mut ClockTree) -> usize {
 /// sinks that were pushed down.
 pub fn sinks_to_leaves(tree: &mut ClockTree) -> usize {
     let mut pushed = 0;
-    let ids: Vec<NodeId> = tree.node_ids().collect();
-    for id in ids {
+    // Sinks pushed down land past the pass-start slots and are not
+    // revisited.
+    for i in 0..tree.arena_len() {
+        let Some(id) = tree.live_id(i) else {
+            continue;
+        };
         let n = tree.node(id);
         let (cap_ff, sink_index) = match n.kind {
             NodeKind::Sink { cap_ff, sink_index } if !n.children().is_empty() => {

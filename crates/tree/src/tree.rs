@@ -365,6 +365,18 @@ impl ClockTree {
         self.log.total()
     }
 
+    /// The id of arena slot `index` if that slot holds a live node.
+    ///
+    /// Lets an editing pass walk the slots below a length it read up
+    /// front instead of collecting [`ClockTree::node_ids`]: slots die but
+    /// never revive, and new nodes land at the end of the arena, so the
+    /// walk visits the same nodes in the same order as a pass-start
+    /// snapshot whose entries are re-checked for liveness.
+    #[inline]
+    pub fn live_id(&self, index: usize) -> Option<NodeId> {
+        self.is_alive(NodeId(index)).then_some(NodeId(index))
+    }
+
     /// Ids of all live nodes.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.alive

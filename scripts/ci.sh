@@ -50,14 +50,24 @@ if cargo run --release -q -p sllt-bench --bin run_record -- --design grid48 \
 fi
 rm -f results/bench_future.json
 
-echo "== bench regression gate: fresh s35932 vs committed BENCH_cts.json"
-# Deterministic counters must match the committed baseline exactly; the
-# second invocation self-tests that the gate actually trips on drift.
-cargo run --release -q -p sllt-bench --bin bench_diff -- --design s35932
+echo "== bench regression gate: every BENCH_cts.json row vs a fresh run"
+# Deterministic counters and QoR must match the committed baseline
+# exactly, on every design it records; the last invocation self-tests
+# that the gate actually trips on drift.
+designs=$(python3 -c 'import json; print(" ".join(d["design"] for d in json.load(open("BENCH_cts.json"))["designs"]))')
+test -n "$designs"
+for design in $designs; do
+  cargo run --release -q -p sllt-bench --bin bench_diff -- --design "$design"
+done
 if cargo run --release -q -p sllt-bench --bin bench_diff -- \
     --design s35932 --inject-drift cts.route.clusters; then
   echo "bench_diff must exit nonzero on injected counter drift" >&2; exit 1
 fi
+
+echo "== golden trees: square 10^4 and 10^5 grids byte-identical (release)"
+# The level-0 kernels must reproduce every float of the tree; the 10^5
+# case is ignored in debug builds and runs here.
+cargo test -q --release -p sllt-cts --test golden
 
 echo "== trace smoke: traced s35932 exports valid Chrome JSON, tree untouched"
 # `sllt run --trace` self-validates the export (parses it back before

@@ -1,7 +1,7 @@
 //! Scale regressions for the greedy merge orders and the DME pipeline.
 //!
-//! Two failure modes guarded here, both exposed once topology generation
-//! stopped being the bottleneck:
+//! Three failure modes guarded here; the first two surfaced once
+//! topology generation stopped being the bottleneck:
 //!
 //! * the O(n³) pairwise rescan previously capped greedy schemes at a few
 //!   thousand sinks — the nearest-pair engine must take a 200k-sink
@@ -9,11 +9,14 @@
 //! * chain-deep merge orders (depth ≈ n) used to overflow the default
 //!   8 MiB stack in `Topology`'s drop glue and DME's recursive
 //!   build/embed — all are explicit-stack iterative now, verified on a
-//!   200k-deep chain end to end.
+//!   200k-deep chain end to end;
+//! * skew legalization once re-walked every child's subtree from each
+//!   ancestor, recursively: quadratic, and unbounded recursion, on a
+//!   deep Steiner chain.
 
 use sllt_geom::Point;
-use sllt_route::{bst_dme, greedy_dist, skew_of, DelayModel};
-use sllt_tree::{ClockNet, Sink, Topology};
+use sllt_route::{bst_dme, greedy_dist, skew_legalize, skew_of, DelayModel};
+use sllt_tree::{ClockNet, ClockTree, Sink, Topology};
 
 fn collinear_net(n: usize, step: f64) -> ClockNet {
     ClockNet::new(
@@ -59,4 +62,25 @@ fn chain_200k_topology_runs_dme_and_drops() {
     assert_eq!(tree.sinks().len(), N);
     drop(tree);
     drop(topo);
+}
+
+/// A 200k-deep Steiner chain whose deep child comes first at every
+/// node — the worst case for a sink-below search — legalizes on the
+/// default stack, in one bottom-up pass.
+#[test]
+fn chain_200k_skew_legalizes() {
+    const N: usize = 200_000;
+    let mut tree = ClockTree::new(Point::ORIGIN);
+    let mut tip = tree.root();
+    for i in 0..N {
+        let next = tree.add_steiner(tip, Point::new((i + 1) as f64 * 0.5, 0.0));
+        tree.add_sink(tip, Point::new(i as f64 * 0.5, 1.0), 1.0);
+        tip = next;
+    }
+    tree.add_sink(tip, Point::new(N as f64 * 0.5, 1.0), 1.0);
+    let bound = 10.0;
+    let added = skew_legalize(&mut tree, &DelayModel::PathLength, bound);
+    assert!(added > 0.0);
+    assert_eq!(tree.sinks().len(), N + 1);
+    assert!(skew_of(&tree, &DelayModel::PathLength) <= bound + 1e-6);
 }
