@@ -1,6 +1,6 @@
 //! Buffering optimization for hierarchical CTS (paper §3.4).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`critical`] — the *critical wirelength*: the wire length beyond
 //!   which splitting with a repeater wins, derived in closed form from
@@ -9,8 +9,9 @@
 //! * [`repeater`] — long-wire repeater insertion on a routed clock tree:
 //!   every edge longer than the critical length (or whose downstream load
 //!   exceeds the driver's max cap) is split,
-//! * [`slew`](mod@slew) — slew-violation repair by midpoint repeater
-//!   insertion,
+//! * [`timing`] — the one buffered delay/slew walk
+//!   ([`propagate`](timing::propagate)) that evaluation, the OCV views
+//!   and [`max_slew`] read,
 //! * [`estimate`] — the *insertion delay lower bound* of paper Eq. (7):
 //!   a provisional buffer delay charged to every cluster root during
 //!   bottom-up timing, which keeps sibling delays comparable and lowers
@@ -31,9 +32,9 @@
 pub mod critical;
 pub mod estimate;
 pub mod repeater;
-pub mod slew;
+pub mod timing;
 
 pub use critical::critical_wirelength;
 pub use estimate::DelayEstimator;
 pub use repeater::{insert_repeaters, RepeaterPolicy};
-pub use slew::{fix_slew, max_slew};
+pub use timing::max_slew;

@@ -7,8 +7,9 @@
 //! snaking.
 
 use crate::critical::critical_wirelength;
+use crate::timing::cell_at;
 use sllt_timing::{BufferLibrary, Technology};
-use sllt_tree::{ClockTree, NodeId};
+use sllt_tree::{ClockTree, NodeId, NodeKind};
 
 /// Repeater insertion policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +52,12 @@ pub fn insert_repeaters(
 ) -> usize {
     assert!(policy.cell < lib.cells().len(), "cell index out of range");
     let cell = &lib.cells()[policy.cell];
+    let ids = tree.topo_order();
     // Downstream cap per node (sinks + wire), for load-aware thresholds.
-    let caps = downstream_caps(tree, tech, Some(lib));
+    let caps = downstream_caps_in(tree, &ids, tech, Some(lib));
 
     let mut inserted = 0;
     let mut split_edges = 0u64;
-    let ids: Vec<NodeId> = tree.topo_order();
     for v in ids {
         let Some(p) = tree.node(v).parent() else {
             continue;
@@ -100,18 +101,30 @@ pub fn insert_repeaters(
 /// acting as load boundaries (a buffer presents its input cap upward and
 /// shields everything below it). `lib` resolves buffer input caps; pass
 /// `None` to treat buffers as zero-cap boundaries.
+///
+/// # Panics
+///
+/// Panics when a buffer references a cell outside `lib`.
 pub fn downstream_caps(
     tree: &ClockTree,
     tech: &Technology,
     lib: Option<&BufferLibrary>,
 ) -> Vec<f64> {
-    let order = tree.topo_order();
-    let n_slots = tree.arena_len();
-    let mut caps = vec![0.0f64; n_slots];
+    downstream_caps_in(tree, &tree.topo_order(), tech, lib)
+}
+
+/// [`downstream_caps`] over an already computed `tree.topo_order()`.
+pub(crate) fn downstream_caps_in(
+    tree: &ClockTree,
+    order: &[NodeId],
+    tech: &Technology,
+    lib: Option<&BufferLibrary>,
+) -> Vec<f64> {
+    let mut caps = vec![0.0f64; tree.arena_len()];
     for &v in order.iter().rev() {
         let node = tree.node(v);
         let own = match node.kind {
-            sllt_tree::NodeKind::Sink { cap_ff, .. } => cap_ff,
+            NodeKind::Sink { cap_ff, .. } => cap_ff,
             _ => 0.0,
         };
         caps[v.index()] += own;
@@ -119,9 +132,7 @@ pub fn downstream_caps(
             let contribution = match node.kind {
                 // The buffer shields its subtree; its parent sees only
                 // the input pin.
-                sllt_tree::NodeKind::Buffer { cell } => {
-                    lib.map_or(0.0, |l| l.cells()[cell].input_cap_ff)
-                }
+                NodeKind::Buffer { cell } => lib.map_or(0.0, |l| cell_at(l, cell).input_cap_ff),
                 _ => caps[v.index()],
             };
             caps[p.index()] += contribution + tech.wire_cap(node.edge_len());

@@ -3,9 +3,10 @@
 //! Wires contribute distributed-RC Elmore delay per stage (a *stage* is
 //! the subtree between consecutive buffers — buffers shield downstream
 //! capacitance); buffers contribute the linear delay of paper Eq. (6)
-//! with propagated slews.
+//! with propagated slews. The walk is [`sllt_buffer::timing::propagate`];
+//! this module adds the buffer and capacitance tallies.
 
-use sllt_buffer::repeater::downstream_caps;
+use sllt_buffer::timing::propagate;
 use sllt_timing::{BufferLibrary, Technology};
 use sllt_tree::{ClockTree, NodeKind};
 
@@ -46,55 +47,28 @@ pub struct TreeReport {
 pub fn evaluate(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary) -> TreeReport {
     let sinks = tree.sinks();
     assert!(!sinks.is_empty(), "evaluating a sinkless tree");
-    let caps = downstream_caps(tree, tech, Some(lib));
+    let t = propagate(tree, tech, lib, |_| 1.0);
 
-    let n_slots = tree.arena_len();
-    let mut delay = vec![0.0f64; n_slots];
-    let mut slew = vec![tech.source_slew_ps; n_slots];
     let mut max_slew = tech.source_slew_ps;
     let mut num_buffers = 0;
     let mut buffer_area = 0.0;
     let mut buffer_in_cap = 0.0;
-
-    for v in tree.topo_order() {
-        let node = tree.node(v);
-        if let Some(p) = node.parent() {
-            let len = node.edge_len();
-            // The wire sees the node's stage load; a buffer endpoint
-            // presents only its input pin (the shield boundary).
-            let wire_load = match node.kind {
-                NodeKind::Buffer { cell } => {
-                    lib.cells()
-                        .get(cell)
-                        .unwrap_or_else(|| panic!("buffer cell index {cell} outside the library"))
-                        .input_cap_ff
-                }
-                _ => caps[v.index()],
-            };
-            delay[v.index()] = delay[p.index()] + tech.wire_delay(len, wire_load);
-            slew[v.index()] = tech.wire_output_slew(slew[p.index()], len, wire_load);
-        }
-        if let NodeKind::Buffer { cell } = node.kind {
-            let cell = lib
-                .cells()
-                .get(cell)
-                .unwrap_or_else(|| panic!("buffer cell index {cell} outside the library"));
-            let load = caps[v.index()];
-            delay[v.index()] += cell.delay(slew[v.index()], load);
-            slew[v.index()] = cell.output_slew(slew[v.index()], load);
+    for &v in &t.order {
+        if let NodeKind::Buffer { cell } = tree.node(v).kind {
+            let cell = &lib.cells()[cell];
             num_buffers += 1;
             buffer_area += cell.area_um2;
             buffer_in_cap += cell.input_cap_ff;
         }
-        max_slew = max_slew.max(slew[v.index()]);
+        max_slew = max_slew.max(t.slew[v.index()]);
     }
 
     let mut max_latency = f64::NEG_INFINITY;
     let mut min_latency = f64::INFINITY;
     let mut sink_cap = 0.0;
     for &s in &sinks {
-        max_latency = max_latency.max(delay[s.index()]);
-        min_latency = min_latency.min(delay[s.index()]);
+        max_latency = max_latency.max(t.delay[s.index()]);
+        min_latency = min_latency.min(t.delay[s.index()]);
         sink_cap += tree.node(s).cap_ff();
     }
     let wl = tree.wirelength();

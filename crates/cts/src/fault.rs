@@ -6,7 +6,7 @@
 //! [`CtsError::InjectedFault`], as a real `panic!` (which only the
 //! route stage's worker containment catches), or as a process-level
 //! misbehaviour: a wedge, a slow stage, or an address-space balloon.
-//! Every stage makes the same one call, [`FaultPlan::check`]. The plan
+//! Every stage makes the same one call, `FaultPlan::check`. The plan
 //! is *stateless*: whether a fault fires is a pure function of
 //! `(stage, level, cluster, attempt)`, so no atomics are needed,
 //! parallel workers cannot race on it, and runs stay bit-identical at

@@ -2,21 +2,21 @@
 //!
 //! Level by level, bottom-up:
 //!
-//! 1. **partition** ([`crate::partition`]) the current clock nodes with
+//! 1. **partition** (`crate::partition`) the current clock nodes with
 //!    balanced K-means + min-cost flow (fanout-exact), then repair
 //!    capacitance/wirelength violations with the SA boundary moves,
-//! 2. **route** ([`crate::route`]) each cluster with the configured
+//! 2. **route** (`crate::route`) each cluster with the configured
 //!    topology generator (CBS by default), carrying each node's *delay
 //!    offset* — the Elmore+buffer delay already accumulated below it —
 //!    into the bounded-skew merge so sibling subtrees equalize. Clusters
 //!    are independent, so this stage fans out across worker threads,
-//! 3. **size** ([`crate::sizing`]) each cluster's driver jointly: the
+//! 3. **size** (`crate::sizing`) each cluster's driver jointly: the
 //!    cheapest library cell that can drive the net load becomes the
 //!    cluster driver at the net source (tap), and the node reported to
 //!    the next level carries the driver's input capacitance and the
 //!    cluster's delay plus the insertion-delay estimate (paper Eq. (7)).
 //!
-//! When one node remains, the tree is assembled ([`crate::assemble`])
+//! When one node remains, the tree is assembled (`crate::assemble`)
 //! under the design's clock root and long wires get critical-wirelength
 //! repeaters.
 //!

@@ -9,8 +9,8 @@
 //!
 //! * [`constraints`] — the design constraints of paper Table 5,
 //! * [`flow`] — the paper's flow ("Ours"): [`flow::HierarchicalCts`],
-//!   a staged engine coordinating [`partition`] → [`route`] (parallel
-//!   across clusters) → [`sizing`] per level, then [`assemble`], run
+//!   a staged engine coordinating `partition` → `route` (parallel
+//!   across clusters) → `sizing` per level, then `assemble`, run
 //!   through one entry point ([`HierarchicalCts::run_in`]) with the run
 //!   plumbing in a [`RunContext`]; typed failures in [`error`], the
 //!   [`FlowEvent`] stream in [`report`],

@@ -13,10 +13,10 @@
 //! and per buffer instance (delay), re-propagates latencies, and records
 //! the skew. [`ocv_analysis`] summarizes the distribution.
 
-use sllt_buffer::repeater::downstream_caps;
+use sllt_buffer::timing::{propagate, Stage, Timing};
 use sllt_rng::prelude::*;
 use sllt_timing::{BufferLibrary, Technology};
-use sllt_tree::{ClockTree, NodeKind};
+use sllt_tree::ClockTree;
 
 /// Variation magnitudes (1σ, relative) for the Monte-Carlo trials.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,15 +128,13 @@ pub fn derate_skew(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary, der
     assert!(derate >= 0.0, "negative derate");
     let sinks = tree.sinks();
     assert!(!sinks.is_empty(), "OCV analysis of a sinkless tree");
-    // Nominal latencies.
-    let delay = nominal_delays(tree, tech, lib);
+    let Timing { order, delay, .. } = propagate(tree, tech, lib, |_| 1.0);
 
     // Per node: max of (1+derate)·D_i and min of (1−derate)·D_j over
     // sinks below.
     let n_slots = tree.arena_len();
     let mut late = vec![f64::NEG_INFINITY; n_slots];
     let mut early = vec![f64::INFINITY; n_slots];
-    let order = tree.topo_order();
     let mut worst = 0.0f64;
     for &v in order.iter().rev() {
         let node = tree.node(v);
@@ -164,33 +162,6 @@ pub fn derate_skew(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary, der
     worst
 }
 
-/// Nominal buffered latencies per node (same propagation as
-/// [`crate::eval::evaluate`]).
-fn nominal_delays(tree: &ClockTree, tech: &Technology, lib: &BufferLibrary) -> Vec<f64> {
-    let caps = downstream_caps(tree, tech, Some(lib));
-    let n_slots = tree.arena_len();
-    let mut delay = vec![0.0f64; n_slots];
-    let mut slew = vec![tech.source_slew_ps; n_slots];
-    for v in tree.topo_order() {
-        let node = tree.node(v);
-        if let Some(p) = node.parent() {
-            let len = node.edge_len();
-            let wire_load = match node.kind {
-                NodeKind::Buffer { cell } => lib.cells()[cell].input_cap_ff,
-                _ => caps[v.index()],
-            };
-            delay[v.index()] = delay[p.index()] + tech.wire_delay(len, wire_load);
-            slew[v.index()] = tech.wire_output_slew(slew[p.index()], len, wire_load);
-        }
-        if let NodeKind::Buffer { cell } = node.kind {
-            let cell = &lib.cells()[cell];
-            delay[v.index()] += cell.delay(slew[v.index()], caps[v.index()]);
-            slew[v.index()] = cell.output_slew(slew[v.index()], caps[v.index()]);
-        }
-    }
-    delay
-}
-
 /// Standard normal deviate (Box–Muller).
 fn gauss(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.random_range(1e-12..1.0);
@@ -210,44 +181,22 @@ fn trial_with_rng(
 ) -> (f64, f64) {
     let sinks = tree.sinks();
     assert!(!sinks.is_empty(), "OCV analysis of a sinkless tree");
-    let caps = downstream_caps(tree, tech, Some(lib));
-    let n_slots = tree.arena_len();
-    let mut delay = vec![0.0f64; n_slots];
-    let mut slew = vec![tech.source_slew_ps; n_slots];
-
-    for v in tree.topo_order() {
-        let node = tree.node(v);
-        if let Some(p) = node.parent() {
-            let len = node.edge_len();
-            let wire_load = match node.kind {
-                NodeKind::Buffer { cell } => lib.cells()[cell].input_cap_ff,
-                _ => caps[v.index()],
-            };
-            let m = if wire_sigma > 0.0 {
-                (1.0 + wire_sigma * gauss(rng)).max(0.2)
-            } else {
-                1.0
-            };
-            delay[v.index()] = delay[p.index()] + m * tech.wire_delay(len, wire_load);
-            slew[v.index()] = tech.wire_output_slew(slew[p.index()], len, wire_load);
+    let t = propagate(tree, tech, lib, |stage| {
+        let sigma = match stage {
+            Stage::Wire => wire_sigma,
+            Stage::Buffer => buffer_sigma,
+        };
+        if sigma > 0.0 {
+            (1.0 + sigma * gauss(rng)).max(0.2)
+        } else {
+            1.0
         }
-        if let NodeKind::Buffer { cell } = node.kind {
-            let cell = &lib.cells()[cell];
-            let load = caps[v.index()];
-            let m = if buffer_sigma > 0.0 {
-                (1.0 + buffer_sigma * gauss(rng)).max(0.2)
-            } else {
-                1.0
-            };
-            delay[v.index()] += m * cell.delay(slew[v.index()], load);
-            slew[v.index()] = cell.output_slew(slew[v.index()], load);
-        }
-    }
+    });
     let mut max_l = f64::NEG_INFINITY;
     let mut min_l = f64::INFINITY;
     for &s in &sinks {
-        max_l = max_l.max(delay[s.index()]);
-        min_l = min_l.min(delay[s.index()]);
+        max_l = max_l.max(t.delay[s.index()]);
+        min_l = min_l.min(t.delay[s.index()]);
     }
     (max_l, min_l)
 }

@@ -5,7 +5,7 @@
 //! format ([`seal`]) and reader without the fsync. A journal is a plain
 //! JSONL file where every line is one JSON object *sealed* with a
 //! trailing `"crc"` member — the FNV-1a-64 checksum (hex) of the line's
-//! encoding without that member. Because [`Value`](crate::json::Value)
+//! encoding without that member. Because [`Value`]
 //! objects preserve member order, stripping the final `crc` member and
 //! re-encoding reproduces exactly the bytes that were checksummed.
 //!

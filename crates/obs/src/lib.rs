@@ -9,7 +9,7 @@
 //!   intervals with thread attribution, nesting under whatever span is
 //!   open on the thread (workers inherit the spawner's current span).
 //! * **A metrics registry** ([`Registry`], [`count`], [`gauge`],
-//!   [`record`]): named counters, gauges, and log₂-scale histograms.
+//!   [`record`](fn@record)): named counters, gauges, and log₂-scale histograms.
 //!   Each participating thread records into a private *shard* and the
 //!   shard merges into the registry exactly once, on scope exit — so
 //!   instrumentation never synchronizes mid-run and the engine's

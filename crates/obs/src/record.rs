@@ -9,7 +9,7 @@
 //! | `span`    | `id`, `parent` (id or null), `name`, `thread`, `start_us`, `dur_us` |
 //! | `counter` | `name`, `value`                                              |
 //! | `gauge`   | `name`, `value`                                              |
-//! | `hist`    | `name`, `count`, `sum`, `min`, `max`, `buckets` ([[idx,n]…]) |
+//! | `hist`    | `name`, `count`, `sum`, `min`, `max`, `buckets` (`[[idx,n]…]`) |
 //! | *other*   | an **event** — e.g. the engine's `level`/`assemble` reports; |
 //! |           | kept verbatim, in stream order                               |
 //!

@@ -4,7 +4,7 @@
 //! pull the real `proptest` from a registry. This crate implements the
 //! exact surface our property tests use — [`Strategy`] over ranges,
 //! tuples, [`prop_map`](Strategy::prop_map) and
-//! [`collection::vec`](collection::vec), the [`proptest!`] macro in both
+//! [`collection::vec`](fn@collection::vec), the [`proptest!`] macro in both
 //! block and closure form, [`prop_assert!`]/[`prop_assert_eq!`], and
 //! [`ProptestConfig::with_cases`] — driven by the workspace's
 //! deterministic [`sllt_rng`] generators.
@@ -142,7 +142,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -143,7 +143,7 @@ pub enum DelayModel {
 impl DelayModel {
     /// Delay added by `e` µm of wire feeding a subtree of `cap` fF.
     #[inline]
-    fn wire_delay(&self, e: f64, cap: f64) -> f64 {
+    pub(crate) fn wire_delay(&self, e: f64, cap: f64) -> f64 {
         match self {
             DelayModel::PathLength => e,
             DelayModel::Elmore(t) => t.wire_delay(e, cap),
@@ -153,10 +153,20 @@ impl DelayModel {
     /// Capacitance added by `e` µm of wire (0 under the proxy model —
     /// caps are not tracked there).
     #[inline]
-    fn wire_cap(&self, e: f64) -> f64 {
+    pub(crate) fn wire_cap(&self, e: f64) -> f64 {
         match self {
             DelayModel::PathLength => 0.0,
             DelayModel::Elmore(t) => t.wire_cap(e),
+        }
+    }
+
+    /// Capacitance a sink pin of `cap_ff` fF contributes (0 under the
+    /// proxy model).
+    #[inline]
+    pub(crate) fn pin_cap(&self, cap_ff: f64) -> f64 {
+        match self {
+            DelayModel::PathLength => 0.0,
+            DelayModel::Elmore(_) => cap_ff,
         }
     }
 }
@@ -392,15 +402,11 @@ fn build_up(
                         len: net.sinks.len(),
                     });
                 }
-                let cap = match opts.model {
-                    DelayModel::PathLength => 0.0,
-                    DelayModel::Elmore(_) => net.sinks[i].cap_ff,
-                };
                 out.push(MergeNode {
                     region: RRect::from_point(net.sinks[i].pos),
                     lo: intervals[i].0,
                     hi: intervals[i].1,
-                    cap,
+                    cap: opts.model.pin_cap(net.sinks[i].cap_ff),
                     kids: None,
                     sink: Some(i),
                 });
@@ -552,16 +558,23 @@ fn merge(
 /// [`DmeError::DetourDiverged`] when no root is found within a generous
 /// range (detour lengths beyond ~10⁶ µm indicate corrupt inputs).
 fn solve_increasing(f: impl Fn(f64) -> f64, start: f64) -> Result<f64, DmeError> {
-    let mut hi = (start.max(1.0)) * 2.0;
+    solve_increasing_from(f, start.max(1.0) * 2.0).ok_or(DmeError::DetourDiverged)
+}
+
+/// Root of an increasing function `f` with `f(0) < 0`: doubles the
+/// bracket `[0, hi0]` until `f(hi) ≥ 0`, then bisects it. `None` when 60
+/// doublings do not reach a sign change.
+pub(crate) fn solve_increasing_from(f: impl Fn(f64) -> f64, hi0: f64) -> Option<f64> {
+    let mut hi = hi0;
     let mut guard = 0;
     while f(hi) < 0.0 {
         hi *= 2.0;
         guard += 1;
         if guard >= 60 {
-            return Err(DmeError::DetourDiverged);
+            return None;
         }
     }
-    Ok(bisect(&f, 0.0, hi, true))
+    Some(bisect(&f, 0.0, hi, true))
 }
 
 /// Bisection for a monotone `f` on `[lo, hi]`. With `increasing == true`
@@ -572,7 +585,7 @@ fn solve_increasing(f: impl Fn(f64) -> f64, start: f64) -> Result<f64, DmeError>
 /// bracket bit-for-bit unchanged: each step is a pure function of
 /// `(lo, hi)`, so every later step would leave it unchanged too, and the
 /// result equals the full 70-step run's exactly.
-fn bisect(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, increasing: bool) -> f64 {
+pub(crate) fn bisect(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, increasing: bool) -> f64 {
     #[cfg(test)]
     if tests::FIXED_BISECT.get() {
         return bisect_fixed(f, lo, hi, increasing);

@@ -14,7 +14,7 @@
 //! bound is stringent, the re-embedding wins. [`sllt_core`'s CBS] takes
 //! whichever is lighter.
 
-use crate::dme::DelayModel;
+use crate::dme::{solve_increasing_from, DelayModel};
 use sllt_tree::{ClockTree, NodeId};
 
 /// Adds detour wire so the tree's sink-to-sink skew (under `model`) drops
@@ -107,7 +107,7 @@ pub fn skew_legalize_intervals(
                 continue;
             }
             let e = tree.node(c).edge_len();
-            let d = wire_delay(model, e, cap[c.index()]);
+            let d = model.wire_delay(e, cap[c.index()]);
             windows.push((c, lo[c.index()] + d, hi[c.index()] + d));
         }
         if windows.is_empty() {
@@ -123,11 +123,11 @@ pub fn skew_legalize_intervals(
                 // Slow this child: grow its edge until its fast end meets
                 // the window. Delay is increasing in the extra length.
                 let base = tree.node(c).edge_len();
-                let base_delay = wire_delay(model, base, cap[c.index()]);
+                let base_delay = model.wire_delay(base, cap[c.index()]);
                 let extra = solve_extra(model, base, cap[c.index()], base_delay + deficit);
                 tree.add_detour(c, extra);
                 added += extra;
-                let d = wire_delay(model, base + extra, cap[c.index()]);
+                let d = model.wire_delay(base + extra, cap[c.index()]);
                 (lo[c.index()] + d, hi[c.index()] + d)
             } else {
                 (w_lo, w_hi)
@@ -141,46 +141,16 @@ pub fn skew_legalize_intervals(
         cap[v.index()] = tree.node(v).cap_ff()
             + children
                 .iter()
-                .map(|&c| cap[c.index()] + wire_cap(model, tree.node(c).edge_len()))
+                .map(|&c| cap[c.index()] + model.wire_cap(tree.node(c).edge_len()))
                 .sum::<f64>();
     }
     added
 }
 
-fn wire_delay(model: &DelayModel, e: f64, cap: f64) -> f64 {
-    match model {
-        DelayModel::PathLength => e,
-        DelayModel::Elmore(t) => t.wire_delay(e, cap),
-    }
-}
-
-fn wire_cap(model: &DelayModel, e: f64) -> f64 {
-    match model {
-        DelayModel::PathLength => 0.0,
-        DelayModel::Elmore(t) => t.wire_cap(e),
-    }
-}
-
 /// Smallest `extra ≥ 0` with `wire_delay(base + extra, cap) ≥ target`.
 fn solve_extra(model: &DelayModel, base: f64, cap: f64, target: f64) -> f64 {
-    let f = |extra: f64| wire_delay(model, base + extra, cap) - target;
-    let mut hi = 1.0;
-    let mut guard = 0;
-    while f(hi) < 0.0 {
-        hi *= 2.0;
-        guard += 1;
-        assert!(guard < 60, "legalization detour search diverged");
-    }
-    let mut lo = 0.0;
-    for _ in 0..70 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) < 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
+    solve_increasing_from(|extra| model.wire_delay(base + extra, cap) - target, 1.0)
+        .expect("legalization detour search diverged")
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! delay, so a feasible tree always exists (it may be wire-expensive when
 //! windows conflict strongly).
 
-use crate::dme::{DelayModel, DmeOptions};
+use crate::dme::{bisect, solve_increasing_from, DelayModel, DmeOptions};
 use sllt_geom::{Point, RRect};
 use sllt_tree::{ClockNet, ClockTree, HintedTopology, NodeId, Topology};
 
@@ -62,11 +62,9 @@ pub fn ust_dme(
 
     // The trunk wire shifts every arrival equally; report its delay so
     // callers can translate the window to source departure times.
-    let trunk_len = net.source.dist(root_pt);
-    let trunk_delay = match &opts.model {
-        DelayModel::PathLength => trunk_len,
-        DelayModel::Elmore(t) => t.wire_delay(trunk_len, nodes[root].cap),
-    };
+    let trunk_delay = opts
+        .model
+        .wire_delay(net.source.dist(root_pt), nodes[root].cap);
     UstTree {
         tree,
         launch_window: (nodes[root].lo, nodes[root].hi),
@@ -106,15 +104,11 @@ fn build(
             W::Visit(HintedTopology::Sink(i)) => {
                 let i = *i;
                 assert!(i < net.sinks.len(), "topology sink index {i} out of range");
-                let cap = match model {
-                    DelayModel::PathLength => 0.0,
-                    DelayModel::Elmore(_) => net.sinks[i].cap_ff,
-                };
                 out.push(UstNode {
                     region: RRect::from_point(net.sinks[i].pos),
                     lo: windows[i].0,
                     hi: windows[i].1,
-                    cap,
+                    cap: model.pin_cap(net.sinks[i].cap_ff),
                     kids: None,
                     sink: Some(i),
                 });
@@ -160,8 +154,8 @@ struct MergedWindow {
 /// full split range cannot make them meet.
 fn merge_windows(a: &UstNode, b: &UstNode, model: &DelayModel) -> MergedWindow {
     let d = a.region.dist(&b.region);
-    let da = |ea: f64| wire_delay(model, ea, a.cap);
-    let db = |ea: f64| wire_delay(model, d - ea, b.cap);
+    let da = |ea: f64| model.wire_delay(ea, a.cap);
+    let db = |ea: f64| model.wire_delay(d - ea, b.cap);
 
     // Overlap condition at split ea:
     //   max(a.lo − Da, b.lo − Db) ≤ min(a.hi − Da, b.hi − Db).
@@ -175,13 +169,13 @@ fn merge_windows(a: &UstNode, b: &UstNode, model: &DelayModel) -> MergedWindow {
         // Even all wire on a's side leaves a's window too late: detour a.
         let need = a.lo - b.hi; // Da(ea) − Db(0) must reach `need`
         let eb_val = 0.0;
-        let target = need + wire_delay(model, eb_val, b.cap);
+        let target = need + model.wire_delay(eb_val, b.cap);
         ea = solve_delay(model, a.cap, target, d);
         eb = eb_val;
     } else if h(0.0) > 1e-12 {
         let need = b.lo - a.hi;
         let ea_val = 0.0;
-        let target = need + wire_delay(model, ea_val, a.cap);
+        let target = need + model.wire_delay(ea_val, a.cap);
         eb = solve_delay(model, b.cap, target, d);
         ea = ea_val;
     } else {
@@ -195,34 +189,25 @@ fn merge_windows(a: &UstNode, b: &UstNode, model: &DelayModel) -> MergedWindow {
         } else if centre_gap(d) >= 0.0 {
             d
         } else {
-            let (mut lo_e, mut hi_e) = (0.0, d);
-            for _ in 0..70 {
-                let mid = 0.5 * (lo_e + hi_e);
-                if centre_gap(mid) > 0.0 {
-                    lo_e = mid;
-                } else {
-                    hi_e = mid;
-                }
-            }
-            0.5 * (lo_e + hi_e)
+            bisect(&centre_gap, 0.0, d, false)
         };
         // Clamp into the overlap-feasible range [root of g, root of h]
         // (g decreasing gates the lower end, h increasing the upper).
         let lo_feas = if g(0.0) <= 0.0 {
             0.0
         } else {
-            bisect_decreasing(&g, 0.0, d)
+            bisect(&g, 0.0, d, false)
         };
         let hi_feas = if h(d) <= 0.0 {
             d
         } else {
-            bisect_increasing(&h, 0.0, d)
+            bisect(&h, 0.0, d, true)
         };
         ea = pick.clamp(lo_feas.min(hi_feas), hi_feas.max(lo_feas));
         eb = d - ea;
     }
 
-    let (da_v, db_v) = (wire_delay(model, ea, a.cap), wire_delay(model, eb, b.cap));
+    let (da_v, db_v) = (model.wire_delay(ea, a.cap), model.wire_delay(eb, b.cap));
     let lo = (a.lo - da_v).max(b.lo - db_v);
     let hi = (a.hi - da_v).min(b.hi - db_v);
     let region = a
@@ -234,61 +219,17 @@ fn merge_windows(a: &UstNode, b: &UstNode, model: &DelayModel) -> MergedWindow {
         region,
         lo,
         hi: hi.max(lo), // numerical guard: windows touch at worst
-        cap: a.cap + b.cap + wire_cap(model, ea + eb),
+        cap: a.cap + b.cap + model.wire_cap(ea + eb),
         ea,
         eb,
     }
 }
 
-fn wire_delay(model: &DelayModel, e: f64, cap: f64) -> f64 {
-    match model {
-        DelayModel::PathLength => e,
-        DelayModel::Elmore(t) => t.wire_delay(e, cap),
-    }
-}
-
-fn wire_cap(model: &DelayModel, e: f64) -> f64 {
-    match model {
-        DelayModel::PathLength => 0.0,
-        DelayModel::Elmore(t) => t.wire_cap(e),
-    }
-}
-
 /// Smallest `e ≥ min_e` with `wire_delay(e, cap) ≥ target`.
 fn solve_delay(model: &DelayModel, cap: f64, target: f64, min_e: f64) -> f64 {
-    let f = |e: f64| wire_delay(model, e, cap) - target;
-    let mut hi = (min_e.max(1.0)) * 2.0;
-    let mut guard = 0;
-    while f(hi) < 0.0 {
-        hi *= 2.0;
-        guard += 1;
-        assert!(guard < 60, "UST detour search diverged");
-    }
-    bisect_increasing(&f, 0.0, hi).max(min_e)
-}
-
-fn bisect_increasing(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64) -> f64 {
-    for _ in 0..70 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) < 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-fn bisect_decreasing(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64) -> f64 {
-    for _ in 0..70 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
+    solve_increasing_from(|e| model.wire_delay(e, cap) - target, min_e.max(1.0) * 2.0)
+        .expect("UST detour search diverged")
+        .max(min_e)
 }
 
 /// Top-down embedding as an explicit preorder stack (left child pushed

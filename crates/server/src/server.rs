@@ -4,7 +4,7 @@
 //! answered in order), a fixed pool of worker threads that pop the
 //! admission queue, and one child process per job attempt — the worker
 //! supervises the child ([`run_supervised`]) and classifies its exit.
-//! All shared state hangs off [`Shared`]: the journaled [`JobTable`]
+//! All shared state hangs off `Shared`: the journaled [`JobTable`]
 //! under one mutex, the durable appender under another, and the two
 //! condvars that connect them (`cv_queue` wakes workers on admission,
 //! `cv_done` wakes `result --wait` clients on completion).

@@ -10,7 +10,8 @@
 //! appended (fsync'd) *before* the side effect it describes is
 //! acknowledged to a client, the journal can claim at most one
 //! in-flight transition beyond reality — and the torn-tail tolerance
-//! of [`read_journal`] absorbs a record cut mid-write by the kill.
+//! of [`read_journal`](sllt_obs::journal::read_journal) absorbs a record
+//! cut mid-write by the kill.
 
 use sllt_cts::FaultPlan;
 use sllt_obs::journal::Journal;

@@ -164,20 +164,6 @@ impl RcTree {
         }
         delay
     }
-
-    /// Slew, in ps, at every node, starting from `slew_in_ps` at the root
-    /// and degrading per wire segment (Bakoglu ramp approximation).
-    pub fn slew(&self, tech: &Technology, slew_in_ps: f64) -> Vec<f64> {
-        let order = self.topo_order();
-        let cap = self.downstream_cap_in(&order, tech);
-        let mut slew = vec![slew_in_ps; self.len()];
-        for &v in &order {
-            if let Some(p) = self.parent[v] {
-                slew[v] = tech.wire_output_slew(slew[p], self.wire_len[v], cap[v]);
-            }
-        }
-        slew
-    }
 }
 
 #[cfg(test)]
@@ -244,15 +230,6 @@ mod tests {
         for v in 0..rc.len() {
             assert!((d1[v] - d0[v] - shift).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn slew_degrades_downstream() {
-        let rc = y_tree();
-        let s = rc.slew(&tech(), 20.0);
-        assert_eq!(s[0], 20.0);
-        assert!(s[1] > s[0]);
-        assert!(s[3] > s[1]);
     }
 
     /// The one-`Vec`-per-parent order the CSR build replaced.

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors: no dangling, ambiguous or private links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== feature-gated bench/proptest code still compiles"
 cargo check --workspace --all-targets --benches --features criterion,proptest
 

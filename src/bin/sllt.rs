@@ -17,7 +17,7 @@ use sllt::design::{NetGenerator, SUITE};
 use sllt::obs::{rss_bytes, RecordingSink, TelemetrySink, TraceWriter};
 use sllt::route::{DelayModel, DmeOptions, TopologyScheme};
 use sllt::timing::{BufferLibrary, Technology};
-use sllt::tree::{io as tree_io, svg, ClockTree};
+use sllt::tree::{io as tree_io, svg, ClockTree, NodeKind};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -372,16 +372,33 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     save_outputs(args, &tree, &format!("{algo} net"))
 }
 
-fn load_tree(args: &[String]) -> Result<ClockTree, String> {
+/// Reads `--tree` and refuses what the timing walk cannot evaluate: a
+/// tree without sinks, or a buffer cell outside `lib`.
+fn load_tree(args: &[String], lib: &BufferLibrary) -> Result<ClockTree, String> {
     let path = flag(args, "--tree").ok_or("needs --tree <file>")?;
     let f = std::fs::File::open(&path).map_err(|e| format!("open {path}: {e}"))?;
-    tree_io::read_tree(&mut std::io::BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
+    let tree =
+        tree_io::read_tree(&mut std::io::BufReader::new(f)).map_err(|e| format!("{path}: {e}"))?;
+    if tree.sinks().is_empty() {
+        return Err(format!("{path}: the tree has no sinks"));
+    }
+    let n = lib.cells().len();
+    for id in tree.node_ids() {
+        if let NodeKind::Buffer { cell } = tree.node(id).kind {
+            if cell >= n {
+                return Err(format!(
+                    "{path}: buffer cell {cell} outside the {n}-cell library"
+                ));
+            }
+        }
+    }
+    Ok(tree)
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    let tree = load_tree(args)?;
     let tech = Technology::n28();
     let lib = BufferLibrary::n28();
+    let tree = load_tree(args, &lib)?;
     print_report(&eval::evaluate(&tree, &tech, &lib));
     Ok(())
 }
@@ -502,16 +519,21 @@ fn cmd_jobs(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_ocv(args: &[String]) -> Result<(), String> {
-    let tree = load_tree(args)?;
+    let tech = Technology::n28();
+    let lib = BufferLibrary::n28();
+    let tree = load_tree(args, &lib)?;
     let derate: f64 = flag_parse(args, "--derate", 0.08)?;
     let trials: usize = flag_parse(args, "--trials", 200)?;
-    // ocv_analysis asserts trials > 0; turn a bad flag into a clean
-    // error instead of a panic.
+    // derate_skew and ocv_analysis assert on these; turn bad flags into
+    // clean errors instead of panics.
+    if !(derate.is_finite() && derate >= 0.0) {
+        return Err(format!(
+            "--derate must be a finite, non-negative fraction, got {derate}"
+        ));
+    }
     if trials == 0 {
         return Err("--trials must be at least 1".into());
     }
-    let tech = Technology::n28();
-    let lib = BufferLibrary::n28();
     let nominal = ocv::derate_skew(&tree, &tech, &lib, 0.0);
     let derated = ocv::derate_skew(&tree, &tech, &lib, derate);
     let mc = ocv::ocv_analysis(&tree, &tech, &lib, &ocv::OcvModel::default(), trials);
