@@ -40,13 +40,18 @@ pub(crate) fn assemble(
     top: &LevelNode,
 ) -> (ClockTree, AssembleReport) {
     let start = Instant::now();
-    let mut tree = ClockTree::new(design.clock_root);
+    // Each cluster becomes its pads, its driver and its tree's other
+    // nodes: at most `pads + tree.len()` nodes apiece.
+    let nodes = 1 + clusters
+        .iter()
+        .map(|c| c.pads + c.tree.len())
+        .sum::<usize>();
+    let mut tree = ClockTree::with_capacity(design.clock_root, nodes);
     let root = tree.root();
     let top_id = attach(clusters, &mut tree, root, top, None);
     let trunk_wl_um = tree.node(top_id).edge_len();
-    let buffers_before = count_buffers(&tree);
     let repeater_cell = cts.lib.cells().len() / 2;
-    insert_repeaters(
+    let repeaters = insert_repeaters(
         &mut tree,
         &cts.lib,
         &cts.tech,
@@ -55,7 +60,6 @@ pub(crate) fn assemble(
             max_segment_um: None,
         },
     );
-    let repeaters = count_buffers(&tree) - buffers_before;
     let repeater_input_cap_ff = cts
         .lib
         .cells()
@@ -68,13 +72,6 @@ pub(crate) fn assemble(
         elapsed: start.elapsed(),
     };
     (tree, report)
-}
-
-fn count_buffers(tree: &ClockTree) -> usize {
-    tree.topo_order()
-        .into_iter()
-        .filter(|&v| matches!(tree.node(v).kind, NodeKind::Buffer { .. }))
-        .count()
 }
 
 /// Recursively copies a level node (and everything below it) into the
@@ -134,8 +131,7 @@ fn copy_subtree(
     src_node: NodeId,
     members: &[LevelNode],
 ) {
-    let children: Vec<NodeId> = src.node(src_node).children().to_vec();
-    for child in children {
+    for child in src.node(src_node).children() {
         let (kind, pos, edge) = {
             let cn = src.node(child);
             (cn.kind, cn.pos, cn.edge_len())

@@ -95,7 +95,8 @@ pub fn ocv_analysis(
     }
     skews.sort_by(f64::total_cmp);
     let mean = skews.iter().sum::<f64>() / trials as f64;
-    let p95 = skews[((trials as f64 * 0.95) as usize).min(trials - 1)];
+    // Nearest rank: the ⌈0.95·n⌉-th smallest skew.
+    let p95 = skews[(trials * 95).div_ceil(100) - 1];
     OcvReport {
         nominal_skew_ps: nominal.0 - nominal.1,
         mean_skew_ps: mean,
@@ -236,6 +237,43 @@ mod tests {
         assert!(r.mean_skew_ps > 0.0);
         assert!(r.p95_skew_ps >= r.mean_skew_ps);
         assert!(r.max_skew_ps >= r.p95_skew_ps);
+    }
+
+    /// The p95 is the nearest-rank 95th percentile, the ⌈0.95·n⌉-th
+    /// smallest skew. At 20 trials that is the 19th; ⌊0.95·n⌋ would
+    /// pick the 20th, the maximum.
+    #[test]
+    fn p95_is_the_nearest_rank() {
+        use sllt_geom::Point;
+        let cts = HierarchicalCts::default();
+        let mut tree = ClockTree::new(Point::ORIGIN);
+        let buf = tree.add_buffer(tree.root(), Point::new(40.0, 0.0), 2);
+        for i in 0..8 {
+            let s = tree.add_steiner(buf, Point::new(60.0 + 35.0 * i as f64, 10.0));
+            tree.add_sink_indexed(s, Point::new(60.0 + 35.0 * i as f64, 90.0), 1.0, i);
+        }
+        let model = OcvModel::default();
+        let r = ocv_analysis(&tree, &cts.tech, &cts.lib, &model, 20);
+        // Replay the trials on the same stream: nominal first, then 20.
+        let mut rng = StdRng::seed_from_u64(model.seed);
+        trial_with_rng(&tree, &cts.tech, &cts.lib, &mut rng, 0.0, 0.0);
+        let mut skews: Vec<f64> = (0..20)
+            .map(|_| {
+                let (hi, lo) = trial_with_rng(
+                    &tree,
+                    &cts.tech,
+                    &cts.lib,
+                    &mut rng,
+                    model.wire_sigma,
+                    model.buffer_sigma,
+                );
+                hi - lo
+            })
+            .collect();
+        skews.sort_by(f64::total_cmp);
+        assert!(skews[18] < skews[19], "ranks 19 and 20 must differ here");
+        assert_eq!(r.p95_skew_ps.to_bits(), skews[18].to_bits());
+        assert_eq!(r.max_skew_ps.to_bits(), skews[19].to_bits());
     }
 
     #[test]

@@ -208,6 +208,11 @@ fn position_defect(index: usize, s: &Sink) -> Option<SanitizeIssue> {
 
 /// Lints a design without modifying it.
 pub fn lint(design: &Design) -> SanitizeReport {
+    lint_in(design, &position_order(&design.sinks))
+}
+
+/// [`lint`] with the design's [`position_order`] already computed.
+fn lint_in(design: &Design, order: &[usize]) -> SanitizeReport {
     let mut report = SanitizeReport::default();
     if !design.clock_root.x.is_finite() || !design.clock_root.y.is_finite() {
         report.issues.push(SanitizeIssue::NonFiniteClockRoot);
@@ -230,7 +235,7 @@ pub fn lint(design: &Design) -> SanitizeReport {
             report.issues.push(SanitizeIssue::ZeroCapSink { sink: i });
         }
     }
-    for (kept, dropped) in coincident_groups(&design.sinks) {
+    for (kept, dropped) in coincident_groups(&design.sinks, order) {
         report
             .issues
             .push(SanitizeIssue::CoincidentSinks { kept, dropped });
@@ -259,12 +264,13 @@ pub fn first_fatal(design: &Design) -> Option<SanitizeIssue> {
     None
 }
 
-/// Groups of sinks sharing an exact position: `(kept_index, extra_count)`
-/// per group with more than one member. Positions are compared bitwise
-/// (`total_cmp`), so only exact duplicates group.
-fn coincident_groups(sinks: &[Sink]) -> Vec<(usize, usize)> {
+/// Sink indices sorted by position — `x`, then `y`, both by
+/// `total_cmp` — then by index: the one order the duplicate scan and
+/// the merge in [`repair`] share. The index makes every key unique, so
+/// an unstable sort gives the stable sort's order.
+fn position_order(sinks: &[Sink]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..sinks.len()).collect();
-    order.sort_by(|&a, &b| {
+    order.sort_unstable_by(|&a, &b| {
         sinks[a]
             .pos
             .x
@@ -272,6 +278,13 @@ fn coincident_groups(sinks: &[Sink]) -> Vec<(usize, usize)> {
             .then(sinks[a].pos.y.total_cmp(&sinks[b].pos.y))
             .then(a.cmp(&b))
     });
+    order
+}
+
+/// Groups of sinks sharing a position: `(kept_index, extra_count)` per
+/// group with more than one member, scanning `order` (the sinks'
+/// [`position_order`]) for runs equal to their first member.
+fn coincident_groups(sinks: &[Sink], order: &[usize]) -> Vec<(usize, usize)> {
     let mut groups = Vec::new();
     let mut i = 0;
     while i < order.len() {
@@ -302,6 +315,73 @@ fn coincident_groups(sinks: &[Sink]) -> Vec<(usize, usize)> {
 /// the report then carries a fatal [`SanitizeIssue::NoSinks`], which
 /// [`SanitizeReport::has_fatal`] surfaces.
 pub fn repair(design: &Design) -> (Design, SanitizeReport) {
+    let order = position_order(&design.sinks);
+    let mut report = lint_in(design, &order);
+    // Usable sinks by original index, negative caps clamped.
+    let mut slots: Vec<Option<Sink>> = Vec::with_capacity(design.sinks.len());
+    for (i, s) in design.sinks.iter().enumerate() {
+        if position_defect(i, s).is_some() {
+            report.dropped_sinks += 1;
+            slots.push(None);
+            continue;
+        }
+        let mut s = *s;
+        if s.cap_ff < 0.0 {
+            s.cap_ff = 0.0;
+            report.clamped_caps += 1;
+        }
+        slots.push(Some(s));
+    }
+
+    // Merge exact duplicates: walking the usable sinks in position
+    // order, each run of sinks equal to its first member collapses into
+    // that first member (of bit-identical positions, the lowest original
+    // index), which takes the run's summed capacitance.
+    let mut head: Option<usize> = None;
+    for &i in &order {
+        let Some(s) = slots[i] else {
+            continue;
+        };
+        match head.and_then(|h| slots[h].as_mut()) {
+            Some(first) if first.pos.x == s.pos.x && first.pos.y == s.pos.y => {
+                first.cap_ff += s.cap_ff;
+                slots[i] = None;
+                report.merged_sinks += 1;
+            }
+            _ => head = Some(i),
+        }
+    }
+    let sinks: Vec<Sink> = slots.into_iter().flatten().collect();
+
+    let clock_root = if design.clock_root.x.is_finite() && design.clock_root.y.is_finite() {
+        design.clock_root
+    } else {
+        report.repaired_clock_root = true;
+        centroid_or_origin(&sinks)
+    };
+
+    if sinks.is_empty() && !report.issues.contains(&SanitizeIssue::NoSinks) {
+        report.issues.push(SanitizeIssue::NoSinks);
+    }
+    let repaired = Design {
+        name: design.name.clone(),
+        num_instances: design.num_instances,
+        utilization: design.utilization,
+        die: design.die,
+        clock_root,
+        sinks,
+    };
+    (repaired, report)
+}
+
+fn centroid_or_origin(sinks: &[Sink]) -> Point {
+    sllt_geom::centroid(&sinks.iter().map(|s| s.pos).collect::<Vec<_>>()).unwrap_or(Point::ORIGIN)
+}
+
+/// The three-sort repair [`repair`] replaced: the oracle it is checked
+/// against.
+#[cfg(test)]
+fn repair_oracle(design: &Design) -> (Design, SanitizeReport) {
     let mut report = lint(design);
     let mut kept: Vec<(usize, Sink)> = Vec::with_capacity(design.sinks.len());
     for (i, s) in design.sinks.iter().enumerate() {
@@ -358,10 +438,6 @@ pub fn repair(design: &Design) -> (Design, SanitizeReport) {
         sinks,
     };
     (repaired, report)
-}
-
-fn centroid_or_origin(sinks: &[Sink]) -> Point {
-    sllt_geom::centroid(&sinks.iter().map(|s| s.pos).collect::<Vec<_>>()).unwrap_or(Point::ORIGIN)
 }
 
 #[cfg(test)]
@@ -472,6 +548,51 @@ mod tests {
         let (fixed, r) = repair(&hopeless);
         assert!(fixed.sinks.is_empty());
         assert!(r.issues.contains(&SanitizeIssue::NoSinks));
+    }
+
+    /// The one-sort repair must equal the three-sort oracle, bit for
+    /// bit (compared through `Debug`, which tells −0.0 from 0.0), on
+    /// random dirty designs: NaN, infinite and oversized coordinates,
+    /// negative, zero and non-finite caps, stacked duplicates, ±0.0
+    /// coordinates and a non-finite clock root.
+    #[test]
+    fn repair_matches_the_three_sort_oracle() {
+        use sllt_rng::prelude::*;
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut merged = 0;
+        for case in 0..300 {
+            let n = rng.random_range(0..60);
+            let coord = |rng: &mut StdRng| match rng.random_range(0..20) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => -2e9,
+                3 => -0.0,
+                4 | 5 => 0.0,
+                _ => rng.random_range(0..4) as f64 * 15.0,
+            };
+            let sinks: Vec<Sink> = (0..n)
+                .map(|_| {
+                    let pos = Point::new(coord(&mut rng), coord(&mut rng));
+                    let cap = match rng.random_range(0..12) {
+                        0 => -1.5,
+                        1 => 0.0,
+                        2 => f64::NAN,
+                        3 => f64::NEG_INFINITY,
+                        _ => rng.random_range(0.5..4.0),
+                    };
+                    Sink::new(pos, cap)
+                })
+                .collect();
+            let mut d = design(sinks);
+            if case % 7 == 0 {
+                d.clock_root = Point::new(f64::NAN, 1.0);
+            }
+            let want = repair_oracle(&d);
+            let got = repair(&d);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "case {case}");
+            merged += got.1.merged_sinks;
+        }
+        assert!(merged > 500, "only {merged} merges exercised");
     }
 
     #[test]

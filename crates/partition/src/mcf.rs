@@ -13,9 +13,10 @@
 //! shortest path is just `source → point → centre → sink` — touch a
 //! handful of nodes instead of the whole graph. Scratch arrays are
 //! reset through a touched-node list, never re-allocated. Every solve
-//! starts from zero flow; the balanced K-means capacity assignment
-//! builds a small overflow-repair network whenever capacity binds and
-//! solves it once (see `DESIGN.md`, *Partition fast path*).
+//! starts from zero flow. The search reads its network only through
+//! the `Residual` trait, so the balanced K-means capacity repair
+//! runs it on its overflow-repair network's own structure, without
+//! building the network (see `DESIGN.md`, *Partition fast path*).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -131,101 +132,175 @@ impl MinCostFlow {
     /// Panics when `s == t` or either is out of range.
     pub fn solve(&mut self, s: usize, t: usize) -> (i64, f64) {
         assert!(s < self.len() && t < self.len() && s != t, "bad terminals");
-        let n = self.len();
-        let mut potential = vec![0.0f64; n];
-        let mut total_flow = 0i64;
-        let mut total_cost = 0.0f64;
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev_edge = vec![usize::MAX; n];
-        let mut settled = vec![false; n];
-        let mut touched: Vec<usize> = Vec::with_capacity(64);
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(64);
-        loop {
-            for &v in &touched {
-                dist[v] = f64::INFINITY;
-                prev_edge[v] = usize::MAX;
-                settled[v] = false;
+        let nodes = self.len();
+        let mut net = Sending {
+            g: self,
+            flow: 0,
+            cost: 0.0,
+        };
+        successive_shortest_paths(&mut net, nodes, s, t);
+        (net.flow, net.cost)
+    }
+}
+
+/// A residual network as [`successive_shortest_paths`] reads it.
+pub(crate) trait Residual {
+    /// Offers `search` each arc `v → u` with residual capacity left, in
+    /// adjacency order, as [`Search::relax`]`(u, cost, id)` with its
+    /// stored cost. The search keeps `id` as `prev[u]` for
+    /// [`Residual::augment`]. It calls this once for each node as that
+    /// node settles, the source first, and never for the sink.
+    fn arcs(&mut self, v: usize, search: &mut Search);
+
+    /// Pushes flow along the shortest path from `s` to `t`, whose arc
+    /// into each node `u` on it has the id `prev[u]`.
+    fn augment(&mut self, prev: &[usize], s: usize, t: usize);
+}
+
+/// One successive-shortest-paths search's Dijkstra state.
+pub(crate) struct Search {
+    potential: Vec<f64>,
+    dist: Vec<f64>,
+    prev: Vec<usize>,
+    settled: Vec<bool>,
+    touched: Vec<usize>,
+    heap: BinaryHeap<HeapItem>,
+    /// The settling node's distance and potential.
+    d: f64,
+    pv: f64,
+}
+
+impl Search {
+    /// Relaxes the arc from the settling node to `u`, whose stored cost
+    /// is `cost` and whose id is `id`.
+    #[inline]
+    pub(crate) fn relax(&mut self, u: usize, cost: f64, id: usize) {
+        if self.settled[u] {
+            return;
+        }
+        // Reduced cost. Exact arithmetic keeps it ≥ 0, but floating
+        // point can round it a hair negative once potentials carry
+        // accumulated sums of large coordinates; a negative edge lets
+        // Dijkstra chase a residual cycle of rounding noise forever (the
+        // heap grows without bound — a real hang at die spans past a few
+        // thousand µm). Negative values are pure noise, so clamp to
+        // zero: with non-negative weights every node finalizes at its
+        // first valid pop and the sweep terminates.
+        let rc = (cost + self.pv - self.potential[u]).max(0.0);
+        let nd = self.d + rc;
+        if nd < self.dist[u] {
+            if self.dist[u].is_infinite() {
+                self.touched.push(u);
             }
-            touched.clear();
-            heap.clear();
-            dist[s] = 0.0;
-            touched.push(s);
-            heap.push(HeapItem(0.0, s));
-            let mut dt = f64::INFINITY;
-            while let Some(HeapItem(d, v)) = heap.pop() {
-                if settled[v] || d > dist[v] {
-                    continue;
-                }
-                settled[v] = true;
-                if v == t {
-                    dt = d;
-                    break;
-                }
-                for &e in &self.head[v] {
-                    if self.cap[e] <= 0 {
-                        continue;
-                    }
-                    let u = self.to[e];
-                    if settled[u] {
-                        continue;
-                    }
-                    // Reduced cost. Exact arithmetic keeps it ≥ 0, but
-                    // floating point can round it a hair negative once
-                    // potentials carry accumulated sums of large
-                    // coordinates; a negative edge lets Dijkstra chase
-                    // a residual cycle of rounding noise forever (the
-                    // heap grows without bound — a real hang at die
-                    // spans past a few thousand µm). Negative values
-                    // are pure noise, so clamp to zero: with
-                    // non-negative weights every node finalizes at its
-                    // first valid pop and the sweep terminates.
-                    let rc = (self.cost[e] + potential[v] - potential[u]).max(0.0);
-                    let nd = d + rc;
-                    if nd < dist[u] {
-                        if dist[u].is_infinite() {
-                            touched.push(u);
-                        }
-                        dist[u] = nd;
-                        prev_edge[u] = e;
-                        heap.push(HeapItem(nd, u));
-                    }
-                }
+            self.dist[u] = nd;
+            self.prev[u] = id;
+            self.heap.push(HeapItem(nd, u));
+        }
+    }
+}
+
+/// [`MinCostFlow::solve`]'s search from `s` to `t` on the `nodes` nodes
+/// of any [`Residual`] network `g`. Equal distances leave the heap in an
+/// order fixed by its push and pop history, so two networks that
+/// enumerate the same arcs with the same costs in the same order
+/// augment the same paths.
+pub(crate) fn successive_shortest_paths<G: Residual>(g: &mut G, nodes: usize, s: usize, t: usize) {
+    let mut search = Search {
+        potential: vec![0.0; nodes],
+        dist: vec![f64::INFINITY; nodes],
+        prev: vec![usize::MAX; nodes],
+        settled: vec![false; nodes],
+        touched: Vec::with_capacity(64),
+        heap: BinaryHeap::with_capacity(64),
+        d: 0.0,
+        pv: 0.0,
+    };
+    loop {
+        for &v in &search.touched {
+            search.dist[v] = f64::INFINITY;
+            search.prev[v] = usize::MAX;
+            search.settled[v] = false;
+        }
+        search.touched.clear();
+        search.heap.clear();
+        search.dist[s] = 0.0;
+        search.touched.push(s);
+        search.heap.push(HeapItem(0.0, s));
+        let mut dt = f64::INFINITY;
+        while let Some(HeapItem(d, v)) = search.heap.pop() {
+            if search.settled[v] || d > search.dist[v] {
+                continue;
             }
-            if !dt.is_finite() {
+            search.settled[v] = true;
+            if v == t {
+                dt = d;
                 break;
             }
-            // Partial Johnson update for the early exit: settled nodes
-            // advance by their exact distance, everything else (labeled
-            // or not) by the sink distance — the standard
-            // `π[v] += min(dist[v], dist[t])` rule, which keeps every
-            // residual reduced cost non-negative.
-            for (v, p) in potential.iter_mut().enumerate() {
-                *p += if settled[v] { dist[v] } else { dt };
-            }
-            let mut bottleneck = i64::MAX;
-            let mut v = t;
-            while v != s {
-                let e = prev_edge[v];
-                bottleneck = bottleneck.min(self.cap[e]);
-                v = self.to[e ^ 1];
-            }
-            let mut v = t;
-            while v != s {
-                let e = prev_edge[v];
-                self.cap[e] -= bottleneck;
-                self.cap[e ^ 1] += bottleneck;
-                total_cost += self.cost[e] * bottleneck as f64;
-                v = self.to[e ^ 1];
-            }
-            total_flow += bottleneck;
-            if sllt_obs::enabled() {
-                sllt_obs::count("partition.mcf.augmentations", 1);
-            }
+            search.d = d;
+            search.pv = search.potential[v];
+            g.arcs(v, &mut search);
         }
+        if !dt.is_finite() {
+            break;
+        }
+        // Partial Johnson update for the early exit: settled nodes
+        // advance by their exact distance, everything else (labeled or
+        // not) by the sink distance — the standard
+        // `π[v] += min(dist[v], dist[t])` rule, which keeps every
+        // residual reduced cost non-negative.
+        for (v, p) in search.potential.iter_mut().enumerate() {
+            *p += if search.settled[v] {
+                search.dist[v]
+            } else {
+                dt
+            };
+        }
+        g.augment(&search.prev, s, t);
         if sllt_obs::enabled() {
-            sllt_obs::count("partition.mcf.solves", 1);
+            sllt_obs::count("partition.mcf.augmentations", 1);
         }
-        (total_flow, total_cost)
+    }
+    if sllt_obs::enabled() {
+        sllt_obs::count("partition.mcf.solves", 1);
+    }
+}
+
+/// A [`MinCostFlow`]'s edge arrays, with the flow and cost sent so far.
+/// An arc's id is its edge index.
+struct Sending<'a> {
+    g: &'a mut MinCostFlow,
+    flow: i64,
+    cost: f64,
+}
+
+impl Residual for Sending<'_> {
+    fn arcs(&mut self, v: usize, search: &mut Search) {
+        let g = &*self.g;
+        for &e in &g.head[v] {
+            if g.cap[e] > 0 {
+                search.relax(g.to[e], g.cost[e], e);
+            }
+        }
+    }
+
+    fn augment(&mut self, prev: &[usize], s: usize, t: usize) {
+        let g = &mut *self.g;
+        let mut bottleneck = i64::MAX;
+        let mut v = t;
+        while v != s {
+            let e = prev[v];
+            bottleneck = bottleneck.min(g.cap[e]);
+            v = g.to[e ^ 1];
+        }
+        let mut v = t;
+        while v != s {
+            let e = prev[v];
+            g.cap[e] -= bottleneck;
+            g.cap[e ^ 1] += bottleneck;
+            self.cost += g.cost[e] * bottleneck as f64;
+            v = g.to[e ^ 1];
+        }
+        self.flow += bottleneck;
     }
 }
 

@@ -106,14 +106,17 @@ echo "== durability: checkpoint/resume + cancellation suites (release, incl. ISC
 # executes them.)
 cargo test -q --release -p sllt-cts --test checkpoint --test cancel
 
-echo "== partition fast path: worker determinism + warm assignment vs dense-flow oracle (release)"
+echo "== partition fast path: worker determinism + warm assignment vs flow oracles (release)"
 # Parallel restarts, SA chains, and the sharded grid must build
-# bit-identical trees at 1/2/4 workers, and the warm overflow-repair
-# assignment must reach the dense-flow oracle's optimal cost.
+# bit-identical trees at 1/2/4 workers, the warm overflow-repair
+# assignment must reach the dense-flow oracle's optimal cost, and the
+# unbuilt repair network must reach the built network's assignment and
+# counters exactly.
 cargo test -q --release -p sllt-cts --test partition_fastpath
 cargo test -q --release -p sllt-partition --features proptest -- \
     proptest_pruned_assignment_matches_scan \
-    proptest_warm_assignment_cost_matches_cold
+    proptest_warm_assignment_cost_matches_cold \
+    repair_matches_the_network_solver
 
 echo "== scale smoke: grid200000 end-to-end under a wall budget"
 # Near-linear scaling regression gate: ~110 us/sink on the reference
