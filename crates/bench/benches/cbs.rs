@@ -73,10 +73,9 @@ fn bench_cbs_eps(c: &mut Criterion) {
 
 /// The flow's level-0 routing: one CBS call per cluster of a 40 000-sink
 /// square grid at 15 µm pitch, clustered by the sharded balanced K-means
-/// into ~22-sink cells, with the route stage's configuration (its
-/// scheme, Elmore, half the 80 ps skew budget, ε relaxed to 6 ps of
-/// latency slack). Each iteration routes the next cluster, so the
-/// figure is the mean time per cluster.
+/// into ~22-sink cells, with the route stage's per-cluster configuration
+/// (`sllt_cts::cluster_cbs_config`). Each iteration routes the next
+/// cluster, so the figure is the mean time per cluster.
 fn bench_level0_cluster(c: &mut Criterion) {
     let design = GridSpec::square(40_000).instantiate();
     let flow = HierarchicalCts::default();
@@ -84,12 +83,9 @@ fn bench_level0_cluster(c: &mut Criterion) {
     let k = points.len() / 22;
     let part = sllt_partition::balanced_kmeans_grid_sharded(&points, k, 32, 300, 7, 1, &|| false)
         .expect("never stopped");
-    let sllt_cts::TopologyKind::Cbs { scheme, eps } = flow.topology else {
+    let sllt_cts::TopologyKind::Cbs { scheme } = flow.topology else {
         unreachable!("the default flow routes with CBS")
     };
-    let slack_len = (2.0 * flow.cluster_latency_slack_ps
-        / (flow.tech.unit_res_ohm * flow.tech.unit_cap_ff * 1e-3))
-        .sqrt();
     let nets: Vec<(ClockNet, CbsConfig)> = part
         .members_all()
         .into_iter()
@@ -98,12 +94,7 @@ fn bench_level0_cluster(c: &mut Criterion) {
             let tap = sllt_geom::centroid(&sinks.iter().map(|s| s.pos).collect::<Vec<_>>())
                 .expect("clusters are nonempty");
             let net = ClockNet::new(tap, sinks);
-            let cfg = CbsConfig {
-                scheme,
-                skew_bound: flow.constraints.skew_ps * flow.level_skew_fraction,
-                eps: eps.max(slack_len / net.max_source_dist() - 1.0).min(10.0),
-                model: DelayModel::Elmore(flow.tech),
-            };
+            let cfg = sllt_cts::cluster_cbs_config(&flow, scheme, &net);
             (net, cfg)
         })
         .collect();

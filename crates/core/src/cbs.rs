@@ -74,24 +74,13 @@ impl CbsConfig {
 /// Panics when the net is sinkless, or when the config carries a negative
 /// skew bound or ε.
 pub fn cbs(net: &ClockNet, cfg: &CbsConfig) -> ClockTree {
-    cbs_offsets(net, cfg, &vec![0.0; net.len()])
-}
-
-/// [`cbs`] with per-sink delay offsets: sink `i` is treated as already
-/// carrying `offsets[i]` of delay (a lower-level subtree in hierarchical
-/// CTS). The skew bound applies to offset + in-tree delay.
-///
-/// # Panics
-///
-/// As [`cbs`]; additionally panics when `offsets.len() != net.len()`.
-pub fn cbs_offsets(net: &ClockNet, cfg: &CbsConfig, offsets: &[f64]) -> ClockTree {
-    let intervals: Vec<(f64, f64)> = offsets.iter().map(|&o| (o, o)).collect();
-    cbs_intervals(net, cfg, &intervals)
+    cbs_intervals(net, cfg, &vec![(0.0, 0.0); net.len()])
 }
 
 /// [`cbs`] with per-sink delay *intervals* `(fastest, slowest)`: the
-/// spread already inside the subtree each sink stands for. Interval
-/// widths must not exceed the skew bound.
+/// spread already inside the subtree each sink stands for (a lower-level
+/// subtree in hierarchical CTS). The skew bound applies to interval +
+/// in-tree delay, and interval widths must not exceed it.
 ///
 /// # Panics
 ///
@@ -137,20 +126,12 @@ pub fn try_cbs_intervals(
 /// schemes produce on collinear sinks run within the default thread
 /// stack.
 pub fn step1_initial_bst(net: &ClockNet, cfg: &CbsConfig) -> ClockTree {
-    step1_initial_bst_intervals(net, cfg, &vec![(0.0, 0.0); net.len()])
-}
-
-/// [`step1_initial_bst`] with per-sink delay intervals.
-pub fn step1_initial_bst_intervals(
-    net: &ClockNet,
-    cfg: &CbsConfig,
-    intervals: &[(f64, f64)],
-) -> ClockTree {
     assert!(!net.is_empty(), "CBS over a sinkless net");
-    try_step1_initial_bst_intervals(net, cfg, intervals).unwrap_or_else(|e| panic!("{e}"))
+    try_step1_initial_bst_intervals(net, cfg, &vec![(0.0, 0.0); net.len()])
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`step1_initial_bst_intervals`].
+/// Fallible [`step1_initial_bst`] with per-sink delay intervals.
 ///
 /// # Errors
 ///
@@ -218,22 +199,11 @@ pub fn step5_restore_skew(
     topo: &HintedTopology,
     cfg: &CbsConfig,
 ) -> ClockTree {
-    step5_restore_skew_intervals(net, normalized, topo, cfg, &vec![(0.0, 0.0); net.len()])
-}
-
-/// [`step5_restore_skew`] with per-sink delay intervals.
-pub fn step5_restore_skew_intervals(
-    net: &ClockNet,
-    normalized: ClockTree,
-    topo: &HintedTopology,
-    cfg: &CbsConfig,
-    intervals: &[(f64, f64)],
-) -> ClockTree {
-    try_step5_restore_skew_intervals(net, normalized, topo, cfg, intervals)
+    try_step5_restore_skew_intervals(net, normalized, topo, cfg, &vec![(0.0, 0.0); net.len()])
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`step5_restore_skew_intervals`].
+/// Fallible [`step5_restore_skew`] with per-sink delay intervals.
 ///
 /// # Errors
 ///

@@ -8,7 +8,7 @@
 //! Errors split into two classes (see `DESIGN.md`, *Failure model*):
 //!
 //! * **recoverable** — a level-scoped construction failure the
-//!   [degradation ladder](crate::recovery::RecoveryPolicy) may clear by
+//!   [degradation ladder](crate::recovery) may clear by
 //!   relaxing the skew bound or falling back to a simpler topology
 //!   ([`is_recoverable`](CtsError::is_recoverable) returns `true`);
 //! * **non-recoverable** — the input or configuration itself is unusable
@@ -29,10 +29,6 @@ pub enum CtsError {
     /// The buffer library has no cells, so no cluster driver, delay pad,
     /// or repeater can ever be chosen.
     EmptyBufferLibrary,
-    /// The flow was configured with zero K-means restarts
-    /// ([`partition_restarts`](crate::flow::HierarchicalCts::partition_restarts)
-    /// = 0), leaving no candidate partition to pick from.
-    NoPartitionRestarts,
     /// A constraint bound is out of its valid range
     /// ([`CtsConstraints::validate`](crate::constraints::CtsConstraints::validate)).
     InvalidConstraints {
@@ -81,20 +77,6 @@ pub enum CtsError {
         level: usize,
         /// Cluster index within the level.
         cluster: usize,
-    },
-    /// A stage exceeded its cooperative work budget
-    /// ([`route_budget`](crate::flow::HierarchicalCts::route_budget)).
-    /// The budget is counted in deterministic cost units, not wall-clock,
-    /// so the same run always stops at the same place.
-    StageDeadline {
-        /// Level at which the budget ran out.
-        level: usize,
-        /// Stage name (`"route"`).
-        stage: &'static str,
-        /// Configured budget, cost units.
-        budget: u64,
-        /// Units the stage would have needed.
-        required: u64,
     },
     /// A fault injected by the test harness
     /// ([`FaultPlan`](crate::fault::FaultPlan)) — never produced by a
@@ -150,13 +132,9 @@ impl CtsError {
             | CtsError::Cancelled
             | CtsError::Checkpoint { .. }
             | CtsError::LadderExhausted { .. } => false,
-            // NoPartitionRestarts is recoverable: the ladder retries with
-            // a floor of one restart.
-            CtsError::NoPartitionRestarts
-            | CtsError::UnmappedSink { .. }
+            CtsError::UnmappedSink { .. }
             | CtsError::ClusterRoute { .. }
             | CtsError::ClusterPanicked { .. }
-            | CtsError::StageDeadline { .. }
             | CtsError::InjectedFault { .. } => true,
         }
     }
@@ -168,12 +146,6 @@ impl fmt::Display for CtsError {
             CtsError::NoSinks => write!(f, "CTS over a design without flip-flops"),
             CtsError::EmptyBufferLibrary => {
                 write!(f, "buffer library is empty: no driver can be sized")
-            }
-            CtsError::NoPartitionRestarts => {
-                write!(
-                    f,
-                    "partition_restarts is 0: no candidate partition to choose"
-                )
             }
             CtsError::InvalidConstraints { field, value } => {
                 write!(f, "invalid constraint {field} = {value}")
@@ -200,16 +172,6 @@ impl fmt::Display for CtsError {
                 f,
                 "routing worker panicked on cluster {cluster} at level {level} \
                  (contained; no other cluster was affected)"
-            ),
-            CtsError::StageDeadline {
-                level,
-                stage,
-                budget,
-                required,
-            } => write!(
-                f,
-                "{stage} stage at level {level} exceeded its work budget \
-                 ({required} cost units required, {budget} allowed)"
             ),
             CtsError::InjectedFault {
                 stage,
@@ -253,9 +215,6 @@ mod tests {
     #[test]
     fn display_names_the_failure() {
         assert!(CtsError::EmptyBufferLibrary.to_string().contains("library"));
-        assert!(CtsError::NoPartitionRestarts
-            .to_string()
-            .contains("restarts"));
         assert!(CtsError::NoSinks.to_string().contains("flip-flops"));
         let e = CtsError::UnmappedSink {
             level: 3,
@@ -283,13 +242,6 @@ mod tests {
             cluster: 0,
         };
         assert!(e.to_string().contains("panicked"));
-        let e = CtsError::StageDeadline {
-            level: 0,
-            stage: "route",
-            budget: 10,
-            required: 25,
-        };
-        assert!(e.to_string().contains("budget") && e.to_string().contains("25"));
         let e = CtsError::LadderExhausted {
             level: 0,
             attempts: 6,
@@ -316,7 +268,6 @@ mod tests {
         }
         .is_recoverable());
         assert!(!CtsError::InvalidDesign { detail: "x".into() }.is_recoverable());
-        assert!(CtsError::NoPartitionRestarts.is_recoverable());
         assert!(CtsError::ClusterPanicked {
             level: 0,
             cluster: 0
@@ -328,13 +279,6 @@ mod tests {
             source: DmeError::SinklessNet
         }
         .is_recoverable());
-        assert!(CtsError::StageDeadline {
-            level: 0,
-            stage: "route",
-            budget: 1,
-            required: 2
-        }
-        .is_recoverable());
         // Cancellation and checkpoint faults must never be retried.
         assert!(!CtsError::Cancelled.is_recoverable());
         assert!(!CtsError::Checkpoint { detail: "x".into() }.is_recoverable());
@@ -342,7 +286,10 @@ mod tests {
         assert!(!CtsError::LadderExhausted {
             level: 0,
             attempts: 1,
-            last: Box::new(CtsError::NoPartitionRestarts)
+            last: Box::new(CtsError::ClusterPanicked {
+                level: 0,
+                cluster: 0
+            })
         }
         .is_recoverable());
     }

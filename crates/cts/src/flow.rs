@@ -34,7 +34,7 @@ use crate::constraints::CtsConstraints;
 use crate::error::CtsError;
 use crate::fault::FaultPlan;
 use crate::partition::partition_level;
-use crate::recovery::{Downgrade, RecoveryPolicy};
+use crate::recovery::{ladder, Downgrade};
 use crate::report::{FlowEvent, FlowObserver, LevelReport, NullObserver, StageTimings};
 use crate::route::{route_clusters, LevelNode};
 use crate::sizing::size_drivers;
@@ -50,32 +50,23 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which routing topology generator a flow uses per cluster net.
+/// Which routing topology generator a flow uses per cluster net: the
+/// paper's CBS and the two rungs the degradation ladder falls back to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyKind {
-    /// The paper's CBS (skew-bounded, SALT-shaped).
+    /// The paper's CBS (skew-bounded, SALT-shaped), with ε set per
+    /// cluster by [`cluster_cbs_config`](crate::cluster_cbs_config).
     Cbs {
         /// Merge order for the BST steps.
         scheme: TopologyScheme,
-        /// SALT shallowness budget.
-        eps: f64,
     },
     /// Plain bounded-skew DME.
     Bst {
         /// Merge order.
         scheme: TopologyScheme,
     },
-    /// Rectilinear SALT (no skew control inside the net).
-    Salt {
-        /// Shallowness budget.
-        eps: f64,
-    },
     /// RSMT (no skew control; lightest).
     Rsmt,
-    /// Symmetric H-tree.
-    HTree,
-    /// Generalized H-tree.
-    GhTree,
 }
 
 impl TopologyKind {
@@ -84,23 +75,7 @@ impl TopologyKind {
         match self {
             TopologyKind::Cbs { .. } => "cbs",
             TopologyKind::Bst { .. } => "bst",
-            TopologyKind::Salt { .. } => "salt",
             TopologyKind::Rsmt => "rsmt",
-            TopologyKind::HTree => "htree",
-            TopologyKind::GhTree => "ghtree",
-        }
-    }
-
-    /// Deterministic per-member cost weight for the route-stage work
-    /// budget ([`HierarchicalCts::route_budget`]). Relative, not
-    /// calibrated: CBS runs a five-step pipeline over each net, BST and
-    /// SALT a single construction, RSMT and the H-trees a cheap sweep —
-    /// so a topology fallback genuinely lowers the budget a level needs.
-    pub fn cost_weight(&self) -> u64 {
-        match self {
-            TopologyKind::Cbs { .. } => 4,
-            TopologyKind::Bst { .. } | TopologyKind::Salt { .. } => 2,
-            TopologyKind::Rsmt | TopologyKind::HTree | TopologyKind::GhTree => 1,
         }
     }
 }
@@ -124,51 +99,26 @@ pub struct HierarchicalCts {
     pub estimator: DelayEstimator,
     /// Fraction of the skew budget each level's nets may use.
     pub level_skew_fraction: f64,
-    /// Latency slack granted to cluster-internal routing, ps: the SALT
-    /// shallowness budget ε is relaxed until a path of that Elmore cost
-    /// is admissible, so small clusters route like Steiner trees instead
-    /// of stars (paper §3.3: "routability concerns necessitate lighter
-    /// SLLT, favoring FLUTE-like tree structures; for larger designs
-    /// minimizing latency … requires less shallow SLLT").
-    pub cluster_latency_slack_ps: f64,
     /// Buffer sizing slack: cells are accepted when their delay is within
     /// this factor of the fastest choice at the load (1.0 = always pick
-    /// the fastest → larger cells).
+    /// the fastest → larger cells). Read only when
+    /// [`equalize_sizing`](Self::equalize_sizing) is off.
     pub sizing_slack: f64,
     /// Whether driver sizing equalizes cluster totals toward the slowest
     /// cluster (lower skew pressure, higher latency) instead of sizing
     /// each driver fast and letting the next level's interval-aware
     /// merge absorb the spread.
     pub equalize_sizing: bool,
-    /// Width of the equalization window as a fraction of the per-level
-    /// skew bound: 0 forces exact equalization; larger values let fast
-    /// clusters stay fast and lean on the next level's merge.
-    pub sizing_window_fraction: f64,
-    /// K-means restarts per level in the small-level partition search.
-    /// Must be at least 1 ([`CtsError::NoPartitionRestarts`]).
-    pub partition_restarts: usize,
-    /// Independent SA chains per level in the partition refinement; the
-    /// lowest-cost final state wins (ties break toward the lowest chain
-    /// index). Chains run across the worker pool; any chain/worker
-    /// combination yields bit-identical trees. Must be at least 1 when
-    /// [`use_sa`](Self::use_sa) is set.
-    pub sa_chains: usize,
     /// Worker threads for the per-cluster route stage: 0 picks the
     /// machine's available parallelism, 1 routes serially. Any value
     /// yields bit-identical trees.
     pub workers: usize,
-    /// RNG seed for partitioning and the per-cluster route streams.
+    /// RNG seed for the K-means and SA partition searches.
     pub seed: u64,
-    /// Level-failure recovery: the degradation ladder. Disabled by
-    /// default (fail fast, the historical behavior); see
-    /// [`RecoveryPolicy::standard`].
-    pub recovery: RecoveryPolicy,
-    /// Cooperative per-level work budget for the route stage, in
-    /// deterministic cost units (cluster members ×
-    /// [`TopologyKind::cost_weight`]). `None` (default) = unlimited.
-    /// Exceeding it yields [`CtsError::StageDeadline`] *before* any
-    /// cluster routes — same cutoff on every run, at any worker count.
-    pub route_budget: Option<u64>,
+    /// Whether a failed level climbs the [degradation
+    /// ladder](crate::recovery) instead of failing the run. Off by
+    /// default (fail fast).
+    pub recovery: bool,
 }
 
 impl Default for HierarchicalCts {
@@ -181,21 +131,15 @@ impl Default for HierarchicalCts {
             lib: BufferLibrary::n28(),
             topology: TopologyKind::Cbs {
                 scheme: TopologyScheme::GreedyDist,
-                eps: 0.2,
             },
             use_sa: true,
             estimator: DelayEstimator::ChosenCell,
             level_skew_fraction: 0.5,
-            cluster_latency_slack_ps: 6.0,
             equalize_sizing: true,
-            sizing_window_fraction: 0.0,
             sizing_slack: 1.3,
-            partition_restarts: 4,
-            sa_chains: 2,
             workers: 0,
             seed: 0x05117C75,
-            recovery: RecoveryPolicy::default(),
-            route_budget: None,
+            recovery: false,
         }
     }
 }
@@ -322,8 +266,8 @@ impl HierarchicalCts {
     /// This never panics on user input: constraints, the design, and
     /// the buffer library are all checked up front, and per-level
     /// failures come back as typed [`CtsError`]s (or are retried by the
-    /// [degradation ladder](RecoveryPolicy) when
-    /// [`recovery`](Self::recovery) is enabled).
+    /// [degradation ladder](crate::recovery) when
+    /// [`recovery`](Self::recovery) is set).
     ///
     /// # Errors
     ///
@@ -332,12 +276,10 @@ impl HierarchicalCts {
     /// fatal defect (repair with [`sllt_design::sanitize::repair`]),
     /// [`CtsError::InvalidConstraints`] for out-of-range bounds,
     /// [`CtsError::EmptyBufferLibrary`] when no driver can be sized,
-    /// [`CtsError::NoPartitionRestarts`] when the partition search has
-    /// no candidates and recovery is disabled,
     /// [`CtsError::LevelRunaway`] when partitioning stops reducing the
     /// node count, per-level routing errors
-    /// ([`CtsError::ClusterRoute`], [`CtsError::ClusterPanicked`],
-    /// [`CtsError::StageDeadline`]) when recovery is disabled,
+    /// ([`CtsError::ClusterRoute`], [`CtsError::ClusterPanicked`]) when
+    /// recovery is disabled,
     /// [`CtsError::LadderExhausted`] when it is enabled but every rung
     /// failed, [`CtsError::Cancelled`] when the token fires, and
     /// [`CtsError::Checkpoint`] when the journal cannot be created, or
@@ -360,12 +302,6 @@ impl HierarchicalCts {
         if self.lib.cells().is_empty() {
             return Err(CtsError::EmptyBufferLibrary);
         }
-        // With recovery enabled the ladder floors restarts at
-        // `min_restarts` on retry, so the misconfiguration is
-        // survivable; without it, fail fast as always.
-        if self.partition_restarts == 0 && !self.recovery.enabled {
-            return Err(CtsError::NoPartitionRestarts);
-        }
         // Declared before the spans: guards drop in reverse declaration
         // order, so every span closes before the scope merges its shard.
         let _scope = ctx.telemetry.registry().map(|r| r.install("main"));
@@ -374,10 +310,9 @@ impl HierarchicalCts {
             sinks: design.sinks.len(),
         });
         // Deterministic completion model: a level's work is its node
-        // count × the configured topology's cost weight (the same unit
-        // as `route_budget`), and the geometric-tail estimate in
-        // `WorkBudget` turns done-work into fractions. Resumed levels
-        // are folded in below so a resumed run's fractions line up.
+        // count, and the geometric-tail estimate in `WorkBudget` turns
+        // done-work into fractions. Resumed levels are folded in below
+        // so a resumed run's fractions line up.
         let mut budget = WorkBudget::new();
 
         let mut cx = FlowState {
@@ -407,7 +342,7 @@ impl HierarchicalCts {
                 }
                 // Replay the committed history before any live level.
                 for report in ckpt.reports {
-                    budget.start_level(report.num_nodes as u64 * self.topology.cost_weight());
+                    budget.start_level(report.num_nodes as u64);
                     let fraction = budget.fraction_at(budget.level_work());
                     budget.finish_level();
                     ctx.observer.on_event(&FlowEvent::LevelDone {
@@ -434,7 +369,7 @@ impl HierarchicalCts {
                     nodes: cx.nodes.len(),
                 });
             }
-            budget.start_level(cx.nodes.len() as u64 * self.topology.cost_weight());
+            budget.start_level(cx.nodes.len() as u64);
             ctx.observer.on_event(&FlowEvent::LevelStart {
                 level: cx.level,
                 nodes: cx.nodes.len(),
@@ -500,8 +435,8 @@ impl HierarchicalCts {
     /// Partitions, routes, and sizes one level, advancing `cx.nodes` to
     /// the next level's nodes.
     ///
-    /// This is where the degradation ladder lives: each rung from
-    /// [`RecoveryPolicy::ladder`] is tried in order against an
+    /// This is where the degradation ladder lives: each rung of
+    /// `recovery::ladder` is tried in order against an
     /// *unmodified* `cx` — a failed attempt commits nothing — and the
     /// first success records every rung climbed in
     /// [`LevelReport::downgrades`]. Non-recoverable errors propagate
@@ -514,7 +449,7 @@ impl HierarchicalCts {
         budget: &WorkBudget,
     ) -> Result<LevelReport, CtsError> {
         let _level_span = sllt_obs::span("cts.level");
-        let steps = self.recovery.ladder(self.topology);
+        let steps = ladder(self.recovery, self.topology);
         let mut downgrades: Vec<Downgrade> = Vec::new();
         for (attempt, step) in steps.iter().enumerate() {
             // Attempt 0 runs the configured flow verbatim; retries run a
@@ -529,8 +464,6 @@ impl HierarchicalCts {
                 if let Some(t) = step.topology {
                     relaxed.topology = t;
                 }
-                relaxed.partition_restarts =
-                    relaxed.partition_restarts.max(self.recovery.min_restarts);
                 owned = relaxed;
                 &owned
             };

@@ -16,9 +16,9 @@
 //!   [`FlowEvent`] stream in [`report`],
 //! * [`baseline`] — `OpenRoadLike` (TritonCTS-style structural H-tree
 //!   with per-level buffering) and `CommercialLike` (same hierarchical
-//!   engine tuned the way commercial CTS behaves: tight skew targets,
-//!   aggressive buffer sizing) — see `DESIGN.md` for the substitution
-//!   rationale,
+//!   engine tuned the way commercial CTS behaves: another merge order, a
+//!   tighter per-level skew target) — see `DESIGN.md` for the
+//!   substitution rationale,
 //! * [`eval`] — buffered-tree timing (Elmore wires + Eq. (6) buffers,
 //!   slew propagation) and every Table 6/7 metric,
 //! * [`ocv`] — Monte-Carlo on-chip-variation robustness analysis (the
@@ -64,10 +64,11 @@ pub use eval::{evaluate, TreeReport};
 pub use fault::{FaultKind, FaultPlan, FaultStage, StageFault};
 pub use flow::{CheckpointMode, HierarchicalCts, RunContext, TopologyKind};
 pub use ocv::{derate_skew, ocv_analysis, OcvModel, OcvReport};
-pub use recovery::{Downgrade, LadderStep, RecoveryPolicy};
+pub use recovery::Downgrade;
 pub use report::{
     AssembleReport, CollectingObserver, FlowEvent, FlowObserver, LevelReport, NullObserver,
     ProgressJournal, StageTimings,
 };
+pub use route::cluster_cbs_config;
 pub use sllt_obs::{NullSink, RecordingSink, TelemetrySink};
 pub use telemetry::{assemble_value, downgrade_value, level_value, run_record};

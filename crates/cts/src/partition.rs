@@ -7,6 +7,15 @@ use crate::flow::{HierarchicalCts, RunContext};
 use sllt_geom::Point;
 use sllt_partition::sa;
 
+/// K-means restarts per level in the small-level partition search.
+const PARTITION_RESTARTS: usize = 4;
+
+/// Independent SA chains per level in the partition refinement; the
+/// lowest-cost final state wins (ties break toward the lowest chain
+/// index). Chains run across the worker pool; any chain/worker
+/// combination yields bit-identical trees.
+const SA_CHAINS: usize = 2;
+
 /// The chosen partition of one level's nodes.
 #[derive(Debug)]
 pub(crate) struct LevelPartition {
@@ -82,9 +91,6 @@ pub(crate) fn partition_level(
         )
         .ok_or(CtsError::Cancelled)?
     } else {
-        if cts.partition_restarts == 0 {
-            return Err(CtsError::NoPartitionRestarts);
-        }
         // Rough level count for the weight schedule.
         let est_levels = ((n as f64).ln() / (cons.max_fanout as f64).ln()).ceil() as usize + 1;
         let (p, q) = sllt_partition::cost::level_weights(level, est_levels.max(2));
@@ -99,8 +105,8 @@ pub(crate) fn partition_level(
             k,
             cons.max_fanout,
             cts.seed ^ level as u64,
-            cts.partition_restarts,
-            cts.effective_workers(cts.partition_restarts),
+            PARTITION_RESTARTS,
+            cts.effective_workers(PARTITION_RESTARTS),
             &|cand| adaptive_cluster_cost(cts, positions, caps, cand, p, q),
             &|| cancel.poll(),
         )
@@ -130,8 +136,8 @@ pub(crate) fn partition_level(
                 seed: cts.seed ^ (level as u64) << 8,
                 ..Default::default()
             },
-            cts.sa_chains.max(1),
-            cts.effective_workers(cts.sa_chains.max(1)),
+            SA_CHAINS,
+            cts.effective_workers(SA_CHAINS),
             &|| cancel.poll(),
         )
         .ok_or(CtsError::Cancelled)?;
@@ -183,17 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_restarts_is_a_typed_error() {
-        let cts = HierarchicalCts {
-            partition_restarts: 0,
-            ..Default::default()
-        };
-        let (pts, caps) = grid(40);
-        let err = partition_level(&cts, &RunContext::default(), &pts, &caps, 0, 0).unwrap_err();
-        assert_eq!(err, CtsError::NoPartitionRestarts);
-    }
-
-    #[test]
     fn partition_covers_every_node() {
         let cts = HierarchicalCts::default();
         let (pts, caps) = grid(120);
@@ -201,18 +196,5 @@ mod tests {
         assert_eq!(part.assignment.len(), 120);
         assert!(part.k >= 2, "120 nodes must split");
         assert!(part.assignment.iter().all(|&a| a < part.k));
-    }
-
-    #[test]
-    fn restart_count_changes_the_search_not_the_contract() {
-        let (pts, caps) = grid(90);
-        for restarts in [1usize, 4, 8] {
-            let cts = HierarchicalCts {
-                partition_restarts: restarts,
-                ..Default::default()
-            };
-            let part = partition_level(&cts, &RunContext::default(), &pts, &caps, 0, 0).unwrap();
-            assert_eq!(part.assignment.len(), 90);
-        }
     }
 }

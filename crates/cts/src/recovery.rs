@@ -2,134 +2,66 @@
 //! recovery.
 //!
 //! When a level fails with a recoverable error (an infeasible skew
-//! merge, a panicked routing worker, an exhausted work budget — see
-//! [`CtsError::is_recoverable`](crate::error::CtsError::is_recoverable)),
-//! the flow may retry the level under a relaxed configuration instead of
-//! aborting the whole run. The retry sequence is a fixed *ladder* built
-//! once per level from the [`RecoveryPolicy`]:
+//! merge, a panicked routing worker, an injected fault — see
+//! [`CtsError::is_recoverable`](crate::error::CtsError::is_recoverable))
+//! and [`HierarchicalCts::recovery`](crate::flow::HierarchicalCts::recovery)
+//! is set, the flow retries the level under a relaxed configuration
+//! instead of aborting the whole run. The retry sequence is one fixed
+//! *ladder*:
 //!
 //! 1. the original configuration (attempt 0),
-//! 2. the per-level skew bound relaxed by each factor in
-//!    [`skew_relax`](RecoveryPolicy::skew_relax) (default ×1.5, ×2, ×4),
-//! 3. at the maximum relaxation, simpler topologies in the fixed
-//!    fallback order **Cbs → Bst → Rsmt** (each rung keeps skew control
-//!    where the topology still has any).
+//! 2. the per-level skew bound relaxed ×1.5, ×2, ×4 (each retry
+//!    multiplies the *original* bound),
+//! 3. at ×4, simpler topologies in the fixed fallback order
+//!    **Cbs → Bst → Rsmt** (each rung keeps skew control where the
+//!    topology still has any).
 //!
-//! The ladder is deterministic: it is a pure function of the policy and
-//! the configured topology, every retry re-derives the same per-cluster
-//! seed streams, and a recovered run is bit-identical at any worker
-//! count. Every rung actually climbed is recorded as a [`Downgrade`] in
-//! the level's [`LevelReport`](crate::report::LevelReport) and the
-//! telemetry run record, so silent quality loss is impossible.
-//!
-//! The default policy is **disabled** — `HierarchicalCts::default()`
-//! fails fast exactly as it always has. Opt in with
-//! [`RecoveryPolicy::standard`].
+//! The ladder is deterministic: it is a pure function of the configured
+//! topology, and a recovered run is bit-identical at any worker count.
+//! Every rung actually climbed is recorded as a [`Downgrade`] in the
+//! level's [`LevelReport`](crate::report::LevelReport) and the telemetry
+//! run record, so silent quality loss is impossible.
 
 use crate::flow::TopologyKind;
 
-/// How (and whether) the flow retries a failed level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Master switch; `false` reproduces the historical fail-fast
-    /// behavior exactly.
-    pub enabled: bool,
-    /// Skew-bound relaxation factors, tried in order. Each retry
-    /// multiplies the *original* bound (factors do not compound).
-    pub skew_relax: Vec<f64>,
-    /// Whether to fall back to simpler topologies (Cbs → Bst → Rsmt)
-    /// once the skew schedule is exhausted.
-    pub topology_fallback: bool,
-    /// Floor for `partition_restarts` on retries, so a misconfigured
-    /// zero-restart flow can still recover.
-    pub min_restarts: usize,
-}
+/// Skew-bound multipliers of the relaxation rungs, in climbing order.
+const SKEW_RELAX: [f64; 3] = [1.5, 2.0, 4.0];
 
-impl Default for RecoveryPolicy {
-    /// Recovery **disabled** (the historical behavior). The schedule
-    /// fields still carry the standard values so enabling is one flag.
-    fn default() -> Self {
-        RecoveryPolicy {
-            enabled: false,
-            ..RecoveryPolicy::standard()
-        }
+/// The attempt sequence for one level under `topology`: attempt 0 is
+/// always the identity step, and without `recovery` it is the only one.
+pub(crate) fn ladder(recovery: bool, topology: TopologyKind) -> Vec<LadderStep> {
+    let mut steps = vec![LadderStep {
+        skew_factor: 1.0,
+        topology: None,
+    }];
+    if !recovery {
+        return steps;
     }
-}
-
-impl RecoveryPolicy {
-    /// The standard ladder: skew ×1.5, ×2, ×4, then topology fallback,
-    /// with a one-restart floor on retries.
-    pub fn standard() -> Self {
-        RecoveryPolicy {
-            enabled: true,
-            skew_relax: vec![1.5, 2.0, 4.0],
-            topology_fallback: true,
-            min_restarts: 1,
-        }
-    }
-
-    /// Recovery switched off explicitly.
-    pub fn disabled() -> Self {
-        RecoveryPolicy::default()
-    }
-
-    /// The attempt sequence for one level under `topology`: attempt 0 is
-    /// always the identity step; a disabled policy returns only that.
-    pub fn ladder(&self, topology: TopologyKind) -> Vec<LadderStep> {
-        let mut steps = vec![LadderStep {
-            skew_factor: 1.0,
-            topology: None,
-        }];
-        if !self.enabled {
-            return steps;
-        }
-        let mut max_factor = 1.0f64;
-        for &f in &self.skew_relax {
-            // A non-relaxing factor would retry the identical attempt
-            // forever in spirit; skip anything ≤ the current maximum.
-            if f > max_factor {
-                steps.push(LadderStep {
-                    skew_factor: f,
-                    topology: None,
-                });
-                max_factor = f;
-            }
-        }
-        if self.topology_fallback {
-            for t in fallback_chain(topology) {
-                steps.push(LadderStep {
-                    skew_factor: max_factor,
-                    topology: Some(t),
-                });
-            }
-        }
-        steps
-    }
+    steps.extend(SKEW_RELAX.map(|skew_factor| LadderStep {
+        skew_factor,
+        topology: None,
+    }));
+    let fallback = match topology {
+        TopologyKind::Cbs { scheme } => vec![TopologyKind::Bst { scheme }, TopologyKind::Rsmt],
+        TopologyKind::Bst { .. } => vec![TopologyKind::Rsmt],
+        // RSMT cannot fail a skew merge: there is nothing simpler.
+        TopologyKind::Rsmt => Vec::new(),
+    };
+    steps.extend(fallback.into_iter().map(|t| LadderStep {
+        skew_factor: SKEW_RELAX[SKEW_RELAX.len() - 1],
+        topology: Some(t),
+    }));
+    steps
 }
 
 /// One rung of the ladder: what attempt `n` changes relative to the
 /// original configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderStep {
+pub(crate) struct LadderStep {
     /// Multiplier applied to the configured skew bound.
     pub skew_factor: f64,
     /// Topology override, when this rung falls back.
     pub topology: Option<TopologyKind>,
-}
-
-/// The fixed topology fallback order below `from`: each rung gives up
-/// one property (Cbs's SALT shaping, then Bst's skew control) and ends
-/// at RSMT, which cannot fail a skew merge at all. H-trees fall straight
-/// to RSMT — there is no "simpler H-tree".
-fn fallback_chain(from: TopologyKind) -> Vec<TopologyKind> {
-    match from {
-        TopologyKind::Cbs { scheme, .. } => {
-            vec![TopologyKind::Bst { scheme }, TopologyKind::Rsmt]
-        }
-        TopologyKind::Bst { .. } | TopologyKind::Salt { .. } => vec![TopologyKind::Rsmt],
-        TopologyKind::HTree | TopologyKind::GhTree => vec![TopologyKind::Rsmt],
-        TopologyKind::Rsmt => Vec::new(),
-    }
 }
 
 /// One recorded rung climb: why the flow downgraded and to what. Carried
@@ -155,23 +87,20 @@ mod tests {
     fn cbs() -> TopologyKind {
         TopologyKind::Cbs {
             scheme: TopologyScheme::GreedyDist,
-            eps: 0.2,
         }
     }
 
     #[test]
-    fn default_policy_is_disabled_with_only_the_identity_step() {
-        let p = RecoveryPolicy::default();
-        assert!(!p.enabled);
-        let steps = p.ladder(cbs());
+    fn without_recovery_the_ladder_is_only_the_identity_step() {
+        let steps = ladder(false, cbs());
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].skew_factor, 1.0);
         assert_eq!(steps[0].topology, None);
     }
 
     #[test]
-    fn standard_ladder_relaxes_then_falls_back() {
-        let steps = RecoveryPolicy::standard().ladder(cbs());
+    fn the_ladder_relaxes_then_falls_back() {
+        let steps = ladder(true, cbs());
         // identity, 1.5, 2, 4, Bst@4, Rsmt@4
         assert_eq!(steps.len(), 6);
         assert_eq!(steps[1].skew_factor, 1.5);
@@ -183,25 +112,13 @@ mod tests {
 
     #[test]
     fn rsmt_has_no_fallback_rungs() {
-        let steps = RecoveryPolicy::standard().ladder(TopologyKind::Rsmt);
+        let steps = ladder(true, TopologyKind::Rsmt);
         assert_eq!(steps.len(), 4); // identity + three relaxations
         assert!(steps.iter().all(|s| s.topology.is_none()));
     }
 
     #[test]
-    fn non_increasing_relax_factors_are_dropped() {
-        let p = RecoveryPolicy {
-            skew_relax: vec![2.0, 1.5, 2.0, 3.0],
-            ..RecoveryPolicy::standard()
-        };
-        let steps = p.ladder(TopologyKind::Rsmt);
-        let factors: Vec<f64> = steps.iter().map(|s| s.skew_factor).collect();
-        assert_eq!(factors, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn ladder_is_deterministic() {
-        let p = RecoveryPolicy::standard();
-        assert_eq!(p.ladder(cbs()), p.ladder(cbs()));
+        assert_eq!(ladder(true, cbs()), ladder(true, cbs()));
     }
 }

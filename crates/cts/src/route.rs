@@ -4,10 +4,9 @@
 //! `&HierarchicalCts`, the run's cancel token and fault plan, and the
 //! cluster's members), so the stage fans out across a
 //! `std::thread::scope`: workers pull cluster indices from a shared
-//! atomic counter and write results into per-index slots.
-//! Collection is by cluster index, and each cluster's RNG stream is
-//! derived up front from the flow seed with SplitMix64 — the output is
-//! bit-identical no matter how many workers run or how they interleave.
+//! atomic counter and write results into per-index slots. Collection is
+//! by cluster index, so the output is bit-identical no matter how many
+//! workers run or how they interleave.
 
 use crate::cancel::CancelToken;
 use crate::error::CtsError;
@@ -18,8 +17,7 @@ use crate::report::FlowEvent;
 use sllt_core::cbs::{try_cbs_intervals, CbsConfig};
 use sllt_geom::{centroid, Point};
 use sllt_obs::WorkBudget;
-use sllt_rng::SplitMix64;
-use sllt_route::{ghtree, htree, rsmt, salt, try_dme_intervals, DelayModel, DmeOptions};
+use sllt_route::{rsmt, try_dme_intervals, DelayModel, DmeOptions, TopologyScheme};
 use sllt_tree::{ClockNet, ClockTree, NodeKind, Sink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -56,16 +54,11 @@ pub(crate) struct RoutedCluster {
     pub subtree_hi: f64,
 }
 
-/// One unit of route work: a cluster's members plus its private RNG
-/// stream seed. Today's topology generators are deterministic and ignore
-/// the seed; it is split off the flow seed *serially, in cluster order*
-/// so a future stochastic generator stays reproducible under any worker
-/// count.
+/// One unit of route work: a non-empty cluster's members.
 struct ClusterJob {
     /// Dense job index — the cluster identity carried in route errors.
     index: usize,
     members: Vec<LevelNode>,
-    seed: u64,
 }
 
 /// Groups `nodes` by the partition and routes every non-empty cluster.
@@ -84,7 +77,6 @@ pub(crate) fn route_clusters(
     attempt: usize,
     budget: &WorkBudget,
 ) -> Result<Vec<RoutedCluster>, CtsError> {
-    let mut seeds = SplitMix64::new(cts.seed ^ (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Single-pass bucketing: a per-cluster scan of `nodes` is O(k·n),
     // which at a million sinks (k ≈ 5·10⁴) costs minutes of pure
     // grouping. Buckets preserve node-index order within each cluster,
@@ -93,45 +85,12 @@ pub(crate) fn route_clusters(
     for (node, &a) in nodes.iter().zip(&part.assignment) {
         buckets[a].push(*node);
     }
-    let mut index = 0usize;
     let jobs: Vec<ClusterJob> = buckets
         .into_iter()
-        .filter_map(|members| {
-            // Every cluster index draws its seed, occupied or not, so the
-            // streams do not shift when a cluster comes up empty.
-            let seed = seeds.next_u64();
-            (!members.is_empty()).then(|| {
-                let job = ClusterJob {
-                    index,
-                    members,
-                    seed,
-                };
-                index += 1;
-                job
-            })
-        })
+        .filter(|members| !members.is_empty())
+        .enumerate()
+        .map(|(index, members)| ClusterJob { index, members })
         .collect();
-
-    // Cooperative deadline: the stage's cost is a pure function of the
-    // job list and topology (members × weight, summed in cluster order),
-    // so the same configuration stops at the same place on every run and
-    // worker count — no wall clocks, no shared counters. Checked before
-    // any cluster routes; the ladder can recover by falling back to a
-    // cheaper topology.
-    if let Some(budget) = cts.route_budget {
-        let required: u64 = jobs
-            .iter()
-            .map(|j| j.members.len() as u64 * cts.topology.cost_weight())
-            .sum();
-        if required > budget {
-            return Err(CtsError::StageDeadline {
-                level,
-                stage: "route",
-                budget,
-                required,
-            });
-        }
-    }
 
     let (cancel, faults) = (&ctx.cancel, &ctx.faults);
     let route_contained = |job: &ClusterJob| -> Result<RoutedCluster, CtsError> {
@@ -145,12 +104,12 @@ pub(crate) fn route_clusters(
     };
 
     // Within-level deciles, sent live: whichever completion pushes the
-    // done-work counter (cluster members; the topology weight cancels
-    // out of the ratio) past a tenth of the level total takes the
-    // observer lock and sends every decile not yet sent up to the one
-    // it crossed. `fetch_add` linearizes the crossings, so each decile
-    // goes out exactly once, in order, and every field is a pure
-    // function of (budget, k) — the stream is worker-count independent.
+    // done-work counter (cluster members) past a tenth of the level
+    // total takes the observer lock and sends every decile not yet sent
+    // up to the one it crossed. `fetch_add` linearizes the crossings, so
+    // each decile goes out exactly once, in order, and every field is a
+    // pure function of (budget, k) — the stream is worker-count
+    // independent.
     let total_members: u64 = jobs.iter().map(|j| j.members.len() as u64).sum();
     let done_members = AtomicU64::new(0);
     let deciles = Mutex::new((&mut *ctx.observer, 0u64));
@@ -249,10 +208,9 @@ fn route_cluster(
     let _cluster_span = sllt_obs::span("cts.route.cluster");
     let started = sllt_obs::enabled().then(std::time::Instant::now);
     let members = &job.members;
-    let _rng_stream = job.seed; // reserved for stochastic topology generators
-                                // Invariant: the partition stage never emits an empty cluster (the
-                                // min-cost flow assigns every centre at least one member), so the
-                                // centroid always exists.
+    // Invariant: the partition stage never emits an empty cluster (the
+    // min-cost flow assigns every centre at least one member), so the
+    // centroid always exists.
     let tap =
         centroid(&members.iter().map(|m| m.pos).collect::<Vec<_>>()).expect("cluster is non-empty");
     let net = ClockNet::new(
@@ -260,65 +218,38 @@ fn route_cluster(
         members.iter().map(|m| Sink::new(m.pos, m.cap_ff)).collect(),
     );
     let intervals: Vec<(f64, f64)> = members.iter().map(|m| m.interval_ps).collect();
-    let bound = cts.constraints.skew_ps * cts.level_skew_fraction;
-    let model = DelayModel::Elmore(cts.tech);
-
-    // Adaptive shallowness: allow whatever path depth costs at most
-    // `cluster_latency_slack_ps` of Elmore delay, so compact clusters
-    // keep Steiner-light routing while long-haul nets stay shallow.
-    let adaptive_eps = |eps: f64| -> f64 {
-        let max_md = net.max_source_dist();
-        if max_md <= 1e-9 {
-            return eps;
-        }
-        let slack_len = (2.0 * cts.cluster_latency_slack_ps
-            / (cts.tech.unit_res_ohm * cts.tech.unit_cap_ff * 1e-3))
-            .sqrt();
-        eps.max(slack_len / max_md - 1.0).min(10.0)
-    };
 
     // Merge-order generation inside `scheme.build` is nearest-pair
     // accelerated (sllt-route::nnpair), so cluster sizes are not limited
     // by topology generation even when partitioning is configured coarse.
     // Skew-controlled kernels report infeasibility as a typed
     // `DmeError` → `CtsError::ClusterRoute` (recoverable by the ladder);
-    // the skew-free generators cannot fail this way, and any residual
-    // panic in either family is contained by the caller's
-    // `catch_unwind`.
+    // RSMT cannot fail this way, and any residual panic is contained by
+    // the caller's `catch_unwind`.
     let route_err = |source| CtsError::ClusterRoute {
         level,
         cluster: job.index,
         source,
     };
     let tree = match cts.topology {
-        TopologyKind::Cbs { scheme, eps } => try_cbs_intervals(
-            &net,
-            &CbsConfig {
-                scheme,
-                eps: adaptive_eps(eps),
-                skew_bound: bound,
-                model,
-            },
-            &intervals,
-        )
-        .map_err(route_err)?,
+        TopologyKind::Cbs { scheme } => {
+            try_cbs_intervals(&net, &cluster_cbs_config(cts, scheme, &net), &intervals)
+                .map_err(route_err)?
+        }
         TopologyKind::Bst { scheme } => {
             let topo = scheme.build(&net);
             try_dme_intervals(
                 &net,
                 &topo.to_hinted(),
                 &DmeOptions {
-                    skew_bound: bound,
-                    model,
+                    skew_bound: cts.constraints.skew_ps * cts.level_skew_fraction,
+                    model: DelayModel::Elmore(cts.tech),
                 },
                 &intervals,
             )
             .map_err(route_err)?
         }
-        TopologyKind::Salt { eps } => salt(&net, adaptive_eps(eps)),
         TopologyKind::Rsmt => rsmt::rsmt(&net),
-        TopologyKind::HTree => htree(&net, 2),
-        TopologyKind::GhTree => ghtree(&net, 2),
     };
 
     // Cluster timing: Elmore from the tap plus each member's offset.
@@ -350,10 +281,48 @@ fn route_cluster(
     })
 }
 
+/// CBS's base SALT shallowness budget ε, before the per-cluster
+/// relaxation of [`cluster_cbs_config`].
+const CBS_EPS: f64 = 0.2;
+
+/// Latency slack granted to cluster-internal routing, ps: ε is relaxed
+/// until a path of that Elmore cost is admissible, so small clusters
+/// route like Steiner trees instead of stars (paper §3.3: "routability
+/// concerns necessitate lighter SLLT, favoring FLUTE-like tree
+/// structures; for larger designs minimizing latency … requires less
+/// shallow SLLT").
+const CLUSTER_LATENCY_SLACK_PS: f64 = 6.0;
+
+/// The CBS configuration the route stage gives one cluster's net: the
+/// flow's merge `scheme`, Elmore delay, the level's share of the skew
+/// budget, and an adaptive ε that admits whatever path depth costs at
+/// most 6 ps of Elmore delay, so compact clusters keep Steiner-light
+/// routing while long-haul nets stay shallow.
+pub fn cluster_cbs_config(
+    cts: &HierarchicalCts,
+    scheme: TopologyScheme,
+    net: &ClockNet,
+) -> CbsConfig {
+    let max_md = net.max_source_dist();
+    let eps = if max_md <= 1e-9 {
+        CBS_EPS
+    } else {
+        let slack_len = (2.0 * CLUSTER_LATENCY_SLACK_PS
+            / (cts.tech.unit_res_ohm * cts.tech.unit_cap_ff * 1e-3))
+            .sqrt();
+        CBS_EPS.max(slack_len / max_md - 1.0).min(10.0)
+    };
+    CbsConfig {
+        scheme,
+        eps,
+        skew_bound: cts.constraints.skew_ps * cts.level_skew_fraction,
+        model: DelayModel::Elmore(cts.tech),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sllt_route::TopologyScheme;
     use sllt_timing::{BufferLibrary, Technology};
 
     /// Everything a route worker captures must cross threads.
@@ -369,17 +338,6 @@ mod tests {
         assert_send_sync::<ClockTree>();
         assert_send_sync::<LevelNode>();
         assert_send_sync::<RoutedCluster>();
-    }
-
-    /// Cluster seed streams depend only on cluster index, not occupancy
-    /// or worker count: the same flow seed always yields the same stream.
-    #[test]
-    fn cluster_seeds_are_stable() {
-        let mut a = SplitMix64::new(0x05117C75 ^ 3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut b = SplitMix64::new(0x05117C75 ^ 3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for _ in 0..16 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]
@@ -400,52 +358,5 @@ mod tests {
         )
         .unwrap();
         assert!(routed.is_empty());
-    }
-
-    /// The deadline trips before any cluster routes, deterministically,
-    /// and reports exactly what the stage would have cost.
-    #[test]
-    fn route_budget_is_a_typed_deadline() {
-        let cts = HierarchicalCts {
-            route_budget: Some(3),
-            ..Default::default()
-        };
-        let nodes: Vec<LevelNode> = (0..4)
-            .map(|i| LevelNode {
-                pos: Point::new(i as f64 * 10.0, 0.0),
-                cap_ff: 1.0,
-                interval_ps: (0.0, 0.0),
-                source: NodeSource::DesignSink(i),
-            })
-            .collect();
-        let part = LevelPartition {
-            k: 2,
-            assignment: vec![0, 0, 1, 1],
-        };
-        let err = route_clusters(
-            &cts,
-            &mut RunContext::default(),
-            &nodes,
-            &part,
-            0,
-            0,
-            &WorkBudget::new(),
-        )
-        .unwrap_err();
-        match err {
-            CtsError::StageDeadline {
-                level,
-                stage,
-                budget,
-                required,
-            } => {
-                assert_eq!(level, 0);
-                assert_eq!(stage, "route");
-                assert_eq!(budget, 3);
-                // 4 members × CBS weight 4.
-                assert_eq!(required, 16);
-            }
-            other => panic!("expected StageDeadline, got {other:?}"),
-        }
     }
 }

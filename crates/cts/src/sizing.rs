@@ -74,22 +74,17 @@ pub(crate) fn size_drivers(
                 .filter(|(_, c)| c.can_drive(r.load) || c.name == cts.lib.largest().name)
         };
         let cell = if cts.equalize_sizing {
-            // Equalize toward the slowest cluster, but never slow a
-            // cluster below what the next level's bounded-skew merge can
-            // absorb without detour: totals inside
-            // [target − window·bound, target] are all fine, so take the
-            // *fastest* cell landing in that window (or the closest to
-            // it).
-            let bound = cts.constraints.skew_ps * cts.level_skew_fraction;
-            let window_lo = target - cts.sizing_window_fraction * bound;
-            let in_window: Option<usize> = usable()
+            // Equalize toward the slowest cluster: take the *fastest*
+            // cell whose total lands on the target (within 1e-9 ps), or
+            // else the cell whose total comes closest to it.
+            let on_target: Option<usize> = usable()
                 .filter(|(_, c)| {
                     let total = r.subtree_hi + c.delay(slew, r.load);
-                    total >= window_lo && total <= target + 1e-9
+                    total >= target && total <= target + 1e-9
                 })
                 .min_by(|(_, a), (_, b)| a.delay(slew, r.load).total_cmp(&b.delay(slew, r.load)))
                 .map(|(i, _)| i);
-            match in_window {
+            match on_target {
                 Some(i) => i,
                 None => usable()
                     .min_by(|(_, a), (_, b)| {

@@ -57,7 +57,7 @@ pub fn downgrade_from_value(v: &Value) -> Result<Downgrade, String> {
     let topology = match v.get("topology").and_then(Value::as_str) {
         None => None,
         Some(name) => Some(
-            *["cbs", "bst", "salt", "rsmt", "htree", "ghtree"]
+            *["cbs", "bst", "rsmt"]
                 .iter()
                 .find(|&&t| t == name)
                 .ok_or_else(|| format!("unknown downgrade topology {name:?}"))?,
@@ -238,7 +238,7 @@ mod tests {
             attempt: 1,
             skew_factor: 2.0,
             topology: Some("rsmt"),
-            trigger: "deadline".into(),
+            trigger: "injected".into(),
         });
         let back = level_report_from_value(&level_value(&l)).unwrap();
         // Timings go through fractional ms, everything else is exact.

@@ -91,7 +91,7 @@ fn cancelled_error_is_not_retried_by_the_ladder() {
     let design = grid_design();
     let token = CancelToken::fire_after_polls(3);
     let cts = HierarchicalCts {
-        recovery: sllt_cts::RecoveryPolicy::standard(),
+        recovery: true,
         workers: 1,
         ..HierarchicalCts::default()
     };

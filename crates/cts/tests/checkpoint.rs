@@ -9,9 +9,7 @@
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::CheckpointMode::{self, Fresh, Resume};
-use sllt_cts::{
-    Checkpoint, CtsError, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, RunContext, StageFault,
-};
+use sllt_cts::{Checkpoint, CtsError, FaultKind, FaultPlan, FaultStage, RunContext, StageFault};
 use sllt_cts::{CollectingObserver, FlowEvent, FlowObserver, NullSink};
 use sllt_design::{Design, DesignSpec};
 use sllt_geom::{Point, Rect};
@@ -310,7 +308,7 @@ fn downgraded_levels_checkpoint_and_resume_identically() {
     // from any boundary must still match the recovered reference.
     let design = grid_design();
     let cts = HierarchicalCts {
-        recovery: RecoveryPolicy::standard(),
+        recovery: true,
         workers: 1,
         ..HierarchicalCts::default()
     };

@@ -223,15 +223,11 @@ fn degenerate_cases_also_build_under_every_topology() {
     for topo in [
         TopologyKind::Cbs {
             scheme: TopologyScheme::GreedyDist,
-            eps: 0.2,
         },
         TopologyKind::Bst {
             scheme: TopologyScheme::GreedyDist,
         },
-        TopologyKind::Salt { eps: 0.2 },
         TopologyKind::Rsmt,
-        TopologyKind::HTree,
-        TopologyKind::GhTree,
     ] {
         let cts = HierarchicalCts {
             topology: topo,

@@ -13,7 +13,7 @@
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
     CollectingObserver, CtsError, FaultKind, FaultPlan, FaultStage, FlowObserver, NullObserver,
-    NullSink, RecoveryPolicy, RunContext, StageFault,
+    NullSink, RunContext, StageFault,
 };
 use sllt_design::Design;
 use sllt_geom::{Point, Rect};
@@ -43,7 +43,7 @@ fn grid_design() -> Design {
 /// A run of the grid design with `fault` injected.
 fn with_fault(
     fault: StageFault,
-    recovery: RecoveryPolicy,
+    recovery: bool,
     workers: usize,
     observer: &mut dyn FlowObserver,
 ) -> Result<ClockTree, CtsError> {
@@ -59,13 +59,20 @@ fn with_fault(
     cts.run_in(&grid_design(), ctx)
 }
 
+/// `(bytes, FNV-1a-64)` of a tree's `write_tree` text.
+fn written(tree: &ClockTree) -> (usize, u64) {
+    let mut bytes = Vec::new();
+    sllt_tree::io::write_tree(tree, &mut bytes).expect("in-memory write");
+    (bytes.len(), sllt_obs::fnv1a64(&bytes))
+}
+
 // ---- typed context without recovery ---------------------------------------
 
 #[test]
 fn injected_route_error_is_typed_with_context() {
     let result = with_fault(
         StageFault::once(FaultStage::Route, 0, Some(1), FaultKind::Error),
-        RecoveryPolicy::disabled(),
+        false,
         1,
         &mut NullObserver,
     );
@@ -91,7 +98,7 @@ fn injected_partition_and_sizing_errors_are_typed() {
     ] {
         let result = with_fault(
             StageFault::once(stage, 0, None, FaultKind::Error),
-            RecoveryPolicy::disabled(),
+            false,
             1,
             &mut NullObserver,
         );
@@ -114,7 +121,7 @@ fn route_panic_is_contained_to_a_typed_error() {
     for workers in [1usize, 2] {
         let result = with_fault(
             StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Panic),
-            RecoveryPolicy::disabled(),
+            false,
             workers,
             &mut NullObserver,
         );
@@ -134,7 +141,7 @@ fn panicking_cluster_reports_lowest_index_at_any_worker_count() {
     // regardless of which worker hit which cluster first.
     for workers in [1usize, 2, 4] {
         let cts = HierarchicalCts {
-            recovery: RecoveryPolicy::disabled(),
+            recovery: false,
             workers,
             ..HierarchicalCts::default()
         };
@@ -161,7 +168,7 @@ fn transient_route_error_recovers_and_records_the_downgrade() {
     let mut obs = CollectingObserver::new();
     let tree = with_fault(
         StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Error),
-        RecoveryPolicy::standard(),
+        true,
         1,
         &mut obs,
     )
@@ -178,6 +185,8 @@ fn transient_route_error_recovers_and_records_the_downgrade() {
         l0.downgrades
     );
     assert_eq!(l0.downgrades[0].attempt, 1);
+    assert_eq!(l0.downgrades[0].skew_factor, 1.5);
+    assert_eq!(written(&tree), (7_410, 0xaa9e_e39e_a404_9792));
     // Untouched levels stay clean.
     for l in &obs.levels[1..] {
         assert_eq!(l.attempts, 1);
@@ -190,7 +199,7 @@ fn transient_panic_recovers_under_the_ladder() {
     let mut obs = CollectingObserver::new();
     let tree = with_fault(
         StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Panic),
-        RecoveryPolicy::standard(),
+        true,
         1,
         &mut obs,
     )
@@ -204,7 +213,7 @@ fn transient_panic_recovers_under_the_ladder() {
 fn permanent_fault_exhausts_the_ladder() {
     let result = with_fault(
         StageFault::permanent(FaultStage::Route, 0, Some(0), FaultKind::Error),
-        RecoveryPolicy::standard(),
+        true,
         1,
         &mut NullObserver,
     );
@@ -223,108 +232,78 @@ fn permanent_fault_exhausts_the_ladder() {
     }
 }
 
-#[test]
-fn zero_restarts_recovers_when_recovery_is_enabled() {
-    // The same misconfiguration that is a hard error by default
-    // (engine.rs::zero_partition_restarts_is_a_typed_error) becomes a
-    // recorded downgrade under the ladder's restart floor.
-    let cts = HierarchicalCts {
-        partition_restarts: 0,
-        recovery: RecoveryPolicy::standard(),
-        workers: 1,
-        ..HierarchicalCts::default()
-    };
-    let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
-    tree.validate().unwrap();
-    for l in &obs.levels {
-        assert!(l.attempts >= 2, "every level needs the restart floor");
-        assert!(l.downgrades[0].trigger.contains("restarts"));
-    }
+/// A level-0 route fault on every cluster that fires on the first five
+/// attempts (identity, ×1.5, ×2, ×4, BST) and clears on the sixth, the
+/// ladder's RSMT rung.
+fn until_rsmt() -> FaultPlan {
+    FaultPlan::single(StageFault {
+        max_attempt: 5,
+        ..StageFault::once(FaultStage::Route, 0, None, FaultKind::Error)
+    })
 }
 
 #[test]
-fn stage_deadline_recovers_by_topology_fallback() {
-    // Level 0 routes 96 members: CBS costs 96×4 = 384 units, BST 192,
-    // RSMT 96. A budget of 150 forces the ladder through the skew
-    // relaxations (same cost, still over) and the BST rung down to RSMT.
+fn route_fault_recovers_by_topology_fallback() {
     let cts = HierarchicalCts {
-        route_budget: Some(150),
-        recovery: RecoveryPolicy::standard(),
+        recovery: true,
         workers: 1,
         ..HierarchicalCts::default()
     };
     let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
+    let ctx = RunContext {
+        faults: until_rsmt(),
+        ..RunContext::new(&mut obs, &NullSink)
+    };
+    let tree = cts.run_in(&grid_design(), ctx).unwrap();
     tree.validate().unwrap();
 
     let l0 = &obs.levels[0];
     assert_eq!(l0.attempts, 6, "must climb to the RSMT rung");
     let last = l0.downgrades.last().unwrap();
     assert_eq!(last.topology, Some("rsmt"));
-    assert!(last.trigger.contains("budget"), "{:?}", last.trigger);
-    // Without recovery the same budget is a typed deadline error.
-    let strict = HierarchicalCts {
-        route_budget: Some(150),
-        ..HierarchicalCts::default()
-    };
-    match strict.run(&grid_design()).unwrap_err() {
-        CtsError::StageDeadline {
-            budget, required, ..
-        } => {
-            assert_eq!(budget, 150);
-            assert_eq!(required, 384);
-        }
-        other => panic!("expected StageDeadline, got {other:?}"),
-    }
+    assert!(last.trigger.contains("injected"), "{:?}", last.trigger);
+    // Only the rung that succeeds shapes the tree: any level-0 failure
+    // that clears on the RSMT rung builds these bytes.
+    assert_eq!(written(&tree), (4_922, 0xc062_8092_3b79_2b56));
 }
 
 // ---- the recovery contract, scenario by scenario ---------------------------
 
-/// The scenario table for a design of `sinks` sinks: a fault plan and a
-/// route budget each, every one of which the standard ladder must
+/// The scenario table: fault plans every one of which the ladder must
 /// absorb.
-fn scenarios(sinks: u64) -> [(&'static str, FaultPlan, Option<u64>); 5] {
+fn scenarios() -> [(&'static str, FaultPlan); 5] {
     let once = |stage, cluster, kind| FaultPlan::single(StageFault::once(stage, 0, cluster, kind));
     [
         (
             "transient route error",
             once(FaultStage::Route, Some(0), FaultKind::Error),
-            None,
         ),
         (
             "transient route panic",
             once(FaultStage::Route, Some(0), FaultKind::Panic),
-            None,
         ),
         (
             "partition error",
             once(FaultStage::Partition, None, FaultKind::Error),
-            None,
         ),
         (
             "sizing error",
             once(FaultStage::Sizing, None, FaultKind::Error),
-            None,
         ),
-        // Level 0 costs 4 units/member under CBS, 1 under RSMT; a budget
-        // just under the BST cost (2/member) forces the ladder all the
-        // way down to the RSMT rung.
-        ("route deadline", FaultPlan::none(), Some(2 * sinks - 1)),
+        ("topology fallback", until_rsmt()),
     ]
 }
 
-/// Runs every scenario at 1, 2 and 4 workers with the standard ladder:
+/// Runs every scenario at 1, 2 and 4 workers with the ladder on:
 /// each run recovers into a valid tree over every sink, records at
 /// least one downgrade, and builds the same tree at every worker count.
 fn assert_recovery_contract(design: &Design) {
     let sinks = design.num_ffs();
-    for (name, faults, route_budget) in scenarios(sinks as u64) {
+    for (name, faults) in scenarios() {
         let mut reference: Option<ClockTree> = None;
         for workers in [1usize, 2, 4] {
             let cts = HierarchicalCts {
-                route_budget,
-                recovery: RecoveryPolicy::standard(),
+                recovery: true,
                 workers,
                 ..HierarchicalCts::default()
             };
@@ -369,19 +348,13 @@ fn every_scenario_recovers_identically_on_s35932() {
 #[test]
 fn recovered_runs_are_bit_identical_at_any_worker_count() {
     let fault = || StageFault::once(FaultStage::Route, 0, Some(0), FaultKind::Error);
-    let serial = with_fault(fault(), RecoveryPolicy::standard(), 1, &mut NullObserver).unwrap();
+    let serial = with_fault(fault(), true, 1, &mut NullObserver).unwrap();
     for workers in [2usize, 4] {
-        let parallel = with_fault(
-            fault(),
-            RecoveryPolicy::standard(),
-            workers,
-            &mut NullObserver,
-        )
-        .unwrap();
+        let parallel = with_fault(fault(), true, workers, &mut NullObserver).unwrap();
         assert_eq!(serial, parallel, "workers={workers} diverged");
     }
     // And recovery itself is reproducible run-to-run.
-    let again = with_fault(fault(), RecoveryPolicy::standard(), 1, &mut NullObserver).unwrap();
+    let again = with_fault(fault(), true, 1, &mut NullObserver).unwrap();
     assert_eq!(serial, again);
 }
 
@@ -395,7 +368,7 @@ fn clean_runs_are_unchanged_by_an_enabled_ladder() {
         ..HierarchicalCts::default()
     };
     let with_recovery = HierarchicalCts {
-        recovery: RecoveryPolicy::standard(),
+        recovery: true,
         workers: 1,
         ..HierarchicalCts::default()
     };

@@ -1,5 +1,6 @@
-//! Golden trees: the flow's output on square register grids, byte for
-//! byte, and every timing number reported on the 10⁴ tree, bit for bit.
+//! Golden trees: the flow's output on square register grids and the
+//! commercial-like baseline's on s35932, byte for byte, and every timing
+//! number reported on the 10⁴ tree, bit for bit.
 //!
 //! Kernel speed-ups in the level-0 path (median split, merge-order
 //! generation, DME bisection, CBS candidate checks, RC evaluation) must
@@ -57,6 +58,20 @@ fn square_100k_tree_is_golden() {
     assert_eq!(
         written(&flow_tree(100_000)),
         (9_839_460, "025976b70ae35d8e".to_string())
+    );
+}
+
+/// The commercial-like baseline's s35932 tree at one worker.
+#[test]
+fn commercial_like_tree_is_golden() {
+    let design = sllt_design::design_by_name("s35932").unwrap();
+    let cts = HierarchicalCts {
+        workers: 1,
+        ..sllt_cts::commercial_like()
+    };
+    assert_eq!(
+        written(&cts.run(&design).unwrap()),
+        (282_436, "4cb047e97491d8d9".to_string())
     );
 }
 

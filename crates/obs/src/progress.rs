@@ -6,9 +6,8 @@
 //! within-level cluster deciles, and a final done. Fractions come from
 //! a **work budget** ([`WorkBudget`]), not wall clocks, so the emitted
 //! values are identical at any worker count (and on any machine): a
-//! cluster's work is `members × topology cost weight` — the same
-//! deterministic unit the engine's pre-route stage deadlines use — and
-//! the total-work estimate for the whole run uses the level-halving
+//! cluster's work is its member count, and the total-work estimate for
+//! the whole run uses the level-halving
 //! invariant (every parent absorbs ≥ 2 children, so all work after the
 //! current level is at most one more current-level's worth: `total ≈
 //! completed + 2 × current_level_work`). Fractions are therefore

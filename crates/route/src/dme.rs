@@ -210,29 +210,6 @@ pub fn bst_dme(net: &ClockNet, topo: &Topology, skew_bound_um: f64) -> ClockTree
     )
 }
 
-/// Builds a bounded-skew tree under the Elmore delay model: the spread of
-/// source→sink Elmore delays (ideal source) is at most `skew_bound_ps`.
-///
-/// # Panics
-///
-/// Panics when the net is sinkless, `skew_bound_ps` is negative, or
-/// `topo` references sink indices out of range.
-pub fn bst_dme_elmore(
-    net: &ClockNet,
-    topo: &Topology,
-    skew_bound_ps: f64,
-    tech: &Technology,
-) -> ClockTree {
-    dme(
-        net,
-        &topo.to_hinted(),
-        &DmeOptions {
-            skew_bound: skew_bound_ps,
-            model: DelayModel::Elmore(*tech),
-        },
-    )
-}
-
 /// Builds a bounded-skew tree over a [`HintedTopology`] with explicit
 /// [`DmeOptions`]. This is the full-control entry point; CBS step 5 calls
 /// it with SALT-derived hints.
@@ -245,32 +222,15 @@ pub fn dme(net: &ClockNet, topo: &HintedTopology, opts: &DmeOptions) -> ClockTre
     dme_intervals(net, topo, opts, &vec![(0.0, 0.0); net.len()])
 }
 
-/// Like [`dme`], but each sink `i` starts at delay `offsets[i]` instead of
-/// zero. Hierarchical CTS uses this to balance lower-level subtrees: a
-/// cluster driver appears as a sink whose offset is the delay already
-/// accumulated below it, and the merge balancing equalizes *total*
-/// delays within the bound.
-///
-/// # Panics
-///
-/// Panics when `offsets.len() != net.len()`, any offset is negative, the
-/// net is sinkless, or the bound is negative.
-pub fn dme_offsets(
-    net: &ClockNet,
-    topo: &HintedTopology,
-    opts: &DmeOptions,
-    offsets: &[f64],
-) -> ClockTree {
-    let intervals: Vec<(f64, f64)> = offsets.iter().map(|&o| (o, o)).collect();
-    dme_intervals(net, topo, opts, &intervals)
-}
-
-/// Like [`dme_offsets`], but each sink carries a full delay *interval*
-/// `(fastest, slowest)` — the spread already present inside the subtree
-/// it stands for. Intervals are what make hierarchical skew bounds
-/// compose: the merged interval at the net root covers every leaf of
-/// every subtree, so bounding its width bounds true global skew instead
-/// of just the spread of subtree maxima.
+/// Like [`dme`], but each sink `i` starts with the delay *interval*
+/// `intervals[i]` `(fastest, slowest)` instead of zero. Hierarchical CTS
+/// uses this to balance lower-level subtrees: a cluster driver appears
+/// as a sink carrying the spread already present inside the subtree it
+/// stands for, and the merge balancing equalizes *total* delays within
+/// the bound. Intervals are what make hierarchical skew bounds compose:
+/// the merged interval at the net root covers every leaf of every
+/// subtree, so bounding its width bounds true global skew instead of
+/// just the spread of subtree maxima.
 ///
 /// # Panics
 ///
@@ -789,6 +749,14 @@ mod tests {
         )
     }
 
+    /// Options for a bounded-skew tree under Elmore delay at `bound` ps.
+    fn elmore(bound: f64, tech: &Technology) -> DmeOptions {
+        DmeOptions {
+            skew_bound: bound,
+            model: DelayModel::Elmore(*tech),
+        }
+    }
+
     /// Elmore skew of a tree's sinks (ideal source).
     fn elmore_skew(tree: &ClockTree, tech: &Technology) -> f64 {
         let (rc, map) = tree.to_rc_tree();
@@ -840,7 +808,7 @@ mod tests {
         for seed in 0..6 {
             let net = random_net(seed + 20, 15);
             let topo = TopologyScheme::GreedyDist.build(&net);
-            let t = bst_dme_elmore(&net, &topo, 0.0, &tech);
+            let t = dme(&net, &topo.to_hinted(), &elmore(0.0, &tech));
             t.validate().unwrap();
             let skew = elmore_skew(&t, &tech);
             assert!(skew < 1e-6, "seed {seed}: Elmore skew {skew} ps");
@@ -854,7 +822,7 @@ mod tests {
             let net = random_net(seed + 80, 20);
             for bound in [1.0, 5.0, 10.0, 80.0] {
                 let topo = TopologyScheme::BiCluster.build(&net);
-                let t = bst_dme_elmore(&net, &topo, bound, &tech);
+                let t = dme(&net, &topo.to_hinted(), &elmore(bound, &tech));
                 let skew = elmore_skew(&t, &tech);
                 assert!(
                     skew <= bound + 1e-6,
@@ -974,8 +942,8 @@ mod tests {
         for seed in 0..10 {
             let net = random_net(seed + 400, 18);
             let topo = TopologyScheme::GreedyDist.build(&net);
-            tight += bst_dme_elmore(&net, &topo, 0.1, &tech).wirelength();
-            loose += bst_dme_elmore(&net, &topo, 20.0, &tech).wirelength();
+            tight += dme(&net, &topo.to_hinted(), &elmore(0.1, &tech)).wirelength();
+            loose += dme(&net, &topo.to_hinted(), &elmore(20.0, &tech)).wirelength();
         }
         assert!(
             loose < tight,
@@ -1132,7 +1100,7 @@ mod tests {
         proptest!(|(seed in 0u64..60, n in 2usize..15, bound in 0f64..20.0)| {
             let net = random_net(seed + 3000, n);
             let topo = TopologyScheme::GreedyDist.build(&net);
-            let t = bst_dme_elmore(&net, &topo, bound, &tech);
+            let t = dme(&net, &topo.to_hinted(), &elmore(bound, &tech));
             prop_assert!(elmore_skew(&t, &tech) <= bound + 1e-6);
             prop_assert!(t.validate().is_ok());
         });

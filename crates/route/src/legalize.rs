@@ -31,33 +31,18 @@ use sllt_tree::{ClockTree, NodeId};
 /// internal sink pins its subtree's fast end and cannot be slowed by edge
 /// detour.
 pub fn skew_legalize(tree: &mut ClockTree, model: &DelayModel, bound: f64) -> f64 {
-    skew_legalize_offsets(tree, model, bound, &[])
+    skew_legalize_intervals(tree, model, bound, &[])
 }
 
-/// Like [`skew_legalize`], but sink `i` (by its `sink_index`) starts at
-/// delay `offsets[i]` — the accumulated delay of the subtree it stands
-/// for in a hierarchical flow. An empty slice means all-zero offsets.
+/// Like [`skew_legalize`], but sink `i` (by its `sink_index`) starts with
+/// the delay *interval* `intervals[i]` `(fastest, slowest)` — the delay
+/// of the subtree it stands for in a hierarchical flow. An empty slice
+/// means all-zero.
 ///
 /// # Panics
 ///
-/// As [`skew_legalize`]; additionally panics when `offsets` is non-empty
-/// but too short for some sink index.
-pub fn skew_legalize_offsets(
-    tree: &mut ClockTree,
-    model: &DelayModel,
-    bound: f64,
-    offsets: &[f64],
-) -> f64 {
-    let intervals: Vec<(f64, f64)> = offsets.iter().map(|&o| (o, o)).collect();
-    skew_legalize_intervals(tree, model, bound, &intervals)
-}
-
-/// Like [`skew_legalize_offsets`], but each sink carries a delay
-/// *interval* `(fastest, slowest)`; an empty slice means all-zero.
-///
-/// # Panics
-///
-/// As [`skew_legalize`].
+/// As [`skew_legalize`]; additionally panics when `intervals` is
+/// non-empty but too short for some sink index.
 pub fn skew_legalize_intervals(
     tree: &mut ClockTree,
     model: &DelayModel,

@@ -57,12 +57,12 @@ pub mod ust;
 pub use sllt_tree::{ClockNet, Sink};
 
 pub use dme::{
-    bst_dme, bst_dme_elmore, dme, dme_intervals, dme_offsets, skew_of, try_dme_intervals, zst_dme,
-    DelayModel, DmeError, DmeOptions,
+    bst_dme, dme, dme_intervals, skew_of, try_dme_intervals, zst_dme, DelayModel, DmeError,
+    DmeOptions,
 };
 pub use ghtree::ghtree;
 pub use htree::htree;
-pub use legalize::{skew_legalize, skew_legalize_intervals, skew_legalize_offsets};
+pub use legalize::{skew_legalize, skew_legalize_intervals};
 pub use rmst_fast::rmst_octant;
 pub use rsmt::{rmst, rsmt};
 pub use salt::{salt, salt_from_tree};

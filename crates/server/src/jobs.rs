@@ -28,7 +28,7 @@
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
     evaluate, CancelToken, CheckpointMode, CtsError, FaultPlan, FlowEvent, FlowObserver, NullSink,
-    ProgressJournal, RecoveryPolicy, RunContext,
+    ProgressJournal, RunContext,
 };
 use sllt_obs::Value;
 use std::collections::HashSet;
@@ -45,14 +45,13 @@ pub const EXIT_JOB_CANCELLED: i32 = 3;
 /// recovery ladder on — a served job should degrade, not die.
 pub fn config_by_name(name: &str) -> Result<HierarchicalCts, String> {
     let base = HierarchicalCts {
-        recovery: RecoveryPolicy::standard(),
+        recovery: true,
         ..HierarchicalCts::default()
     };
     match name {
         "base" => Ok(base),
         "tight" => Ok(HierarchicalCts {
             level_skew_fraction: 0.35,
-            sizing_slack: 1.15,
             ..base
         }),
         "nosa" => Ok(HierarchicalCts {
@@ -331,6 +330,43 @@ mod tests {
         let err = config_by_name("hyperdrive").unwrap_err();
         assert!(err.contains("hyperdrive"));
         assert!(design_by_name("not_a_design").is_err());
+    }
+
+    /// Every named config's tree at one worker, as `(bytes, FNV-1a-64)`
+    /// of the `write_tree` text: what a config builds may not change
+    /// while its settings are refactored. On s35932 the three configs
+    /// build the same tree; `grid1500` tells all three apart.
+    #[test]
+    fn named_configs_build_golden_trees() {
+        let mut got = Vec::new();
+        for design in ["s35932", "grid1500"] {
+            let design = design_by_name(design).unwrap();
+            for name in ["base", "tight", "nosa"] {
+                let cts = HierarchicalCts {
+                    workers: 1,
+                    ..config_by_name(name).unwrap()
+                };
+                let mut bytes = Vec::new();
+                sllt_tree::io::write_tree(&cts.run(&design).unwrap(), &mut bytes).unwrap();
+                got.push(format!(
+                    "{} {name} {} {:016x}",
+                    design.name,
+                    bytes.len(),
+                    sllt_obs::fnv1a64(&bytes)
+                ));
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                "s35932 base 282653 ea18a1633c1054d8",
+                "s35932 tight 282653 ea18a1633c1054d8",
+                "s35932 nosa 282653 ea18a1633c1054d8",
+                "grid1500 base 127540 7ce3416466d794e3",
+                "grid1500 tight 127535 0fdd760818467f4a",
+                "grid1500 nosa 126900 a5f4c4097fb2428d",
+            ]
+        );
     }
 
     #[test]

@@ -146,8 +146,13 @@ job_id() { sed -n 's/.*"job":"\([^"]*\)".*/\1/p'; }
 J1=$($JOBS submit --connect "$SOCK" --design grid48 | job_id)
 J2=$($JOBS submit --connect "$SOCK" --design grid36 --fault panic --retries 1 | job_id)
 J3=$($JOBS submit --connect "$SOCK" --design grid36 --fault sleep:30000 | job_id)
+# Every named config must build through the daemon, not just base.
+JT=$($JOBS submit --connect "$SOCK" --design grid36 --config tight | job_id)
+JN=$($JOBS submit --connect "$SOCK" --design grid36 --config nosa | job_id)
 # The healthy job must land ok despite its panicking sibling...
 $JOBS result --connect "$SOCK" --job "$J1" --wait | grep -q '"status":"ok"'
+$JOBS result --connect "$SOCK" --job "$JT" --wait | grep -q '"status":"ok"'
+$JOBS result --connect "$SOCK" --job "$JN" --wait | grep -q '"status":"ok"'
 $JOBS result --connect "$SOCK" --job "$J2" --wait | grep -q '"status":"panic"'
 # ...and the slow third job is cancelled mid-run (running by now: the
 # panic job released its worker).
