@@ -109,9 +109,10 @@ pub struct HierarchicalCts {
     /// each driver fast and letting the next level's interval-aware
     /// merge absorb the spread.
     pub equalize_sizing: bool,
-    /// Worker threads for the per-cluster route stage: 0 picks the
-    /// machine's available parallelism, 1 routes serially. Any value
-    /// yields bit-identical trees.
+    /// Threads for every fan-out of a run (partition cells, K-means
+    /// restarts, SA chains, the median split and routing), the calling
+    /// thread included: 0 picks the machine's available parallelism, 1
+    /// starts no thread. Any value yields bit-identical trees.
     pub workers: usize,
     /// RNG seed for the K-means and SA partition searches.
     pub seed: u64,
@@ -536,7 +537,7 @@ impl HierarchicalCts {
 
         let wirelength_um: f64 = routed.iter().map(|r| r.tree.wirelength()).sum();
         let load_cap_ff: f64 = routed.iter().map(|r| r.load).sum();
-        let workers = eff.effective_workers(routed.len());
+        let workers = eff.effective_workers().min(routed.len()).max(1);
 
         let (next, built, stats) = {
             let _s = sllt_obs::span("cts.sizing");
@@ -571,15 +572,13 @@ impl HierarchicalCts {
         Ok((report, next, built))
     }
 
-    /// Worker threads the route stage will actually use for `jobs`
-    /// clusters: the configured [`workers`](Self::workers) (0 = the
-    /// machine's available parallelism), never more than the job count.
-    pub fn effective_workers(&self, jobs: usize) -> usize {
-        let configured = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.workers
-        };
-        configured.min(jobs).max(1)
+    /// Threads each fan-out of a run may use (none uses more than it
+    /// has items): the configured [`workers`](Self::workers), or the
+    /// machine's available parallelism when that is 0.
+    pub fn effective_workers(&self) -> usize {
+        match self.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            w => w,
+        }
     }
 }

@@ -12,8 +12,7 @@ const PARTITION_RESTARTS: usize = 4;
 
 /// Independent SA chains per level in the partition refinement; the
 /// lowest-cost final state wins (ties break toward the lowest chain
-/// index). Chains run across the worker pool; any chain/worker
-/// combination yields bit-identical trees.
+/// index).
 const SA_CHAINS: usize = 2;
 
 /// The chosen partition of one level's nodes.
@@ -62,14 +61,14 @@ pub(crate) fn partition_level(
     let k = by_fanout.max(by_cap).max(by_wl).max(1).min((n / 2).max(1));
 
     // Large levels use median-bisection cells with per-cell exact
-    // (min-cost-flow) assignment, fanned out across the flow's worker
-    // pool — per-cell seed streams are anchored to cell content, so the
-    // partition is bit-identical at any worker count. Smaller levels
-    // pick among K-means restarts with the paper's
-    // latency/capacitance-adaptive cost `p·σ(Cap) + q·σ(T)` (§3.2),
-    // whose weights shift from capacitance balance at the bottom toward
-    // delay balance at the top. The realized cluster count may exceed
-    // the estimate.
+    // (min-cost-flow) assignment. Smaller levels pick among K-means
+    // restarts with the paper's latency/capacitance-adaptive cost
+    // `p·σ(Cap) + q·σ(T)` (§3.2), whose weights shift from capacitance
+    // balance at the bottom toward delay balance at the top. The
+    // realized cluster count may exceed the estimate. Cells, restarts
+    // and SA chains fan out over the workers with seed streams fixed by
+    // cell content or index, so the partition is the same at any worker
+    // count (`DESIGN.md` §4a).
     // The restart path's exact assignment costs ~O(n^2.7) per solve
     // (10 ms at 300 points, ~700 ms at 1400), so levels past a few
     // hundred nodes pay seconds per restart; the cell path bounds every
@@ -86,7 +85,7 @@ pub(crate) fn partition_level(
             cons.max_fanout,
             max_cell,
             cts.seed ^ level as u64,
-            cts.effective_workers(usize::MAX),
+            cts.effective_workers(),
             &|| cancel.poll(),
         )
         .ok_or(CtsError::Cancelled)?
@@ -94,19 +93,15 @@ pub(crate) fn partition_level(
         // Rough level count for the weight schedule.
         let est_levels = ((n as f64).ln() / (cons.max_fanout as f64).ln()).ceil() as usize + 1;
         let (p, q) = sllt_partition::cost::level_weights(level, est_levels.max(2));
-        // Restarts fan out across the worker pool with per-restart seed
-        // streams; the serial strict-`<` best-of keeps `min_by`'s
-        // first-minimum-wins tie-break, so the chosen partition is
-        // bit-identical at any worker count (and to the old serial
-        // loop). Cancellation is polled between restarts; a stopped
-        // search discards every candidate.
+        // Cancellation is polled between restarts; a stopped search
+        // discards every candidate.
         sllt_partition::balanced_kmeans_restarts_scored(
             positions,
             k,
             cons.max_fanout,
             cts.seed ^ level as u64,
             PARTITION_RESTARTS,
-            cts.effective_workers(PARTITION_RESTARTS),
+            cts.effective_workers(),
             &|cand| adaptive_cluster_cost(cts, positions, caps, cand, p, q),
             &|| cancel.poll(),
         )
@@ -121,8 +116,6 @@ pub(crate) fn partition_level(
             max_wl_um: cons.max_wl_um,
             unit_wire_cap: cts.tech.unit_cap_ff,
         };
-        // Independent chains explore from the same start; the serial
-        // best-of keeps the result bit-identical at any worker count.
         // Cancellation is polled once per SA proposal; a stopped run
         // leaves `assignment` untouched and the whole level attempt is
         // discarded as Cancelled.
@@ -137,7 +130,7 @@ pub(crate) fn partition_level(
                 ..Default::default()
             },
             SA_CHAINS,
-            cts.effective_workers(SA_CHAINS),
+            cts.effective_workers(),
             &|| cancel.poll(),
         )
         .ok_or(CtsError::Cancelled)?;

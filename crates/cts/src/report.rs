@@ -48,7 +48,7 @@ pub struct LevelReport {
     pub num_nodes: usize,
     /// Clusters built (= nodes leaving the level).
     pub num_clusters: usize,
-    /// Worker threads the route stage ran on.
+    /// Threads the route stage ran on, the calling thread included.
     pub workers: usize,
     /// Per-stage wall time.
     pub timings: StageTimings,

@@ -2,11 +2,10 @@
 //!
 //! Every cluster routes independently (`route_cluster` needs only
 //! `&HierarchicalCts`, the run's cancel token and fault plan, and the
-//! cluster's members), so the stage fans out across a
-//! `std::thread::scope`: workers pull cluster indices from a shared
-//! atomic counter and write results into per-index slots. Collection is
-//! by cluster index, so the output is bit-identical no matter how many
-//! workers run or how they interleave.
+//! cluster's members), so the stage hands the clusters to
+//! [`sllt_obs::fan_out`]. Its contract (`DESIGN.md` §4a, "Threading and
+//! determinism") returns results by cluster index, so the output is
+//! bit-identical no matter how many workers run or how they interleave.
 
 use crate::cancel::CancelToken;
 use crate::error::CtsError;
@@ -20,7 +19,7 @@ use sllt_obs::WorkBudget;
 use sllt_route::{rsmt, try_dme_intervals, DelayModel, DmeOptions, TopologyScheme};
 use sllt_tree::{ClockNet, ClockTree, NodeKind, Sink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One clock node at the current level: a design FF or a built cluster's
@@ -54,13 +53,6 @@ pub(crate) struct RoutedCluster {
     pub subtree_hi: f64,
 }
 
-/// One unit of route work: a non-empty cluster's members.
-struct ClusterJob {
-    /// Dense job index — the cluster identity carried in route errors.
-    index: usize,
-    members: Vec<LevelNode>,
-}
-
 /// Groups `nodes` by the partition and routes every non-empty cluster.
 /// Results are returned in cluster-index order; on error the failure of
 /// the lowest-indexed failing cluster is reported (also independent of
@@ -79,29 +71,13 @@ pub(crate) fn route_clusters(
 ) -> Result<Vec<RoutedCluster>, CtsError> {
     // Single-pass bucketing: a per-cluster scan of `nodes` is O(k·n),
     // which at a million sinks (k ≈ 5·10⁴) costs minutes of pure
-    // grouping. Buckets preserve node-index order within each cluster,
-    // so the job list is identical to the old filter-per-cluster form.
+    // grouping. Buckets preserve node-index order within each cluster;
+    // a job's index in the non-empty list is its cluster identity.
     let mut buckets: Vec<Vec<LevelNode>> = vec![Vec::new(); part.k];
     for (node, &a) in nodes.iter().zip(&part.assignment) {
         buckets[a].push(*node);
     }
-    let jobs: Vec<ClusterJob> = buckets
-        .into_iter()
-        .filter(|members| !members.is_empty())
-        .enumerate()
-        .map(|(index, members)| ClusterJob { index, members })
-        .collect();
-
-    let (cancel, faults) = (&ctx.cancel, &ctx.faults);
-    let route_contained = |job: &ClusterJob| -> Result<RoutedCluster, CtsError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            route_cluster(cts, cancel, faults, job, level, attempt)
-        }))
-        .unwrap_or(Err(CtsError::ClusterPanicked {
-            level,
-            cluster: job.index,
-        }))
-    };
+    buckets.retain(|members| !members.is_empty());
 
     // Within-level deciles, sent live: whichever completion pushes the
     // done-work counter (cluster members) past a tenth of the level
@@ -110,7 +86,7 @@ pub(crate) fn route_clusters(
     // each decile goes out exactly once, in order, and every field is a
     // pure function of (budget, k) — the stream is worker-count
     // independent.
-    let total_members: u64 = jobs.iter().map(|j| j.members.len() as u64).sum();
+    let total_members: u64 = buckets.iter().map(|m| m.len() as u64).sum();
     let done_members = AtomicU64::new(0);
     let deciles = Mutex::new((&mut *ctx.observer, 0u64));
     let report_progress = |members: u64| {
@@ -129,65 +105,29 @@ pub(crate) fn route_clusters(
         }
     };
 
-    let workers = cts.effective_workers(jobs.len());
-    if workers <= 1 {
-        // Serial path: poll once per cluster so cancellation latency is
-        // bounded by a single cluster's routing work.
-        let mut out = Vec::with_capacity(jobs.len());
-        for job in &jobs {
-            if cancel.poll() {
-                return Err(CtsError::Cancelled);
-            }
-            out.push(route_contained(job)?);
-            report_progress(job.members.len() as u64);
+    // Claims stop at a cancel or at the first failure. Claims go in
+    // cluster order, so every cluster below a failed one was claimed
+    // and finished: the lowest-indexed failure is always in its slot.
+    let (cancel, faults) = (&ctx.cancel, &ctx.faults);
+    let failed = AtomicBool::new(false);
+    let stop = || failed.load(Ordering::Relaxed) || cancel.poll();
+    let route = |cluster, members| {
+        let routed = catch_unwind(AssertUnwindSafe(|| {
+            route_cluster(cts, cancel, faults, cluster, members, level, attempt)
+        }))
+        .unwrap_or(Err(CtsError::ClusterPanicked { level, cluster }));
+        match &routed {
+            Ok(rc) => report_progress(rc.members.len() as u64),
+            Err(_) => failed.store(true, Ordering::Relaxed),
         }
-        return Ok(out);
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<RoutedCluster, CtsError>>>> =
-        Mutex::new((0..jobs.len()).map(|_| None).collect());
-    // Telemetry hand-off: workers record into the coordinator's registry
-    // (if one is installed), with their spans parented under the route
-    // stage's span. Purely observational — shards merge on scope exit,
-    // never mid-run, so worker interleaving stays unconstrained.
-    let registry = sllt_obs::current();
-    let parent_span = sllt_obs::current_span();
-    std::thread::scope(|scope| {
-        let (next, slots, jobs, registry) = (&next, &slots, &jobs, &registry);
-        let route_contained = &route_contained;
-        let report_progress = &report_progress;
-        for w in 0..workers {
-            scope.spawn(move || {
-                let _telemetry = registry
-                    .as_ref()
-                    .map(|r| r.install_worker(&format!("route-worker-{w}"), parent_span));
-                loop {
-                    // Each worker polls before claiming a cluster, so at
-                    // most `workers` clusters start after a cancel fires.
-                    if cancel.poll() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let result = route_contained(&jobs[i]);
-                    let ok = result.is_ok();
-                    slots.lock().expect("no panics hold the slot lock")[i] = Some(result);
-                    if ok {
-                        report_progress(jobs[i].members.len() as u64);
-                    }
-                }
-            });
-        }
-    });
+        routed
+    };
+    let workers = cts.effective_workers();
+    let slots = sllt_obs::fan_out("route-worker", buckets, workers, &stop, route);
+    // Empty slots follow the lowest failure, which `collect` reports
+    // first; with no failure, the cancel fired and the level is discarded.
     slots
-        .into_inner()
-        .expect("workers joined")
         .into_iter()
-        // A slot left empty means its worker saw the cancel before
-        // claiming the cluster; the whole level attempt is discarded.
         .map(|slot| slot.unwrap_or(Err(CtsError::Cancelled)))
         .collect()
 }
@@ -197,17 +137,17 @@ fn route_cluster(
     cts: &HierarchicalCts,
     cancel: &CancelToken,
     faults: &FaultPlan,
-    job: &ClusterJob,
+    cluster: usize,
+    members: Vec<LevelNode>,
     level: usize,
     attempt: usize,
 ) -> Result<RoutedCluster, CtsError> {
-    faults.check(FaultStage::Route, level, Some(job.index), attempt, cancel)?;
+    faults.check(FaultStage::Route, level, Some(cluster), attempt, cancel)?;
     // One span per cluster, nested under the route stage (workers
     // inherit the stage span as base parent) — this is what gives the
     // Chrome trace its per-worker lanes. Inert without telemetry.
     let _cluster_span = sllt_obs::span("cts.route.cluster");
     let started = sllt_obs::enabled().then(std::time::Instant::now);
-    let members = &job.members;
     // Invariant: the partition stage never emits an empty cluster (the
     // min-cost flow assigns every centre at least one member), so the
     // centroid always exists.
@@ -228,7 +168,7 @@ fn route_cluster(
     // the caller's `catch_unwind`.
     let route_err = |source| CtsError::ClusterRoute {
         level,
-        cluster: job.index,
+        cluster,
         source,
     };
     let tree = match cts.topology {
@@ -273,7 +213,7 @@ fn route_cluster(
     }
     Ok(RoutedCluster {
         tree,
-        members: members.clone(),
+        members,
         tap,
         load,
         subtree_lo,

@@ -137,26 +137,31 @@ fn route_panic_is_contained_to_a_typed_error() {
 
 #[test]
 fn panicking_cluster_reports_lowest_index_at_any_worker_count() {
-    // Two clusters panic; the error must always name the lowest index,
-    // regardless of which worker hit which cluster first.
-    for workers in [1usize, 2, 4] {
-        let cts = HierarchicalCts {
-            recovery: false,
-            workers,
-            ..HierarchicalCts::default()
-        };
-        let ctx = RunContext {
-            faults: FaultPlan {
-                faults: vec![
-                    StageFault::once(FaultStage::Route, 0, Some(2), FaultKind::Panic),
-                    StageFault::once(FaultStage::Route, 0, Some(1), FaultKind::Panic),
-                ],
-            },
-            ..Default::default()
-        };
-        match cts.run_in(&grid_design(), ctx).unwrap_err() {
-            CtsError::ClusterPanicked { cluster, .. } => assert_eq!(cluster, 1),
-            other => panic!("expected ClusterPanicked, got {other:?}"),
+    // Two clusters fail (by panic, or by returning an error); the error
+    // must always name the lowest index, regardless of which worker hit
+    // which cluster first.
+    for kind in [FaultKind::Panic, FaultKind::Error] {
+        for workers in [1usize, 2, 4] {
+            let cts = HierarchicalCts {
+                recovery: false,
+                workers,
+                ..HierarchicalCts::default()
+            };
+            let ctx = RunContext {
+                faults: FaultPlan {
+                    faults: vec![
+                        StageFault::once(FaultStage::Route, 0, Some(2), kind),
+                        StageFault::once(FaultStage::Route, 0, Some(1), kind),
+                    ],
+                },
+                ..Default::default()
+            };
+            let cluster = match (kind, cts.run_in(&grid_design(), ctx).unwrap_err()) {
+                (FaultKind::Panic, CtsError::ClusterPanicked { cluster, .. }) => Some(cluster),
+                (FaultKind::Error, CtsError::InjectedFault { cluster, .. }) => cluster,
+                (_, other) => panic!("{kind:?} at {workers} workers: got {other:?}"),
+            };
+            assert_eq!(cluster, Some(1), "{kind:?} at {workers} workers");
         }
     }
 }

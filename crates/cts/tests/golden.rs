@@ -6,10 +6,11 @@
 //! generation, DME bisection, CBS candidate checks, RC evaluation) must
 //! compute every float that reaches a tree by the same operations in the
 //! same order, so the written tree may not change by a single byte. The
-//! digests are FNV-1a-64 of the `write_tree` text; the 10⁵ case runs in
-//! release only (`scripts/ci.sh`). The timing goldens hold the buffered
-//! delay/slew walk that `evaluate`, `max_slew` and both OCV views share
-//! to the same standard.
+//! digests are FNV-1a-64 of the `write_tree` text. Both square trees
+//! must come out the same at 1 and 4 workers as at 2; those runs and
+//! the 10⁵ case run in release only (`scripts/ci.sh`). The timing
+//! goldens hold the buffered delay/slew walk that `evaluate`,
+//! `max_slew` and both OCV views share to the same standard.
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{derate_skew, evaluate, ocv_analysis, OcvModel};
@@ -17,48 +18,59 @@ use sllt_design::GridSpec;
 use sllt_tree::ClockTree;
 use std::sync::OnceLock;
 
+/// `(bytes, FNV-1a-64)` of the square-10⁴ and square-10⁵ trees.
+const SQUARE_10K: (usize, u64) = (910_593, 0xfb5e4e3d116cdc35);
+const SQUARE_100K: (usize, u64) = (9_839_460, 0x025976b70ae35d8e);
+
 /// The flow's tree for a square grid of `sinks` flip-flops at 15 µm
 /// pitch.
-fn flow_tree(sinks: usize) -> ClockTree {
+fn flow_tree(sinks: usize, workers: usize) -> ClockTree {
     let design = GridSpec::square(sinks).instantiate();
     let cts = HierarchicalCts {
-        workers: 2,
+        workers,
         ..HierarchicalCts::default()
     };
     cts.run(&design).expect("square grids route")
 }
 
-/// The square-10⁴ tree, built once for every test here.
+/// The square-10⁴ tree at 2 workers, built once for every test here.
 fn square_10k() -> &'static ClockTree {
     static TREE: OnceLock<ClockTree> = OnceLock::new();
-    TREE.get_or_init(|| flow_tree(10_000))
+    TREE.get_or_init(|| flow_tree(10_000, 2))
 }
 
 /// `(bytes, FNV-1a-64)` of the written tree.
-fn written(tree: &ClockTree) -> (usize, String) {
+fn written(tree: &ClockTree) -> (usize, u64) {
     let mut bytes = Vec::new();
     sllt_tree::io::write_tree(tree, &mut bytes).expect("in-memory write");
-    (
-        bytes.len(),
-        format!("{:016x}", sllt_obs::journal::fnv1a64(&bytes)),
-    )
+    (bytes.len(), sllt_obs::journal::fnv1a64(&bytes))
 }
 
 #[test]
 fn square_10k_tree_is_golden() {
-    assert_eq!(
-        written(square_10k()),
-        (910_593, "fb5e4e3d116cdc35".to_string())
-    );
+    assert_eq!(written(square_10k()), SQUARE_10K);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
 fn square_100k_tree_is_golden() {
-    assert_eq!(
-        written(&flow_tree(100_000)),
-        (9_839_460, "025976b70ae35d8e".to_string())
-    );
+    assert_eq!(written(&flow_tree(100_000, 2)), SQUARE_100K);
+}
+
+/// Worker identity at the scale points: one and four workers write the
+/// bytes two do.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
+fn square_trees_are_golden_at_1_and_4_workers() {
+    for (sinks, want) in [(10_000, SQUARE_10K), (100_000, SQUARE_100K)] {
+        for workers in [1, 4] {
+            assert_eq!(
+                written(&flow_tree(sinks, workers)),
+                want,
+                "{workers} workers"
+            );
+        }
+    }
 }
 
 /// The commercial-like baseline's s35932 tree at one worker.
@@ -71,7 +83,7 @@ fn commercial_like_tree_is_golden() {
     };
     assert_eq!(
         written(&cts.run(&design).unwrap()),
-        (282_436, "4cb047e97491d8d9".to_string())
+        (282_436, 0x4cb047e97491d8d9)
     );
 }
 

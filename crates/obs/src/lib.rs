@@ -17,6 +17,10 @@
 //! * **A JSONL run record** ([`record::RunRecord`]): spans + metrics +
 //!   the engine's report stream in a stable, validated schema.
 //!
+//! It also owns [`fan_out`], the one work-claiming loop every parallel
+//! step of a flow run goes through, because handing telemetry to its
+//! helper threads is part of that loop.
+//!
 //! # Overhead contract
 //!
 //! With no telemetry scope installed anywhere in the process, every
@@ -37,6 +41,7 @@
 //! ```
 
 pub mod chrome;
+mod fanout;
 pub mod journal;
 pub mod json;
 pub mod metrics;
@@ -48,14 +53,15 @@ pub mod trace;
 pub mod vfs;
 
 pub use chrome::{chrome_trace, write_chrome};
+pub use fanout::fan_out;
 pub use journal::{fnv1a64, DurableAppender, Journal, JournalError, JournalFrame, TornTail};
 pub use json::Value;
 pub use metrics::{fmt_rate, peak_rss_bytes, rate_per_sec, rss_bytes, Histogram, MetricsMap};
 pub use progress::{latest_fraction, read_progress, WorkBudget};
 pub use record::{RunRecord, SCHEMA_VERSION};
 pub use registry::{
-    count, current, current_span, enabled, gauge, record, record_hist, span, Collected, Registry,
-    ScopeGuard, SpanGuard, SpanRecord,
+    count, enabled, gauge, record, record_hist, span, Collected, Registry, ScopeGuard, SpanGuard,
+    SpanRecord,
 };
 pub use sink::{NullSink, RecordingSink, TelemetrySink};
 pub use trace::{

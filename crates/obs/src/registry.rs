@@ -97,14 +97,18 @@ impl Registry {
         self.install_worker(thread_label, None)
     }
 
-    /// [`install`](Registry::install) for a worker thread: spans opened
-    /// on this thread nest under `parent_span` (usually the spawning
-    /// thread's [`current_span`]).
+    /// [`install`](Registry::install) for a [`fan_out`](crate::fan_out)
+    /// helper thread: spans opened on this thread nest under
+    /// `parent_span` (the handing thread's [`current_span`]).
     ///
     /// # Panics
     ///
     /// Panics when the current thread already has a shard installed.
-    pub fn install_worker(&self, thread_label: &str, parent_span: Option<u64>) -> ScopeGuard {
+    pub(crate) fn install_worker(
+        &self,
+        thread_label: &str,
+        parent_span: Option<u64>,
+    ) -> ScopeGuard {
         let tracer = self.trace_hub().map(|hub| hub.register(thread_label));
         SHARD.with(|slot| {
             let mut slot = slot.borrow_mut();
@@ -361,25 +365,26 @@ pub fn span(name: &'static str) -> SpanGuard {
     })
 }
 
-/// The registry installed on this thread, if any — how coordinator code
-/// hands the registry to worker threads it spawns.
-pub fn current() -> Option<Registry> {
+/// The registry installed on this thread, if any — what
+/// [`fan_out`](crate::fan_out) hands its helper threads.
+pub(crate) fn current() -> Option<Registry> {
     if !enabled() {
         return None;
     }
     SHARD.with(|slot| slot.borrow().as_ref().map(|s| s.registry.clone()))
 }
 
-/// The innermost open span id on this thread, if any — the parent for
-/// worker shards.
-pub fn current_span() -> Option<u64> {
+/// The parent a span opened now on this thread would get — the
+/// innermost open span, else a worker shard's base parent — and so the
+/// parent for worker shards this thread hands work to.
+pub(crate) fn current_span() -> Option<u64> {
     if !enabled() {
         return None;
     }
     SHARD.with(|slot| {
         slot.borrow()
             .as_ref()
-            .and_then(|s| s.open.last().map(|&(id, _, _)| id))
+            .and_then(|s| s.open.last().map(|&(id, _, _)| id).or(s.base_parent))
     })
 }
 

@@ -896,7 +896,7 @@ fn median_split_cells(points: &[Point], max_cell: usize, workers: usize) -> Vec<
         &mut cell,
         CellOrder::Index,
         max_cell,
-        workers.max(1),
+        workers,
         &mut cells,
     );
     cells
@@ -930,20 +930,19 @@ fn split_cell(
         bb.expand(points[i]);
     }
     let order = order.then_split(bb.width() >= bb.height());
-    let parallel = workers > 1 && cell.len() >= PARALLEL_SPLIT_MIN;
+    let parallel = cell.len() >= PARALLEL_SPLIT_MIN;
     let mid = cell.len() / 2;
     cell.select_nth_unstable_by(mid, |&a, &b| order.cmp(points, a, b));
     let (lo, hi) = cell.split_at_mut(mid);
-    if parallel {
-        let mut lo_cells = Vec::new();
-        std::thread::scope(|scope| {
-            scope.spawn(|| split_cell(points, lo, order, max_cell, workers / 2, &mut lo_cells));
-            split_cell(points, hi, order, max_cell, workers - workers / 2, out);
-        });
-        out.append(&mut lo_cells);
-    } else {
-        split_cell(points, hi, order, max_cell, workers, out);
-        split_cell(points, lo, order, max_cell, workers, out);
+    let halves = vec![(hi, workers - workers / 2), (lo, workers / 2)];
+    let fan = if parallel { workers } else { 1 };
+    let split = sllt_obs::fan_out("kmeans-split", halves, fan, &|| false, |_, (half, w)| {
+        let mut cells = Vec::new();
+        split_cell(points, half, order, max_cell, w, &mut cells);
+        cells
+    });
+    for cells in split {
+        out.extend(cells.expect("nothing stops a split"));
     }
 }
 
@@ -989,18 +988,18 @@ fn median_split_cells_oracle(points: &[Point], max_cell: usize) -> Vec<Vec<usize
 /// per-cell flow keeps the capacity exact.
 ///
 /// The median bisection runs first (its large halves split on
-/// `workers` threads) and yields a deterministic cell list; `workers`
-/// scoped threads then pull whole cells from a shared
-/// counter and run the per-cell K-means + min-cost-flow independently.
-/// Each cell's seed is anchored to its first (sort-leading) point index
-/// and expanded through SplitMix64 by the RNG layer, so every shard's
-/// random stream is a pure function of the point set and `seed` —
-/// never of worker count or scheduling. Shard results merge in cell
-/// order, which makes the returned partition (assignment *and* centre
-/// numbering) bit-identical at any worker count, including one.
+/// `workers` threads) and yields a deterministic cell list; the cells
+/// then fan out over `workers` ([`sllt_obs::fan_out`]), each running
+/// its K-means + min-cost-flow independently. Each cell's seed is
+/// anchored to its first (sort-leading) point index and expanded
+/// through SplitMix64 by the RNG layer, so every shard's random stream
+/// is a pure function of the point set and `seed` — never of worker
+/// count or scheduling. Shard results merge in cell order, which makes
+/// the returned partition (assignment *and* centre numbering)
+/// bit-identical at any worker count, including one.
 ///
-/// `stop` is polled between cells on every worker; returns `None` when
-/// it fired (the partial partition is discarded).
+/// `stop` is polled before each cell is claimed; returns `None` when it
+/// fired (the partial partition is discarded).
 ///
 /// # Panics
 ///
@@ -1020,7 +1019,8 @@ pub fn balanced_kmeans_grid_sharded(
     let cells = median_split_cells(points, max_cell, workers);
     sllt_obs::count("partition.grid.cells", cells.len() as u64);
 
-    let cluster_cell = |cell: &[usize]| -> Partition {
+    let items: Vec<&[usize]> = cells.iter().map(Vec::as_slice).collect();
+    let parts = sllt_obs::fan_out("kmeans-worker", items, workers, stop, |_, cell| {
         let pts: Vec<Point> = cell.iter().map(|&i| points[i]).collect();
         let k_cell = cell
             .len()
@@ -1028,64 +1028,18 @@ pub fn balanced_kmeans_grid_sharded(
             .max(target_k * cell.len() / n.max(1))
             .max(1)
             .min(cell.len());
-        serial_restarts(&pts, k_cell, cap, seed ^ cell[0] as u64, 2)
-    };
-
-    let workers = workers.clamp(1, cells.len().max(1));
-    let parts: Vec<Option<Partition>> = if workers <= 1 {
-        let mut parts = Vec::with_capacity(cells.len());
-        for cell in &cells {
-            if stop() {
-                return None;
-            }
-            parts.push(Some(cluster_cell(cell)));
-        }
-        parts
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Partition>>> = Mutex::new(vec![None; cells.len()]);
-        // Telemetry hand-off: workers record into the coordinator's
-        // registry (if one is installed) so per-cell counters merge to
-        // the same totals the serial path records — worker count must
-        // stay invisible to telemetry, not just to the partition.
-        let registry = sllt_obs::current();
-        let parent_span = sllt_obs::current_span();
-        std::thread::scope(|scope| {
-            let (next, slots, cells, cluster_cell, registry) =
-                (&next, &slots, &cells, &cluster_cell, &registry);
-            for w in 0..workers {
-                scope.spawn(move || {
-                    let _telemetry = registry
-                        .as_ref()
-                        .map(|r| r.install_worker(&format!("kmeans-worker-{w}"), parent_span));
-                    loop {
-                        // Poll before claiming, so at most `workers` cells
-                        // start after a stop fires.
-                        if stop() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        let part = cluster_cell(&cells[i]);
-                        slots.lock().expect("no panics hold the slot lock")[i] = Some(part);
-                    }
-                });
-            }
-        });
-        slots.into_inner().expect("workers joined")
-    };
+        // The cells already spread over the workers, so each cell's
+        // restarts run on one.
+        balanced_kmeans_restarts(&pts, k_cell, cap, seed ^ cell[0] as u64, 2)
+    });
 
     // Merge in cell order: shard-local cluster indices offset by the
     // running total, exactly as the serial loop numbered them.
     let mut assignment = vec![0usize; n];
     let mut centers: Vec<Point> = Vec::new();
     for (cell, part) in cells.iter().zip(parts) {
-        // An empty slot means its worker saw the stop before claiming
-        // the cell; the whole partition is discarded.
+        // An empty slot means the stop fired before the cell was
+        // claimed; the whole partition is discarded.
         let part = part?;
         let base = centers.len();
         centers.extend_from_slice(&part.centers);
@@ -1106,20 +1060,6 @@ fn l1_score(points: &[Point], part: &Partition) -> f64 {
         .zip(&part.assignment)
         .map(|(p, &a)| p.dist(part.centers[a]))
         .sum()
-}
-
-/// Serial restart loop used inside already-parallel shards (cells run
-/// on their own workers; nesting pools would oversubscribe).
-fn serial_restarts(points: &[Point], k: usize, cap: usize, seed: u64, tries: usize) -> Partition {
-    let mut best: Option<(f64, Partition)> = None;
-    for t in 0..tries {
-        let part = balanced_kmeans(points, k, cap, restart_seed(seed, t));
-        let cost = l1_score(points, &part);
-        if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-            best = Some((cost, part));
-        }
-    }
-    best.map(|(_, p)| p).expect("tries > 0")
 }
 
 /// Per-restart seed stream: restart `t` runs on
@@ -1147,22 +1087,22 @@ pub fn balanced_kmeans_restarts(
     seed: u64,
     tries: usize,
 ) -> Partition {
-    assert!(tries > 0, "at least one try");
-    serial_restarts(points, k, cap, seed, tries)
+    let score = |part: &Partition| l1_score(points, part);
+    balanced_kmeans_restarts_scored(points, k, cap, seed, tries, 1, &score, &|| false)
+        .expect("nothing stops these restarts")
 }
 
 /// [`balanced_kmeans_restarts`] with a caller-supplied score and the
-/// restarts fanned out across `workers` scoped threads.
+/// restarts fanned out over `workers` ([`sllt_obs::fan_out`]).
 ///
 /// Each restart `t` runs on its own SplitMix64-expanded seed stream
-/// (see [`balanced_kmeans_restarts`]); workers pull restart indices
-/// from a shared counter and score their partitions in place, and the
-/// best-of selection is a serial scan in restart order keeping the
-/// strictly lowest score — ties break toward the lowest restart index —
-/// so the winner is bit-identical at any worker count.
+/// (see [`balanced_kmeans_restarts`]) and scores its partition where it
+/// ran. The best-of selection is a serial scan in restart order keeping
+/// the strictly lowest score — ties break toward the lowest restart
+/// index — so the winner is bit-identical at any worker count.
 ///
-/// `stop` is polled between restarts on every worker; returns `None`
-/// when it fired (partial results are discarded).
+/// `stop` is polled before each restart is claimed; returns `None` when
+/// it fired (partial results are discarded).
 ///
 /// # Panics
 ///
@@ -1179,60 +1119,11 @@ pub fn balanced_kmeans_restarts_scored(
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Option<Partition> {
     assert!(tries > 0, "at least one try");
-    let run = |t: usize| -> (f64, Partition) {
+    let scored = sllt_obs::fan_out("kmeans-restart", vec![(); tries], workers, stop, |t, ()| {
         let part = balanced_kmeans(points, k, cap, restart_seed(seed, t));
         (score(&part), part)
-    };
-    let workers = workers.clamp(1, tries);
-    let scored: Vec<Option<(f64, Partition)>> = if workers <= 1 {
-        let mut out = Vec::with_capacity(tries);
-        for t in 0..tries {
-            if stop() {
-                return None;
-            }
-            out.push(Some(run(t)));
-        }
-        out
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<(f64, Partition)>>> = Mutex::new(vec![None; tries]);
-        let registry = sllt_obs::current();
-        let parent_span = sllt_obs::current_span();
-        std::thread::scope(|scope| {
-            let (next, slots, run, registry) = (&next, &slots, &run, &registry);
-            for w in 0..workers {
-                scope.spawn(move || {
-                    let _telemetry = registry
-                        .as_ref()
-                        .map(|r| r.install_worker(&format!("kmeans-restart-{w}"), parent_span));
-                    loop {
-                        if stop() {
-                            break;
-                        }
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tries {
-                            break;
-                        }
-                        let out = run(t);
-                        slots.lock().expect("no panics hold the slot lock")[t] = Some(out);
-                    }
-                });
-            }
-        });
-        slots.into_inner().expect("workers joined")
-    };
-    // Deterministic best-of: strict `<` over restart order means the
-    // lowest restart index wins ties, independent of worker schedule.
-    let mut best: Option<(f64, Partition)> = None;
-    for slot in scored {
-        let (cost, part) = slot?;
-        if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-            best = Some((cost, part));
-        }
-    }
-    best.map(|(_, p)| p)
+    });
+    crate::best_of(scored).map(|(_, part)| part)
 }
 
 /// Mean silhouette score of a clustering, in `[-1, 1]` (1 = compact,
@@ -1734,8 +1625,13 @@ mod tests {
     #[test]
     fn scored_restarts_bit_identical_at_any_worker_count() {
         let pts = random_points(11, 140, 300.0);
-        let score = |part: &Partition| l1_score(&pts, part);
-        let serial = balanced_kmeans_restarts(&pts, 7, 24, 77, 6);
+        // A coarse score makes restarts 2–5 tie, so the oracle (the serial
+        // restart loop: the first minimum wins) pins the tie-break too.
+        let score = |part: &Partition| (l1_score(&pts, part) / 500.0).floor();
+        let serial = (0..6u64)
+            .map(|t| balanced_kmeans(&pts, 7, 24, 77 + t * 0x9E37))
+            .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("finite scores"))
+            .expect("six restarts");
         for workers in [1usize, 2, 4, 8] {
             let par =
                 balanced_kmeans_restarts_scored(&pts, 7, 24, 77, 6, workers, &score, &|| false)

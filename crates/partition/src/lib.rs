@@ -44,3 +44,18 @@ pub use kmeans::{
 };
 pub use mcf::MinCostFlow;
 pub use sa::{refine, refine_chains, refine_with_stop, PartitionConstraints, SaConfig};
+
+/// The strictly lowest-cost candidate in slot order, so ties go to the
+/// lowest slot and the winner is the same at any worker count. `None`
+/// when any slot is empty: its run was stopped, and a stopped search
+/// discards every candidate.
+fn best_of<S>(slots: impl IntoIterator<Item = Option<(f64, S)>>) -> Option<(f64, S)> {
+    let mut best: Option<(f64, S)> = None;
+    for slot in slots {
+        let (cost, candidate) = slot?;
+        if best.as_ref().is_none_or(|(b, _)| cost < *b) {
+            best = Some((cost, candidate));
+        }
+    }
+    best
+}

@@ -22,7 +22,7 @@
 //! vectors), the hull runs on reused scratch buffers, and accepted
 //! moves mutate the member lists in place. [`refine_chains`] runs
 //! several independent chains (per-chain SplitMix64 seed streams)
-//! across a scoped worker pool with deterministic best-of selection.
+//! through [`sllt_obs::fan_out`] with deterministic best-of selection.
 
 use crate::cost::weighted_pick;
 use sllt_geom::{HullScratch, Point};
@@ -293,21 +293,17 @@ pub fn refine_with_stop(
     Some(best_total.max(0.0))
 }
 
-/// One chain's outcome: final cost and assignment, `None` when stopped.
-type ChainResult = Option<(f64, Vec<usize>)>;
-
 /// Runs `chains` independent annealing chains from the same starting
-/// assignment across a scoped pool of `workers` threads and keeps the
-/// best final state.
+/// assignment, fanned out over `workers` ([`sllt_obs::fan_out`]), and
+/// keeps the best final state.
 ///
 /// Chain `c` anneals with seed `cfg.seed + c·0x9E37` (wrapping), which
 /// the RNG layer expands through SplitMix64 into a decorrelated stream
 /// per chain; chain 0 uses `cfg.seed` verbatim, so a single chain
-/// reproduces [`refine_with_stop`] exactly. Workers pull chain indices
-/// from a shared counter; the best-of selection is a serial scan in
-/// chain order keeping the strictly lowest final cost (ties break
-/// toward the lowest chain index), so the winning assignment is
-/// bit-identical at any worker count.
+/// reproduces [`refine_with_stop`] exactly. The best-of selection is a
+/// serial scan in chain order keeping the strictly lowest final cost
+/// (ties break toward the lowest chain index), so the winning
+/// assignment is bit-identical at any worker count.
 ///
 /// Returns the winning final cost and writes the winning assignment in
 /// place; `None` when `stop` fired (the assignment is then left
@@ -329,7 +325,7 @@ pub fn refine_chains(
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Option<f64> {
     assert!(chains > 0, "at least one chain");
-    let run = |c: usize| -> ChainResult {
+    let finals = sllt_obs::fan_out("sa-chain", vec![(); chains], workers, stop, |c, ()| {
         let chain_cfg = SaConfig {
             seed: cfg.seed.wrapping_add(c as u64 * 0x9E37),
             ..*cfg
@@ -339,53 +335,8 @@ pub fn refine_chains(
             stop()
         })?;
         Some((cost, local))
-    };
-    let workers = workers.clamp(1, chains);
-    let results: Vec<ChainResult> = if workers <= 1 {
-        let mut out = Vec::with_capacity(chains);
-        for c in 0..chains {
-            out.push(run(c));
-        }
-        out
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<ChainResult>> = Mutex::new(vec![None; chains]);
-        let registry = sllt_obs::current();
-        let parent_span = sllt_obs::current_span();
-        std::thread::scope(|scope| {
-            let (next, slots, run, registry) = (&next, &slots, &run, &registry);
-            for w in 0..workers {
-                scope.spawn(move || {
-                    let _telemetry = registry
-                        .as_ref()
-                        .map(|r| r.install_worker(&format!("sa-chain-{w}"), parent_span));
-                    loop {
-                        if stop() {
-                            break;
-                        }
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= chains {
-                            break;
-                        }
-                        let out = run(c);
-                        slots.lock().expect("no panics hold the slot lock")[c] = out;
-                    }
-                });
-            }
-        });
-        slots.into_inner().expect("workers joined")
-    };
-    // Deterministic best-of: strict `<` in chain order.
-    let mut best: Option<(f64, Vec<usize>)> = None;
-    for slot in results {
-        let (cost, state) = slot?;
-        if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-            best = Some((cost, state));
-        }
-    }
-    let (cost, state) = best?;
+    });
+    let (cost, state) = crate::best_of(finals.into_iter().map(Option::flatten))?;
     assignment.copy_from_slice(&state);
     Some(cost)
 }

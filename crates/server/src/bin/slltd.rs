@@ -32,7 +32,10 @@ USAGE:
         --out <dir> [--workers N] [--fault panic|hang|oom|sleep:<ms>]
 
 Defaults: --state-dir results/slltd, --listen <state-dir>/slltd.sock,
---workers 2, --queue-cap 8, --retries 1, no default timeout.
+--workers 2, --queue-cap 8, --retries 1, --child-workers 1, no default
+timeout. --workers is how many jobs run at once; --child-workers (and a
+job child's --workers) bounds the threads of every fan-out in one job's
+flow: partition cells, restarts, SA chains, the median split and routing.
 Resource governance: --mem-limit caps each job child's address space
 (jobs killed by it finish as status \"oom\", never retried);
 --disk-budget bounds completed-job artifacts in the state dir (oldest

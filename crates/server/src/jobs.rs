@@ -96,7 +96,8 @@ pub struct ChildArgs {
     pub design_file: Option<PathBuf>,
     /// Constraint config name.
     pub config: String,
-    /// Route workers inside the child.
+    /// Threads for every fan-out of the child's flow (partition cells,
+    /// restarts, SA chains, the median split and routing).
     pub workers: usize,
     /// State directory (checkpoints, progress, trees).
     pub out_dir: PathBuf,

@@ -67,7 +67,8 @@ pub struct ServerConfig {
     /// How long in-flight jobs may run on after drain starts before
     /// they are asked (SIGINT) to checkpoint and exit.
     pub drain_grace: Duration,
-    /// Route workers inside each child.
+    /// Threads for every fan-out of each child's flow (partition cells,
+    /// restarts, SA chains, the median split and routing).
     pub child_workers: usize,
     /// Seed for the deterministic retry-backoff jitter.
     pub seed: u64,

@@ -67,9 +67,10 @@ if cargo run --release -q -p sllt-bench --bin bench_diff -- \
   echo "bench_diff must exit nonzero on injected counter drift" >&2; exit 1
 fi
 
-echo "== golden trees: square 10^4 and 10^5 grids byte-identical (release)"
-# The level-0 kernels must reproduce every float of the tree; the 10^5
-# case is ignored in debug builds and runs here.
+echo "== golden trees: square 10^4 and 10^5 grids byte-identical at 1, 2 and 4 workers (release)"
+# The level-0 kernels must reproduce every float of the tree, at any
+# worker count; the 10^5 case and the 1/4-worker runs are ignored in
+# debug builds and run here.
 cargo test -q --release -p sllt-cts --test golden
 
 echo "== trace smoke: traced s35932 exports valid Chrome JSON, tree untouched"
