@@ -6,10 +6,11 @@
 //! ```
 
 use sllt_bench::{arg_parse, emit_json, Table};
+use sllt_buffer::timing::propagate;
 use sllt_core::cbs::{cbs, step1_initial_bst, CbsConfig};
 use sllt_design::NetGenerator;
 use sllt_route::{topogen::TopologyScheme, DelayModel};
-use sllt_timing::Technology;
+use sllt_timing::{BufferLibrary, Technology};
 use sllt_tree::{ClockNet, ClockTree};
 
 const SKEWS: [f64; 3] = [80.0, 10.0, 5.0];
@@ -17,14 +18,12 @@ const SKEWS: [f64; 3] = [80.0, 10.0, 5.0];
 fn measure(tree: &ClockTree, net: &ClockNet, tech: &Technology) -> (f64, f64, f64) {
     let wl = tree.wirelength();
     let cap = tech.net_cap(net.total_pin_cap(), wl);
-    let (rc, map) = tree.to_rc_tree();
-    let delays = rc.elmore(tech, 0.0);
+    // Routing trees carry no buffers: the timing walk needs no cells.
+    let delays = propagate(tree, tech, &BufferLibrary::from_cells(Vec::new()), |_| 1.0).delay;
     let delay = tree
         .sinks()
         .iter()
-        // Invariant: to_rc_tree maps every sink of the tree it was built
-        // from, so the lookup cannot miss.
-        .map(|&s| delays[map[s.index()].expect("sink mapped")])
+        .map(|&s| delays[s.index()])
         .fold(0.0f64, f64::max);
     (wl, cap, delay)
 }

@@ -56,15 +56,6 @@ pub fn run_three(spec: &DesignSpec) -> Result<[FlowResult; 3], String> {
     Ok([ours_res, com_res, or_res])
 }
 
-/// Renders the Table 6/7 layout for a set of designs and returns it.
-///
-/// # Errors
-///
-/// Propagates the first flow failure from [`run_three`].
-pub fn comparison_table(specs: &[&DesignSpec]) -> Result<String, String> {
-    Ok(comparison(specs)?.render())
-}
-
 /// Builds the Table 6/7 comparison as a [`Table`] (one row per design
 /// plus the ratio-average footer), so callers can render it or emit it
 /// as JSON.

@@ -44,14 +44,6 @@ pub enum CtsError {
         /// Human-readable description of the first fatal lint.
         detail: String,
     },
-    /// A routed cluster tree lost the RC-tree mapping for one of its
-    /// sinks — the timing aggregation cannot price that member's delay.
-    UnmappedSink {
-        /// Level at which the cluster was routed.
-        level: usize,
-        /// Index of the unmapped sink within the cluster net.
-        sink_index: usize,
-    },
     /// Partitioning stopped reducing the node count: the level loop would
     /// never converge to a single top node.
     LevelRunaway {
@@ -132,8 +124,7 @@ impl CtsError {
             | CtsError::Cancelled
             | CtsError::Checkpoint { .. }
             | CtsError::LadderExhausted { .. } => false,
-            CtsError::UnmappedSink { .. }
-            | CtsError::ClusterRoute { .. }
+            CtsError::ClusterRoute { .. }
             | CtsError::ClusterPanicked { .. }
             | CtsError::InjectedFault { .. } => true,
         }
@@ -151,10 +142,6 @@ impl fmt::Display for CtsError {
                 write!(f, "invalid constraint {field} = {value}")
             }
             CtsError::InvalidDesign { detail } => write!(f, "design failed sanitization: {detail}"),
-            CtsError::UnmappedSink { level, sink_index } => write!(
-                f,
-                "cluster sink {sink_index} at level {level} has no RC-tree node"
-            ),
             CtsError::LevelRunaway { level, nodes } => write!(
                 f,
                 "level runaway at level {level}: partitioning is not reducing \
@@ -216,11 +203,6 @@ mod tests {
     fn display_names_the_failure() {
         assert!(CtsError::EmptyBufferLibrary.to_string().contains("library"));
         assert!(CtsError::NoSinks.to_string().contains("flip-flops"));
-        let e = CtsError::UnmappedSink {
-            level: 3,
-            sink_index: 7,
-        };
-        assert!(e.to_string().contains('3') && e.to_string().contains('7'));
         let e = CtsError::LevelRunaway {
             level: 40,
             nodes: 9,

@@ -102,13 +102,9 @@ mod tests {
         t.add_sink(st, Point::new(80.0, 20.0), 2.0);
         t.add_sink(st, Point::new(80.0, -20.0), 2.0);
         let r = evaluate(&t, &tech, &lib);
-        let (rc, map) = t.to_rc_tree();
-        let d = rc.elmore(&tech, 0.0);
-        let sinks = t.sinks();
-        let expect: f64 = sinks
-            .iter()
-            .map(|&s| d[map[s.index()].unwrap()])
-            .fold(f64::NEG_INFINITY, f64::max);
+        // Three 50 µm edges: the stem drives both branches and both pins.
+        let stem_load = 2.0 * (tech.wire_cap(50.0) + 2.0);
+        let expect = tech.wire_delay(50.0, stem_load) + tech.wire_delay(50.0, 2.0);
         assert!((r.max_latency_ps - expect).abs() < 1e-9);
         assert_eq!(r.num_buffers, 0);
         assert_eq!(r.buffer_area_um2, 0.0);

@@ -13,6 +13,7 @@ use crate::fault::{FaultPlan, FaultStage};
 use crate::flow::{HierarchicalCts, RunContext, TopologyKind};
 use crate::partition::LevelPartition;
 use crate::report::FlowEvent;
+use sllt_buffer::timing::propagate;
 use sllt_core::cbs::{try_cbs_intervals, CbsConfig};
 use sllt_geom::{centroid, Point};
 use sllt_obs::WorkBudget;
@@ -193,19 +194,17 @@ fn route_cluster(
     };
 
     // Cluster timing: Elmore from the tap plus each member's offset.
-    let caps = sllt_buffer::repeater::downstream_caps(&tree, &cts.tech, Some(&cts.lib));
-    let (rc, map) = tree.to_rc_tree();
-    let delays = rc.elmore(&cts.tech, 0.0);
+    let timing = propagate(&tree, &cts.tech, &cts.lib, |_| 1.0);
     let mut subtree_hi = 0.0f64;
     let mut subtree_lo = f64::INFINITY;
     for id in tree.sinks() {
         if let NodeKind::Sink { sink_index, .. } = tree.node(id).kind {
-            let d = delays[map[id.index()].ok_or(CtsError::UnmappedSink { level, sink_index })?];
+            let d = timing.delay[id.index()];
             subtree_hi = subtree_hi.max(d + intervals[sink_index].1);
             subtree_lo = subtree_lo.min(d + intervals[sink_index].0);
         }
     }
-    let load = caps[tree.root().index()];
+    let load = timing.cap[tree.root().index()];
     if let Some(t) = started {
         sllt_obs::count("cts.route.clusters", 1);
         sllt_obs::record("cts.route.cluster_sinks", members.len() as u64);

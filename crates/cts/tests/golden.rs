@@ -6,10 +6,10 @@
 //! generation, DME bisection, CBS candidate checks, RC evaluation) must
 //! compute every float that reaches a tree by the same operations in the
 //! same order, so the written tree may not change by a single byte. The
-//! digests are FNV-1a-64 of the `write_tree` text. Both square trees
-//! must come out the same at 1 and 4 workers as at 2; those runs and
-//! the 10⁵ case run in release only (`scripts/ci.sh`). The timing
-//! goldens hold the buffered delay/slew walk that `evaluate`,
+//! digests are FNV-1a-64 of the `write_tree` text. The 10⁴ and 10⁵
+//! trees must come out the same at 1 and 4 workers as at 2; those runs,
+//! the 10⁵ case and the 10⁶ case run in release only (`scripts/ci.sh`).
+//! The timing goldens hold the buffered delay/slew walk that `evaluate`,
 //! `max_slew` and both OCV views share to the same standard.
 
 use sllt_cts::flow::HierarchicalCts;
@@ -18,9 +18,10 @@ use sllt_design::GridSpec;
 use sllt_tree::ClockTree;
 use std::sync::OnceLock;
 
-/// `(bytes, FNV-1a-64)` of the square-10⁴ and square-10⁵ trees.
+/// `(bytes, FNV-1a-64)` of the square-10⁴, -10⁵ and -10⁶ trees.
 const SQUARE_10K: (usize, u64) = (910_593, 0xfb5e4e3d116cdc35);
 const SQUARE_100K: (usize, u64) = (9_839_460, 0x025976b70ae35d8e);
+const SQUARE_1M: (usize, u64) = (108_274_476, 0xaee3f93230127a4e);
 
 /// The flow's tree for a square grid of `sinks` flip-flops at 15 µm
 /// pitch.
@@ -55,6 +56,14 @@ fn square_10k_tree_is_golden() {
 #[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
 fn square_100k_tree_is_golden() {
     assert_eq!(written(&flow_tree(100_000, 2)), SQUARE_100K);
+}
+
+/// The benchmark's `grid_1m` tree at 2 workers (about 7 s and 600 MB on
+/// a 2-core host).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
+fn square_1m_tree_is_golden() {
+    assert_eq!(written(&flow_tree(1_000_000, 2)), SQUARE_1M);
 }
 
 /// Worker identity at the scale points: one and four workers write the

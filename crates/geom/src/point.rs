@@ -41,13 +41,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Euclidean (L2) distance to `other`. Used only for clustering
-    /// objectives; routing always uses [`Point::dist`].
-    #[inline]
-    pub fn dist_l2(self, other: Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
-
     /// Squared Euclidean distance, avoiding the square root.
     #[inline]
     pub fn dist_l2_sq(self, other: Point) -> f64 {

@@ -14,7 +14,7 @@
 //! delay, so a feasible tree always exists (it may be wire-expensive when
 //! windows conflict strongly).
 
-use crate::dme::{bisect, solve_increasing_from, DelayModel, DmeOptions};
+use crate::dme::{bisect, elmore_delays, solve_increasing_from, DelayModel, DmeOptions};
 use sllt_geom::{Point, RRect};
 use sllt_tree::{ClockNet, ClockTree, HintedTopology, NodeId, Topology};
 
@@ -276,22 +276,9 @@ pub fn window_violation(
     launch: f64,
 ) -> f64 {
     let tree = &ust.tree;
-    let (rc, map) = tree.to_rc_tree();
     let delays = match model {
-        DelayModel::PathLength => {
-            let pl = tree.path_lengths();
-            (0..pl.len()).map(|i| pl[i]).collect::<Vec<_>>()
-        }
-        DelayModel::Elmore(t) => {
-            let d = rc.elmore(t, 0.0);
-            let mut by_raw = vec![0.0; tree.arena_len()];
-            for (raw, slot) in map.iter().enumerate() {
-                if let Some(ri) = slot {
-                    by_raw[raw] = d[*ri];
-                }
-            }
-            by_raw
-        }
+        DelayModel::PathLength => tree.path_lengths(),
+        DelayModel::Elmore(t) => elmore_delays(tree, t),
     };
     // Delay from the *tree root* (after trunk): subtract the trunk leg.
     let mut worst = f64::NEG_INFINITY;

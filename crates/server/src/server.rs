@@ -416,7 +416,6 @@ fn run_job(s: &Shared, id: &str) {
                 id,
                 STATUS_DRAINED,
                 false,
-                0.0,
                 Some("drained during backoff"),
                 None,
             );
@@ -465,13 +464,13 @@ fn run_job(s: &Shared, id: &str) {
         let retryable = !is_final && status != STATUS_DRAINED;
         if retryable && attempt < max_attempts && !draining {
             eprintln!("slltd: {id}: attempt {attempt} {status}; retrying");
-            finish(s, id, status, false, 0.0, detail.as_deref(), result);
+            finish(s, id, status, false, detail.as_deref(), result);
             continue;
         }
         // Out of budget (or final by nature): drained stays non-final so
         // --resume picks the job back up; everything else is terminal.
         let final_now = status != STATUS_DRAINED;
-        finish(s, id, status, final_now, 0.0, detail.as_deref(), result);
+        finish(s, id, status, final_now, detail.as_deref(), result);
         eprintln!("slltd: {id}: {status} (attempt {attempt})");
         if final_now {
             s.gc_disk();
@@ -637,7 +636,6 @@ fn finish(
     id: &str,
     status: &str,
     is_final: bool,
-    wall_s: f64,
     detail: Option<&str>,
     result: Option<Value>,
 ) {
@@ -645,7 +643,7 @@ fn finish(
         .table
         .lock()
         .expect("table lock")
-        .mark_done(id, status, is_final, wall_s, detail, result);
+        .mark_done(id, status, is_final, detail, result);
     if let Err(e) = s.append(&rec) {
         eprintln!("slltd: {id}: {e}");
     }
@@ -959,7 +957,7 @@ mod tests {
         }
         let id = table.pop_ready().expect("queued job");
         table.mark_start(&id, 0);
-        table.mark_done(&id, STATUS_OK, true, 1.0, None, Some(Value::obj()));
+        table.mark_done(&id, STATUS_OK, true, None, Some(Value::obj()));
         let snapshot = table.compact_records();
         assert!(snapshot.len() >= 5, "several records: {}", snapshot.len());
 

@@ -242,7 +242,6 @@ impl JobTable {
         id: &str,
         status: &str,
         is_final: bool,
-        wall_s: f64,
         detail: Option<&str>,
         result: Option<Value>,
     ) -> Value {
@@ -252,8 +251,7 @@ impl JobTable {
             .with("job", id)
             .with("attempt", u64::from(r.attempt))
             .with("status", status)
-            .with("final", is_final)
-            .with("wall_s", wall_s);
+            .with("final", is_final);
         if let Some(d) = detail {
             r.detail = Some(d.to_string());
             v = v.with("detail", d);
@@ -282,7 +280,6 @@ impl JobTable {
                     id,
                     STATUS_CANCELLED,
                     true,
-                    0.0,
                     Some("cancelled while queued"),
                     None,
                 ))
@@ -365,8 +362,7 @@ impl JobTable {
                     .with("job", r.id.as_str())
                     .with("attempt", u64::from(r.attempt))
                     .with("status", status.as_str())
-                    .with("final", true)
-                    .with("wall_s", 0.0);
+                    .with("final", true);
                 if let Some(d) = &r.detail {
                     v = v.with("detail", d.as_str());
                 }
@@ -518,7 +514,7 @@ mod tests {
         let start = t.mark_start(&id, 0);
         assert_eq!(start.get("attempt").and_then(Value::as_u64), Some(1));
 
-        let done = t.mark_done(&id, STATUS_OK, true, 1.5, None, Some(Value::obj()));
+        let done = t.mark_done(&id, STATUS_OK, true, None, Some(Value::obj()));
         assert_eq!(done.get("final"), Some(&Value::Bool(true)));
         assert_eq!(t.get(&id).unwrap().state, JobState::Done(STATUS_OK.into()));
         assert_eq!(t.unfinished(), 0);
@@ -551,7 +547,7 @@ mod tests {
         assert!(t.get(&r).unwrap().cancel_requested);
 
         // Done: reported as such.
-        t.mark_done(&r, STATUS_CANCELLED, true, 0.1, None, None);
+        t.mark_done(&r, STATUS_CANCELLED, true, None, None);
         assert_eq!(
             t.cancel(&r),
             CancelOutcome::AlreadyDone(STATUS_CANCELLED.into())
@@ -578,13 +574,24 @@ mod tests {
         records.push(rec);
 
         // a finishes, b is mid-flight (start, then a non-final drain
-        // record), c never starts.
+        // record), c never starts. a's `job_done` is in the older format,
+        // which carried a `wall_s` member that replay ignores.
         live.pop_ready();
         records.push(live.mark_start(&a, 0));
-        records.push(live.mark_done(&a, STATUS_OK, true, 0.5, None, Some(Value::obj())));
+        live.mark_done(&a, STATUS_OK, true, None, Some(Value::obj()));
+        records.push(
+            Value::obj()
+                .with("kind", "job_done")
+                .with("job", a.as_str())
+                .with("attempt", 1u64)
+                .with("status", STATUS_OK)
+                .with("final", true)
+                .with("wall_s", 0.0)
+                .with("result", Value::obj()),
+        );
         live.pop_ready();
         records.push(live.mark_start(&b, 0));
-        records.push(live.mark_done(&b, STATUS_DRAINED, false, 0.2, Some("draining"), None));
+        records.push(live.mark_done(&b, STATUS_DRAINED, false, Some("draining"), None));
         records.push(JobTable::drained_record());
 
         let (t, requeued) = JobTable::replay(&journal_of(&records)).unwrap();

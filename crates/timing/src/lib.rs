@@ -5,7 +5,8 @@
 //! 1. a **wirelength (linear) delay model** used inside topology
 //!    construction — path length is the delay proxy (paper Eq. (1)–(3)),
 //! 2. the **Elmore model** over the routed RC tree for reported wire delays
-//!    (Table 3, Tables 6–7) — see [`RcTree`],
+//!    (Table 3, Tables 6–7) — see [`Technology::wire_delay`], which the
+//!    timing walk in `sllt_buffer::timing` applies edge by edge,
 //! 3. a **first-order linear buffer delay model**
 //!    `D_buf = ωs·slew_in + ωc·cap_load + ωi` (paper Eq. (6), after
 //!    Sitik et al.) — see [`BufferCell::delay`].
@@ -30,11 +31,9 @@
 //! ```
 
 pub mod buffer;
-pub mod rc_tree;
 pub mod tech;
 
 pub use buffer::{BufferCell, BufferLibrary};
-pub use rc_tree::RcTree;
 pub use tech::Technology;
 
 /// Conversion factor: `1 Ω·fF = 10⁻³ ps`.

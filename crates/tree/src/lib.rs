@@ -43,4 +43,4 @@ pub use metrics::SlltMetrics;
 pub use net::{ClockNet, Sink};
 pub use node::{Node, NodeId, NodeKind};
 pub use topology::{HintedTopology, Topology};
-pub use tree::{Children, ClockTree, TreeEdit};
+pub use tree::{Children, ClockTree};

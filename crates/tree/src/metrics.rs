@@ -15,7 +15,7 @@
 //! An `(ᾱ, β̄, γ̄)`-SLLT (Definition 2.2) is a tree with `α ≤ ᾱ`, `β ≤ β̄`,
 //! `γ ≤ γ̄`.
 
-use crate::{ClockTree, NodeId};
+use crate::ClockTree;
 use sllt_geom::EPS;
 
 /// Path-length statistics and the three SLLT metrics of one clock tree.
@@ -126,11 +126,6 @@ pub fn path_length_skew(tree: &ClockTree) -> f64 {
         hi = hi.max(p);
     }
     hi - lo
-}
-
-/// Routed path length from the root to one node, µm.
-pub fn path_length_to(tree: &ClockTree, node: NodeId) -> f64 {
-    tree.path_lengths()[node.index()]
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub enum NodeKind {
     Steiner,
     /// An inserted clock buffer; `cell` indexes the buffer library.
     Buffer {
-        /// Index into the [`sllt_timing::BufferLibrary`] cell list.
+        /// Index into the `sllt_timing::BufferLibrary` cell list.
         cell: usize,
     },
 }

@@ -2,82 +2,11 @@
 
 use crate::node::{Node, NodeId, NodeKind};
 use sllt_geom::{Point, EPS};
-use sllt_timing::RcTree;
 use std::error::Error;
 use std::fmt;
 
 /// Sentinel for "no node" in the flat link columns.
 const NONE: u32 = u32::MAX;
-
-/// One structural edit applied to a [`ClockTree`].
-///
-/// Edits are recorded in the tree's [mutation log](ClockTree::recent_edits)
-/// as they happen; the links themselves are updated eagerly, so queries are
-/// always exact — the log exists for auditability (equivalence tests replay
-/// it against a reference implementation) and to drive lazy compaction
-/// policies in callers that let dead slots pile up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeEdit {
-    /// `node` (with its subtree) moved from under `from` to under `to`.
-    Reparent {
-        /// The moved node.
-        node: NodeId,
-        /// Its previous parent.
-        from: NodeId,
-        /// Its new parent.
-        to: NodeId,
-    },
-    /// A childless `node` was detached from `parent` and marked dead.
-    RemoveLeaf {
-        /// The removed leaf.
-        node: NodeId,
-        /// The parent it was detached from.
-        parent: NodeId,
-    },
-    /// Degree-1 `node` was spliced out: `child` was reattached to `parent`
-    /// with the two edge lengths summed, and `node` marked dead.
-    Splice {
-        /// The spliced-out node.
-        node: NodeId,
-        /// Its parent, which adopted `child`.
-        parent: NodeId,
-        /// The single child that moved up.
-        child: NodeId,
-    },
-}
-
-/// Bounded log of structural edits; see [`TreeEdit`].
-///
-/// The log self-compacts lazily: once it exceeds [`MutationLog::CAP`]
-/// entries, the oldest entries are folded into a running count. The total
-/// number of edits ever applied is always exact.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct MutationLog {
-    edits: Vec<TreeEdit>,
-    folded: u64,
-}
-
-impl MutationLog {
-    /// Recent-edit window retained verbatim before folding kicks in.
-    const CAP: usize = 256;
-
-    fn push(&mut self, e: TreeEdit) {
-        if self.edits.len() >= Self::CAP {
-            // Lazy compaction: fold the older half into the counter so a
-            // long edit churn neither grows without bound nor pays a
-            // per-edit drain.
-            let keep = Self::CAP / 2;
-            let drop = self.edits.len() - keep;
-            self.folded += drop as u64;
-            self.edits.drain(..drop);
-        }
-        self.edits.push(e);
-    }
-
-    fn total(&self) -> u64 {
-        self.folded + self.edits.len() as u64
-    }
-}
 
 /// A rooted rectilinear Steiner tree distributing a clock from a source to
 /// a set of sinks.
@@ -92,9 +21,8 @@ impl MutationLog {
 /// preserve child insertion order exactly.
 ///
 /// Structural edits mark nodes *dead* instead of reindexing, so
-/// [`NodeId`]s stay stable; each edit is also recorded in a small
-/// [mutation log](ClockTree::recent_edits) that compacts itself lazily.
-/// Call [`ClockTree::compact`] to drop dead nodes when the churn is done.
+/// [`NodeId`]s stay stable. Call [`ClockTree::compact`] to drop dead
+/// nodes when the churn is done.
 ///
 /// Every edge stores a routed length which must be at least the Manhattan
 /// distance between its endpoints; the excess is detour (snaking) wire,
@@ -135,7 +63,6 @@ pub struct ClockTree {
     /// Live sink count, so default sink indices are O(1) to hand out.
     sink_count: usize,
     root: NodeId,
-    log: MutationLog,
 }
 
 /// Iterator over the children of one node, in insertion order.
@@ -244,7 +171,6 @@ impl ClockTree {
             live: 1,
             sink_count: 0,
             root: NodeId(0),
-            log: MutationLog::default(),
         }
     }
 
@@ -326,7 +252,7 @@ impl ClockTree {
 
     /// Bytes the arena's per-node columns occupy (capacity, not just
     /// live slots) — the memory-footprint gauge the flow engine samples
-    /// per level. Excludes the mutation log and the struct header.
+    /// per level. Excludes the struct header.
     pub fn arena_bytes(&self) -> usize {
         self.pos.capacity() * std::mem::size_of::<Point>()
             + self.kind.capacity() * std::mem::size_of::<NodeKind>()
@@ -350,19 +276,6 @@ impl ClockTree {
     /// Dead fraction of the arena, 0.0 when fully compact.
     pub fn fragmentation(&self) -> f64 {
         self.dead_len() as f64 / self.arena_len() as f64
-    }
-
-    /// The most recent structural edits, oldest first. The window is
-    /// bounded: once it fills, older entries fold into
-    /// [`ClockTree::edits_applied`] (lazy compaction of the log itself).
-    pub fn recent_edits(&self) -> &[TreeEdit] {
-        &self.log.edits
-    }
-
-    /// Total structural edits ever applied, including ones the log window
-    /// has folded away.
-    pub fn edits_applied(&self) -> u64 {
-        self.log.total()
     }
 
     /// The id of arena slot `index` if that slot holds a live node.
@@ -572,16 +485,10 @@ impl ClockTree {
                 break;
             }
         }
-        let old = NodeId(self.parent[node.0] as usize);
         self.unlink(node.0);
         self.link_tail(new_parent.0, node.0);
         self.parent[node.0] = new_parent.0 as u32;
         self.edge_len[node.0] = self.pos[new_parent.0].dist(self.pos[node.0]);
-        self.log.push(TreeEdit::Reparent {
-            node,
-            from: old,
-            to: new_parent,
-        });
     }
 
     /// Moves a node to a new position, re-deriving the Manhattan length of
@@ -608,14 +515,12 @@ impl ClockTree {
     pub(crate) fn remove_leaf(&mut self, node: NodeId) {
         assert_eq!(self.degree[node.0], 0, "remove of internal node {node}");
         assert_ne!(node, self.root);
-        let p = NodeId(self.parent[node.0] as usize);
         self.unlink(node.0);
         self.alive[node.0] = false;
         self.live -= 1;
         if self.kind[node.0].is_sink() {
             self.sink_count -= 1;
         }
-        self.log.push(TreeEdit::RemoveLeaf { node, parent: p });
     }
 
     /// Splices a degree-1 internal node out of the tree: its single child
@@ -640,11 +545,6 @@ impl ClockTree {
         if self.kind[node.0].is_sink() {
             self.sink_count -= 1;
         }
-        self.log.push(TreeEdit::Splice {
-            node,
-            parent,
-            child,
-        });
     }
 
     /// Parents-before-children order over live nodes.
@@ -755,8 +655,7 @@ impl ClockTree {
     }
 
     /// Rebuilds the arena without dead nodes. Node ids are *not* preserved;
-    /// sink identity survives via [`NodeKind::Sink::sink_index`]. The new
-    /// tree starts with an empty mutation log.
+    /// sink identity survives via [`NodeKind::Sink::sink_index`].
     pub fn compact(&self) -> ClockTree {
         let mut out = ClockTree::with_capacity(self.source_pos(), self.live);
         let mut map = vec![NONE; self.arena_len()];
@@ -787,37 +686,6 @@ impl ClockTree {
             _ => {}
         }
         self.kind[id.0] = kind;
-    }
-
-    /// Lowers the tree into an [`RcTree`] for Elmore evaluation, using each
-    /// node's own capacitance (sink pin caps; buffers and Steiner points
-    /// are electrically transparent here — buffered evaluation belongs to
-    /// the CTS layer, which splits the tree at buffers).
-    ///
-    /// Returns the RC tree plus the raw-arena-index → RC-index map.
-    pub fn to_rc_tree(&self) -> (RcTree, Vec<Option<usize>>) {
-        self.to_rc_tree_with(|n| n.cap_ff())
-    }
-
-    /// Like [`ClockTree::to_rc_tree`] with a custom per-node capacitance.
-    pub fn to_rc_tree_with(
-        &self,
-        cap_of: impl Fn(&Node<'_>) -> f64,
-    ) -> (RcTree, Vec<Option<usize>>) {
-        let order = self.topo_order();
-        let mut map = vec![None; self.arena_len()];
-        for (rc_idx, id) in order.iter().enumerate() {
-            map[id.0] = Some(rc_idx);
-        }
-        let mut rc = RcTree::new(order.len());
-        for (rc_idx, id) in order.iter().enumerate() {
-            let n = self.node(*id);
-            rc.set_cap(rc_idx, cap_of(&n));
-            if let Some(p) = n.parent() {
-                rc.set_parent(rc_idx, map[p.0].expect("parent mapped"), n.edge_len());
-            }
-        }
-        (rc, map)
     }
 }
 
@@ -890,14 +758,6 @@ mod tests {
         assert!(t.node(a).children().is_empty());
         assert_eq!(t.node(s).edge_len(), 3.0 + 2.0);
         t.validate().unwrap();
-        assert_eq!(
-            t.recent_edits(),
-            &[TreeEdit::Reparent {
-                node: s,
-                from: a,
-                to: b
-            }]
-        );
     }
 
     #[test]
@@ -934,7 +794,6 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.sinks().len(), 1);
         assert_eq!(c.dead_len(), 0);
-        assert_eq!(c.edits_applied(), 0);
         c.validate().unwrap();
         assert!((c.wirelength() - 8.0).abs() < 1e-12);
     }
@@ -948,24 +807,6 @@ mod tests {
         let sinks = t.sinks();
         assert_eq!(t.node(sinks[0]).edge_len(), 6.0);
         t.validate().unwrap();
-    }
-
-    #[test]
-    fn rc_lowering_matches_structure() {
-        let t = sample();
-        let (rc, map) = t.to_rc_tree();
-        assert_eq!(rc.len(), 4);
-        assert_eq!(rc.roots().len(), 1);
-        let tech = sllt_timing::Technology::n28();
-        let d = rc.elmore(&tech, 0.0);
-        let sinks = t.sinks();
-        let i0 = map[sinks[0].index()].unwrap();
-        let i1 = map[sinks[1].index()].unwrap();
-        assert!(
-            (d[i0] - d[i1]).abs() < 1e-12,
-            "symmetric sinks, equal delay"
-        );
-        assert!(d[i0] > 0.0);
     }
 
     #[test]
@@ -1025,24 +866,6 @@ mod tests {
             NodeKind::Sink { sink_index, .. } => assert_eq!(sink_index, 1),
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn mutation_log_folds_lazily() {
-        let mut t = ClockTree::new(Point::ORIGIN);
-        let a = t.add_steiner(t.root(), Point::new(1.0, 0.0));
-        let b = t.add_steiner(t.root(), Point::new(0.0, 1.0));
-        let s = t.add_sink(a, Point::new(1.0, 1.0), 1.0);
-        let n = MutationLog::CAP as u64 + 100;
-        for i in 0..n {
-            t.reparent(s, if i % 2 == 0 { b } else { a });
-        }
-        assert_eq!(t.edits_applied(), n);
-        assert!(t.recent_edits().len() <= MutationLog::CAP);
-        // The window holds the newest edits.
-        let last = *t.recent_edits().last().unwrap();
-        assert!(matches!(last, TreeEdit::Reparent { node, .. } if node == s));
-        t.validate().unwrap();
     }
 
     #[test]

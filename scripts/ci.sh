@@ -67,11 +67,19 @@ if cargo run --release -q -p sllt-bench --bin bench_diff -- \
   echo "bench_diff must exit nonzero on injected counter drift" >&2; exit 1
 fi
 
-echo "== golden trees: square 10^4 and 10^5 grids byte-identical at 1, 2 and 4 workers (release)"
+echo "== golden trees: square 10^4 and 10^5 grids byte-identical at 1, 2 and 4 workers, square 10^6 at 2 (release)"
 # The level-0 kernels must reproduce every float of the tree, at any
-# worker count; the 10^5 case and the 1/4-worker runs are ignored in
-# debug builds and run here.
+# worker count; the 10^5 and 10^6 cases and the 1/4-worker runs are
+# ignored in debug builds and run here. The 10^6 tree is the benchmark's
+# grid_1m workload (about 7 s and 600 MB).
 cargo test -q --release -p sllt-cts --test golden
+
+echo "== results record: deterministic bins print the committed results/<bin>.txt byte for byte"
+# table6 and table7 print wall times, so they stay out of this step.
+for bin in table1 table2 table3 table4 fig4_sa_ablation fig5_buffering_ablation \
+    ocv_robustness; do
+  cargo run --release -q -p sllt-bench --bin "$bin" | cmp - "results/$bin.txt"
+done
 
 echo "== trace smoke: traced s35932 exports valid Chrome JSON, tree untouched"
 # `sllt run --trace` self-validates the export (parses it back before
