@@ -72,7 +72,7 @@ pub fn comparison(specs: &[&DesignSpec]) -> Result<Table, String> {
         "Area O/C/R (µm²)",
         "Cap O/C/R (fF)",
         "WL O/C/R (µm)",
-        "Time O/C/R (s)",
+        "Time O/C/R (ms)",
     ]);
     // Ratio accumulators: [metric][flow], normalized to "ours".
     let mut ratios = [[0.0f64; 3]; 7];
@@ -102,7 +102,7 @@ pub fn comparison(specs: &[&DesignSpec]) -> Result<Table, String> {
             f0(cols[3]),
             f0(cols[4]),
             f0(cols[5]),
-            format!("{:.1}/{:.1}/{:.1}", cols[6][0], cols[6][1], cols[6][2]),
+            f0(cols[6].map(|s| s * 1e3)),
         ]);
     }
     let n = specs.len() as f64;

@@ -33,22 +33,6 @@ pub fn critical_wirelength(cell: &BufferCell, tech: &Technology, cap_load_ff: f6
     2.0 * (numer / denom).sqrt()
 }
 
-/// The library-wide critical wirelength: the maximum over cells able to
-/// drive the load (a wire shorter than this is safe for at least one
-/// cell); falls back to the strongest cell when nothing can.
-pub fn critical_wirelength_lib(
-    lib: &sllt_timing::BufferLibrary,
-    tech: &Technology,
-    cap_load_ff: f64,
-) -> f64 {
-    lib.cells()
-        .iter()
-        .filter(|c| c.can_drive(cap_load_ff))
-        .map(|c| critical_wirelength(c, tech, cap_load_ff))
-        .fold(f64::NAN, f64::max)
-        .max(critical_wirelength(lib.largest(), tech, cap_load_ff))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,17 +96,6 @@ mod tests {
             (0.5..=2.0).contains(&ratio),
             "L̂ = {l_hat:.0} vs numeric optimum {numeric_opt_seg:.0} (ratio {ratio:.2})"
         );
-    }
-
-    #[test]
-    fn lib_wide_value_is_max_over_capable_cells() {
-        let tech = Technology::n28();
-        let lib = BufferLibrary::n28();
-        let cap = 10.0;
-        let lw = critical_wirelength_lib(&lib, &tech, cap);
-        for c in lib.cells() {
-            assert!(lw + 1e-9 >= critical_wirelength(c, &tech, cap));
-        }
     }
 
     #[test]

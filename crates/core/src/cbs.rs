@@ -23,7 +23,7 @@
 use sllt_route::dme::{DelayModel, DmeOptions};
 use sllt_route::salt::salt_from_tree;
 use sllt_route::topogen::TopologyScheme;
-use sllt_tree::{edits, ClockNet, ClockTree, HintedTopology};
+use sllt_tree::{edits, ClockNet, ClockTree, Topology};
 
 /// Parameters of the CBS construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,10 +121,10 @@ pub fn try_cbs_intervals(
 /// merge order.
 ///
 /// Scales to production nets: topology generation is nearest-pair
-/// accelerated and DME's build/embed passes are explicit-stack
-/// iterative, so even the degenerate deep-chain merge orders greedy
-/// schemes produce on collinear sinks run within the default thread
-/// stack.
+/// accelerated, and DME builds over the flat merge order in one forward
+/// loop and embeds it with an explicit stack, so even the degenerate
+/// deep-chain merge orders greedy schemes produce on collinear sinks run
+/// within the default thread stack.
 pub fn step1_initial_bst(net: &ClockNet, cfg: &CbsConfig) -> ClockTree {
     assert!(!net.is_empty(), "CBS over a sinkless net");
     try_step1_initial_bst_intervals(net, cfg, &vec![(0.0, 0.0); net.len()])
@@ -145,7 +145,7 @@ fn try_step1_initial_bst_intervals(
         return Err(sllt_route::DmeError::SinklessNet);
     }
     let topo = cfg.scheme.build(net);
-    sllt_route::try_dme_intervals(net, &topo.to_hinted(), &cfg.dme_options(), intervals)
+    sllt_route::try_dme_intervals(net, &topo, &cfg.dme_options(), intervals)
 }
 
 /// Steps 2 + 3: strip the iSLLT down to its connection structure
@@ -174,11 +174,11 @@ pub fn step3_salt_relax(net: &ClockNet, mut tree: ClockTree, eps: f64) -> ClockT
 /// Step 4: normalize (binary tree, load pins as leaves) and extract the
 /// merge order — *hinted* with the SALT Steiner positions — for the
 /// re-embedding.
-pub fn step4_normalize_and_extract(mut tree: ClockTree) -> (ClockTree, HintedTopology) {
+pub fn step4_normalize_and_extract(mut tree: ClockTree) -> (ClockTree, Topology) {
     edits::eliminate_redundant_steiner(&mut tree);
     edits::sinks_to_leaves(&mut tree);
     edits::binarize(&mut tree);
-    let topo = HintedTopology::from_tree(&tree).expect("normalized CBS tree has sinks");
+    let topo = Topology::from_tree(&tree).expect("normalized CBS tree has sinks");
     (tree, topo)
 }
 
@@ -196,7 +196,7 @@ pub fn step4_normalize_and_extract(mut tree: ClockTree) -> (ClockTree, HintedTop
 pub fn step5_restore_skew(
     net: &ClockNet,
     normalized: ClockTree,
-    topo: &HintedTopology,
+    topo: &Topology,
     cfg: &CbsConfig,
 ) -> ClockTree {
     try_step5_restore_skew_intervals(net, normalized, topo, cfg, &vec![(0.0, 0.0); net.len()])
@@ -212,7 +212,7 @@ pub fn step5_restore_skew(
 fn try_step5_restore_skew_intervals(
     net: &ClockNet,
     normalized: ClockTree,
-    topo: &HintedTopology,
+    topo: &Topology,
     cfg: &CbsConfig,
     intervals: &[(f64, f64)],
 ) -> Result<ClockTree, sllt_route::DmeError> {
@@ -258,7 +258,7 @@ fn try_step5_restore_skew_intervals(
 fn restore_skew_always_checking(
     net: &ClockNet,
     mut legal: ClockTree,
-    topo: &HintedTopology,
+    topo: &Topology,
     cfg: &CbsConfig,
 ) -> (ClockTree, bool) {
     let zero = vec![(0.0, 0.0); net.len()];

@@ -181,7 +181,7 @@ fn route_cluster(
             let topo = scheme.build(&net);
             try_dme_intervals(
                 &net,
-                &topo.to_hinted(),
+                &topo,
                 &DmeOptions {
                     skew_bound: cts.constraints.skew_ps * cts.level_skew_fraction,
                     model: DelayModel::Elmore(cts.tech),

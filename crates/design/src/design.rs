@@ -1,7 +1,7 @@
 //! Placed design model: what hierarchical CTS consumes.
 
 use sllt_geom::{Point, Rect};
-use sllt_tree::{ClockNet, Sink};
+use sllt_tree::Sink;
 
 /// A placed design's clock-relevant view: the die, the clock entry point,
 /// and every flip-flop clock pin.
@@ -27,11 +27,6 @@ impl Design {
         self.sinks.len()
     }
 
-    /// The design's top-level clock net: clock root driving every FF.
-    pub fn clock_net(&self) -> ClockNet {
-        ClockNet::new(self.clock_root, self.sinks.clone())
-    }
-
     /// Total FF clock-pin capacitance, fF.
     pub fn total_sink_cap(&self) -> f64 {
         self.sinks.iter().map(|s| s.cap_ff).sum()
@@ -52,9 +47,6 @@ mod tests {
             clock_root: Point::new(0.0, 50.0),
             sinks: vec![Sink::new(Point::new(10.0, 10.0), 1.0); 3],
         };
-        let net = d.clock_net();
-        assert_eq!(net.len(), 3);
-        assert_eq!(net.source, d.clock_root);
         assert_eq!(d.num_ffs(), 3);
         assert!((d.total_sink_cap() - 3.0).abs() < 1e-12);
     }

@@ -59,15 +59,6 @@ impl Point {
         Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
     }
 
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    #[inline]
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-
     /// Returns `true` when both coordinates are within [`crate::EPS`].
     #[inline]
     pub fn approx_eq(self, other: Point) -> bool {
@@ -165,12 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_lerp_agree() {
+    fn midpoint_is_halfway() {
         let p = Point::new(0.0, 0.0);
         let q = Point::new(10.0, 4.0);
-        assert!(p.midpoint(q).approx_eq(p.lerp(q, 0.5)));
-        assert!(p.lerp(q, 0.0).approx_eq(p));
-        assert!(p.lerp(q, 1.0).approx_eq(q));
+        assert!(p.midpoint(q).approx_eq(Point::new(5.0, 2.0)));
     }
 
     #[test]

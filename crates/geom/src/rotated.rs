@@ -193,11 +193,6 @@ impl RRect {
             && r.v >= self.vlo - EPS
             && r.v <= self.vhi + EPS
     }
-
-    /// Whether the region is a single point (both extents ≈ 0).
-    pub fn is_point(&self) -> bool {
-        self.uhi - self.ulo <= EPS && self.vhi - self.vlo <= EPS
-    }
 }
 
 impl fmt::Display for RRect {
@@ -234,14 +229,12 @@ mod tests {
         let ta = RRect::from_point(Point::new(0.0, 0.0)).inflated(2.0);
         let tb = RRect::from_point(Point::new(4.0, 0.0)).inflated(2.0);
         let m = ta.intersection(&tb).unwrap();
-        assert!(m.is_point());
         assert!(m.contains_xy(Point::new(2.0, 0.0)));
 
         // Diagonal pair: the merge region is a full Manhattan arc.
         let ta = RRect::from_point(Point::new(0.0, 0.0)).inflated(2.0);
         let tb = RRect::from_point(Point::new(2.0, 2.0)).inflated(2.0);
         let arc = ta.intersection(&tb).unwrap();
-        assert!(!arc.is_point());
         assert!(arc.contains_xy(Point::new(1.0, 1.0)));
         assert!(arc.contains_xy(Point::new(0.0, 2.0)));
         assert!(arc.contains_xy(Point::new(2.0, 0.0)));

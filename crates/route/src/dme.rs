@@ -26,8 +26,12 @@
 //!   parent; edges keep their assigned lengths, so detour survives as
 //!   `edge_len > manhattan distance`.
 //!
-//! Hinted topologies ([`HintedTopology`], produced by CBS step 4) bias
-//! each merge inside its skew-feasible window toward a hint position —
+//! Both phases walk one arena: node `i` of the topology's postorder node
+//! vector becomes arena entry `i`, so the bottom-up pass is a single
+//! forward loop (children are always built before their merge) and the
+//! top-down pass descends from the last entry, the root. Merges that
+//! carry a position hint (CBS step 4 extracts them from the SALT tree)
+//! bias their split inside the skew-feasible window toward the hint —
 //! that is what lets the CBS re-embedding stay close to the SALT geometry
 //! wherever the bound leaves slack.
 //!
@@ -41,7 +45,7 @@
 use sllt_buffer::timing::propagate;
 use sllt_geom::{Point, RRect};
 use sllt_timing::{BufferLibrary, Technology};
-use sllt_tree::{ClockNet, ClockTree, HintedTopology, NodeId, Topology};
+use sllt_tree::{ClockNet, ClockTree, NodeId, TopoNode, Topology};
 use std::fmt;
 
 /// Why a DME construction could not produce a tree.
@@ -203,7 +207,7 @@ pub fn zst_dme(net: &ClockNet, topo: &Topology) -> ClockTree {
 pub fn bst_dme(net: &ClockNet, topo: &Topology, skew_bound_um: f64) -> ClockTree {
     dme(
         net,
-        &topo.to_hinted(),
+        topo,
         &DmeOptions {
             skew_bound: skew_bound_um,
             model: DelayModel::PathLength,
@@ -211,15 +215,15 @@ pub fn bst_dme(net: &ClockNet, topo: &Topology, skew_bound_um: f64) -> ClockTree
     )
 }
 
-/// Builds a bounded-skew tree over a [`HintedTopology`] with explicit
-/// [`DmeOptions`]. This is the full-control entry point; CBS step 5 calls
-/// it with SALT-derived hints.
+/// Builds a bounded-skew tree over `topo` with explicit [`DmeOptions`].
+/// This is the full-control entry point; CBS step 5 calls it with a
+/// topology whose merges carry SALT-derived hints.
 ///
 /// # Panics
 ///
 /// Panics when the net is sinkless, the bound is negative, or the
 /// topology references sink indices out of range.
-pub fn dme(net: &ClockNet, topo: &HintedTopology, opts: &DmeOptions) -> ClockTree {
+pub fn dme(net: &ClockNet, topo: &Topology, opts: &DmeOptions) -> ClockTree {
     dme_intervals(net, topo, opts, &vec![(0.0, 0.0); net.len()])
 }
 
@@ -240,7 +244,7 @@ pub fn dme(net: &ClockNet, topo: &HintedTopology, opts: &DmeOptions) -> ClockTre
 /// use the fallible variant instead.
 pub fn dme_intervals(
     net: &ClockNet,
-    topo: &HintedTopology,
+    topo: &Topology,
     opts: &DmeOptions,
     intervals: &[(f64, f64)],
 ) -> ClockTree {
@@ -261,7 +265,7 @@ pub fn dme_intervals(
 /// [`DmeError::NonFiniteGeometry`], and [`DmeError::DetourDiverged`].
 pub fn try_dme_intervals(
     net: &ClockNet,
-    topo: &HintedTopology,
+    topo: &Topology,
     opts: &DmeOptions,
     intervals: &[(f64, f64)],
 ) -> Result<ClockTree, DmeError> {
@@ -299,13 +303,8 @@ pub fn try_dme_intervals(
         }
     }
 
-    let mut nodes: Vec<MergeNode> = Vec::new();
-    let root_idx = build_up(net, topo, opts, intervals, &mut nodes)?;
-
-    let mut tree = ClockTree::new(net.source);
-    let root_pt = nodes[root_idx].region.nearest_to(net.source);
-    let source_node = tree.root();
-    embed_down(net, &nodes, root_idx, &mut tree, source_node, root_pt, None);
+    let nodes = build_up(net, topo, opts, intervals)?;
+    let (tree, _) = embed_down(net, &nodes);
     if sllt_obs::enabled() {
         sllt_obs::count("route.dme.calls", 1);
         sllt_obs::count(
@@ -318,103 +317,97 @@ pub fn try_dme_intervals(
     Ok(tree)
 }
 
-/// One bottom-up merge node.
+/// One bottom-up merge node: a merging region, the delay interval over
+/// its sinks (UST: the launch window), and the wire to its children.
 #[derive(Debug, Clone)]
-struct MergeNode {
-    region: RRect,
-    lo: f64,
-    hi: f64,
+pub(crate) struct MergeNode {
+    pub(crate) region: RRect,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
     /// Downstream capacitance (fF) under the Elmore model, 0 otherwise.
-    cap: f64,
+    pub(crate) cap: f64,
     /// `Some((left, right, e_left, e_right))` for merges, `None` for sinks.
-    kids: Option<(usize, usize, f64, f64)>,
+    pub(crate) kids: Option<(usize, usize, f64, f64)>,
     /// Sink index for leaves.
-    sink: Option<usize>,
+    pub(crate) sink: Option<usize>,
 }
 
-/// Bottom-up merging-region construction (DME phase 1), as an explicit
-/// postorder stack machine: greedy merge orders degenerate to n-deep
-/// chains on collinear or clustered sinks, which the recursive
-/// formulation cannot traverse on an 8 MiB thread stack at production
-/// sink counts. The arena (`out`) fills in exactly the order the
-/// recursion used — left subtree, right subtree, merge node — so node
-/// indices and all downstream arithmetic are unchanged.
+impl MergeNode {
+    /// The leaf for sink `i` with delay interval (or window) `(lo, hi)`.
+    pub(crate) fn leaf(net: &ClockNet, i: usize, (lo, hi): (f64, f64), model: &DelayModel) -> Self {
+        MergeNode {
+            region: RRect::from_point(net.sinks[i].pos),
+            lo,
+            hi,
+            cap: model.pin_cap(net.sinks[i].cap_ff),
+            kids: None,
+            sink: Some(i),
+        }
+    }
+}
+
+/// Bottom-up merging-region construction (DME phase 1): one forward loop
+/// over the topology's postorder nodes. Node `i` becomes arena entry `i`,
+/// so each merge's children are built before it and their indices carry
+/// over unchanged; no recursion or work stack, whatever the depth.
 fn build_up(
     net: &ClockNet,
-    topo: &HintedTopology,
+    topo: &Topology,
     opts: &DmeOptions,
     intervals: &[(f64, f64)],
-    out: &mut Vec<MergeNode>,
-) -> Result<usize, DmeError> {
-    enum W<'t> {
-        Visit(&'t HintedTopology),
-        Build(Option<Point>),
-    }
-    let mut work = vec![W::Visit(topo)];
-    // Arena indices of completed subtrees, consumed two at a time by Build.
-    let mut done: Vec<usize> = Vec::new();
-    while let Some(w) = work.pop() {
-        match w {
-            W::Visit(HintedTopology::Sink(i)) => {
-                let i = *i;
+) -> Result<Vec<MergeNode>, DmeError> {
+    let mut out: Vec<MergeNode> = Vec::with_capacity(topo.nodes().len());
+    for &node in topo.nodes() {
+        let built = match node {
+            TopoNode::Sink(i) => {
                 if i >= net.sinks.len() {
                     return Err(DmeError::SinkIndexOutOfRange {
                         index: i,
                         len: net.sinks.len(),
                     });
                 }
-                out.push(MergeNode {
-                    region: RRect::from_point(net.sinks[i].pos),
-                    lo: intervals[i].0,
-                    hi: intervals[i].1,
-                    cap: opts.model.pin_cap(net.sinks[i].cap_ff),
-                    kids: None,
-                    sink: Some(i),
-                });
-                done.push(out.len() - 1);
+                MergeNode::leaf(net, i, intervals[i], &opts.model)
             }
-            W::Visit(HintedTopology::Merge(a, b, hint)) => {
-                work.push(W::Build(*hint));
-                work.push(W::Visit(b));
-                work.push(W::Visit(a));
-            }
-            W::Build(hint) => {
-                // Invariant, not input-dependent: every Build is pushed
-                // with exactly two Visit frames above it, and each Visit
-                // pushes one `done` entry (or errors out first).
-                let ib = done.pop().expect("build follows two subtrees");
-                let ia = done.pop().expect("build follows two subtrees");
-                let m = merge(&out[ia], &out[ib], opts, hint)?;
+            TopoNode::Merge { left, right, hint } => {
+                let m = merge(&out[left], &out[right], opts, hint)?;
                 // Detour merges wire more than the region gap to hold the
                 // skew bound — the trajectory metric behind snaking cost.
-                if sllt_obs::enabled() && m.ea + m.eb > out[ia].region.dist(&out[ib].region) + 1e-9
+                if sllt_obs::enabled()
+                    && m.ea + m.eb > out[left].region.dist(&out[right].region) + 1e-9
                 {
                     sllt_obs::count("route.dme.detour_merges", 1);
                 }
-                out.push(MergeNode {
-                    region: m.region,
-                    lo: m.lo,
-                    hi: m.hi,
-                    cap: m.cap,
-                    kids: Some((ia, ib, m.ea, m.eb)),
-                    sink: None,
-                });
-                done.push(out.len() - 1);
+                m.node(left, right)
             }
-        }
+        };
+        out.push(built);
     }
-    // Invariant: the caller rejected sinkless nets, so at least one
-    // Visit ran and left exactly one completed root on the stack.
-    Ok(done.pop().expect("nonempty topology"))
+    Ok(out)
 }
 
-struct Merged {
-    region: RRect,
-    lo: f64,
-    hi: f64,
-    cap: f64,
-    ea: f64,
-    eb: f64,
+/// One balanced merge: the merged region and interval, and the wire
+/// split `(ea, eb)` toward the two children.
+pub(crate) struct Merged {
+    pub(crate) region: RRect,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+    pub(crate) cap: f64,
+    pub(crate) ea: f64,
+    pub(crate) eb: f64,
+}
+
+impl Merged {
+    /// The arena entry of this merge over children `left` and `right`.
+    pub(crate) fn node(self, left: usize, right: usize) -> MergeNode {
+        MergeNode {
+            region: self.region,
+            lo: self.lo,
+            hi: self.hi,
+            cap: self.cap,
+            kids: Some((left, right, self.ea, self.eb)),
+            sink: None,
+        }
+    }
 }
 
 /// Balances one merge within the skew bound. Works for both delay models
@@ -639,25 +632,22 @@ pub(crate) fn elmore_delays(tree: &ClockTree, tech: &Technology) -> Vec<f64> {
     propagate(tree, tech, &BufferLibrary::from_cells(Vec::new()), |_| 1.0).delay
 }
 
-/// Embeds node `root_idx` at `root_pos` under tree node `root_parent`,
-/// wiring each edge with its assigned length (None for the source→root
-/// trunk, which is a plain shortest wire).
+/// DME phase 2: embeds the arena under a new tree rooted at the net
+/// source. The root (the last entry) lands at its region's point nearest
+/// the source, joined by a plain shortest trunk, and every other entry at
+/// its region's point nearest its parent's, its edge keeping the assigned
+/// wire length. Returns the tree and the root's position.
 ///
 /// Explicit preorder stack (left child pushed last, so embedded first):
-/// tree node ids are allocated in exactly the order the recursive
-/// formulation allocated them, and chain-deep topologies embed without
-/// touching the thread stack.
-fn embed_down(
-    net: &ClockNet,
-    nodes: &[MergeNode],
-    root_idx: usize,
-    tree: &mut ClockTree,
-    root_parent: NodeId,
-    root_pos: Point,
-    root_edge: Option<f64>,
-) {
+/// tree node ids are allocated in the order a recursive descent would
+/// allocate them, and chain-deep topologies embed without touching the
+/// thread stack.
+pub(crate) fn embed_down(net: &ClockNet, nodes: &[MergeNode]) -> (ClockTree, Point) {
+    let mut tree = ClockTree::new(net.source);
+    let root_idx = nodes.len() - 1;
+    let root_pos = nodes[root_idx].region.nearest_to(net.source);
     let mut stack: Vec<(usize, NodeId, Point, Option<f64>)> =
-        vec![(root_idx, root_parent, root_pos, root_edge)];
+        vec![(root_idx, tree.root(), root_pos, None)];
     while let Some((idx, parent, pos, edge)) = stack.pop() {
         let n = &nodes[idx];
         let id = match n.sink {
@@ -674,6 +664,7 @@ fn embed_down(
             stack.push((ia, id, pa, Some(ea)));
         }
     }
+    (tree, root_pos)
 }
 
 #[cfg(test)]
@@ -800,7 +791,7 @@ mod tests {
         for seed in 0..6 {
             let net = random_net(seed + 20, 15);
             let topo = TopologyScheme::GreedyDist.build(&net);
-            let t = dme(&net, &topo.to_hinted(), &elmore(0.0, &tech));
+            let t = dme(&net, &topo, &elmore(0.0, &tech));
             t.validate().unwrap();
             let skew = skew_of(&t, &DelayModel::Elmore(tech));
             assert!(skew < 1e-6, "seed {seed}: Elmore skew {skew} ps");
@@ -814,7 +805,7 @@ mod tests {
             let net = random_net(seed + 80, 20);
             for bound in [1.0, 5.0, 10.0, 80.0] {
                 let topo = TopologyScheme::BiCluster.build(&net);
-                let t = dme(&net, &topo.to_hinted(), &elmore(bound, &tech));
+                let t = dme(&net, &topo, &elmore(bound, &tech));
                 let skew = skew_of(&t, &DelayModel::Elmore(tech));
                 assert!(
                     skew <= bound + 1e-6,
@@ -843,7 +834,7 @@ mod tests {
     #[test]
     fn single_sink_is_direct_wire() {
         let net = ClockNet::new(Point::ORIGIN, vec![Sink::new(Point::new(3.0, 4.0), 1.0)]);
-        let t = zst_dme(&net, &Topology::Sink(0));
+        let t = zst_dme(&net, &Topology::sink(0));
         assert_eq!(t.sinks().len(), 1);
         assert!((t.wirelength() - 7.0).abs() < 1e-9);
     }
@@ -857,7 +848,7 @@ mod tests {
                 Sink::new(Point::new(10.0, 0.0), 1.0),
             ],
         );
-        let topo = Topology::merge(Topology::Sink(0), Topology::Sink(1));
+        let topo = Topology::merge(Topology::sink(0), Topology::sink(1));
         let t = zst_dme(&net, &topo);
         assert!(path_length_skew(&t) < 1e-9);
         // No detour needed for a symmetric pair.
@@ -883,8 +874,8 @@ mod tests {
             ],
         );
         let topo = Topology::merge(
-            Topology::merge(Topology::Sink(0), Topology::Sink(1)),
-            Topology::Sink(2),
+            Topology::merge(Topology::sink(0), Topology::sink(1)),
+            Topology::sink(2),
         );
         (net, topo)
     }
@@ -934,8 +925,8 @@ mod tests {
         for seed in 0..10 {
             let net = random_net(seed + 400, 18);
             let topo = TopologyScheme::GreedyDist.build(&net);
-            tight += dme(&net, &topo.to_hinted(), &elmore(0.1, &tech)).wirelength();
-            loose += dme(&net, &topo.to_hinted(), &elmore(20.0, &tech)).wirelength();
+            tight += dme(&net, &topo, &elmore(0.1, &tech)).wirelength();
+            loose += dme(&net, &topo, &elmore(20.0, &tech)).wirelength();
         }
         assert!(
             loose < tight,
@@ -947,17 +938,17 @@ mod tests {
     #[should_panic(expected = "sinkless")]
     fn empty_net_rejected() {
         let net = ClockNet::new(Point::ORIGIN, vec![]);
-        let _ = zst_dme(&net, &Topology::Sink(0));
+        let _ = zst_dme(&net, &Topology::sink(0));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_topology_rejected() {
         let net = ClockNet::new(Point::ORIGIN, vec![Sink::new(Point::new(1.0, 1.0), 1.0)]);
-        let _ = zst_dme(&net, &Topology::Sink(3));
+        let _ = zst_dme(&net, &Topology::sink(3));
     }
 
-    fn two_sink_net() -> (ClockNet, HintedTopology) {
+    fn two_sink_net() -> (ClockNet, Topology) {
         let net = ClockNet::new(
             Point::ORIGIN,
             vec![
@@ -965,7 +956,7 @@ mod tests {
                 Sink::new(Point::new(4.0, 0.0), 1.0),
             ],
         );
-        let topo = Topology::merge(Topology::Sink(0), Topology::Sink(1)).to_hinted();
+        let topo = Topology::merge(Topology::sink(0), Topology::sink(1));
         (net, topo)
     }
 
@@ -979,7 +970,7 @@ mod tests {
 
         let empty = ClockNet::new(Point::ORIGIN, vec![]);
         assert_eq!(
-            try_dme_intervals(&empty, &Topology::Sink(0).to_hinted(), &opts, &[]),
+            try_dme_intervals(&empty, &Topology::sink(0), &opts, &[]),
             Err(DmeError::SinklessNet)
         );
 
@@ -1015,7 +1006,7 @@ mod tests {
             DmeError::IntervalExceedsBound { sink: 1, bound, .. } if bound == 1.0
         ));
 
-        let bad_topo = Topology::merge(Topology::Sink(0), Topology::Sink(7)).to_hinted();
+        let bad_topo = Topology::merge(Topology::sink(0), Topology::sink(7));
         assert_eq!(
             try_dme_intervals(&net, &bad_topo, &opts, &[(0.0, 0.0); 2]),
             Err(DmeError::SinkIndexOutOfRange { index: 7, len: 2 })
@@ -1092,7 +1083,7 @@ mod tests {
         proptest!(|(seed in 0u64..60, n in 2usize..15, bound in 0f64..20.0)| {
             let net = random_net(seed + 3000, n);
             let topo = TopologyScheme::GreedyDist.build(&net);
-            let t = dme(&net, &topo.to_hinted(), &elmore(bound, &tech));
+            let t = dme(&net, &topo, &elmore(bound, &tech));
             prop_assert!(skew_of(&t, &DelayModel::Elmore(tech)) <= bound + 1e-6);
             prop_assert!(t.validate().is_ok());
         });

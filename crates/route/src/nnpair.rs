@@ -365,9 +365,9 @@ pub fn agglomerate<M: PairMetric>(initial: Vec<M::State>) -> Topology {
     }
     // Slot i holds cluster id i (creation order: sinks 0..n, then merges).
     let mut states: Vec<Option<M::State>> = initial.into_iter().map(Some).collect();
-    let mut topos: Vec<Option<Topology>> = (0..n).map(|i| Some(Topology::sink(i))).collect();
     states.reserve(n - 1);
-    topos.reserve(n - 1);
+    // The `(older, newer)` ids each merge joined, in merge order.
+    let mut merges: Vec<(usize, usize)> = Vec::with_capacity(n - 1);
 
     let mut max_half_extent = states
         .iter()
@@ -421,13 +421,11 @@ pub fn agglomerate<M: PairMetric>(initial: Vec<M::State>) -> Topology {
                 grid.remove(e.lo, M::position(&sa));
                 grid.remove(e.hi, M::position(&sb));
                 let merged = M::merge(&sa, &sb);
-                let ta = topos[i].take().expect("topology tracks state");
-                let tb = topos[j].take().expect("topology tracks state");
                 let id = states.len() as u32;
                 max_half_extent = max_half_extent.max(M::half_extent(&merged));
                 grid.insert(id, M::position(&merged));
                 states.push(Some(merged));
-                topos.push(Some(Topology::merge(ta, tb)));
+                merges.push((i, j));
                 alive -= 1;
                 if alive >= 2 {
                     if alive * 4 <= grid_population {
@@ -473,11 +471,7 @@ pub fn agglomerate<M: PairMetric>(initial: Vec<M::State>) -> Topology {
     }
 
     tally.emit((n - 1) as u64);
-    states
-        .iter()
-        .position(|s| s.is_some())
-        .and_then(|k| topos[k].take())
-        .expect("exactly one live cluster remains")
+    Topology::from_merges(n, &merges)
 }
 
 #[cfg(test)]
@@ -507,12 +501,14 @@ mod tests {
     /// Brute-force oracle with the identical (cost, lo, hi) selection.
     fn agglomerate_naive(points: Vec<Point>) -> Topology {
         assert!(!points.is_empty());
-        let mut live: Vec<(u32, Point, Topology)> = points
+        let n = points.len();
+        let mut live: Vec<(u32, Point)> = points
             .into_iter()
             .enumerate()
-            .map(|(i, p)| (i as u32, p, Topology::sink(i)))
+            .map(|(i, p)| (i as u32, p))
             .collect();
-        let mut next = live.len() as u32;
+        let mut merges = Vec::new();
+        let mut next = n as u32;
         while live.len() > 1 {
             let (mut bi, mut bj) = (0, 1);
             let mut bk = (f64::INFINITY, u32::MAX, u32::MAX);
@@ -537,14 +533,11 @@ mod tests {
             let b = live.swap_remove(hi_slot);
             let a = live.swap_remove(lo_slot);
             let (a, b) = if a.0 < b.0 { (a, b) } else { (b, a) };
-            live.push((
-                next,
-                PointMetric::merge(&a.1, &b.1),
-                Topology::merge(a.2, b.2),
-            ));
+            live.push((next, PointMetric::merge(&a.1, &b.1)));
+            merges.push((a.0 as usize, b.0 as usize));
             next += 1;
         }
-        live.pop().expect("nonempty").2
+        Topology::from_merges(n, &merges)
     }
 
     fn pseudo_points(seed: u64, n: usize) -> Vec<Point> {

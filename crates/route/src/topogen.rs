@@ -268,7 +268,6 @@ fn agglomerate_naive<S>(
 ) -> Topology {
     struct Cluster<S> {
         id: u32,
-        topo: Topology,
         state: S,
     }
     let n = initial.len();
@@ -278,10 +277,10 @@ fn agglomerate_naive<S>(
         .enumerate()
         .map(|(i, state)| Cluster {
             id: i as u32,
-            topo: Topology::sink(i),
             state,
         })
         .collect();
+    let mut merges = Vec::with_capacity(n - 1);
     let mut costs = vec![0.0f64; n * n];
     let fill = |costs: &mut [f64], clusters: &[Cluster<S>], j: usize| {
         for i in 0..j {
@@ -344,12 +343,12 @@ fn agglomerate_naive<S>(
         clusters.push(Cluster {
             id: next_id,
             state: merge(&a.state, &b.state),
-            topo: Topology::merge(a.topo, b.topo),
         });
+        merges.push((a.id as usize, b.id as usize));
         fill(&mut costs, &clusters, clusters.len() - 1);
         next_id += 1;
     }
-    clusters.pop().expect("nonempty").topo
+    Topology::from_merges(n, &merges)
 }
 
 /// The full-rescan agglomeration [`agglomerate_naive`] replaced: every
@@ -362,19 +361,19 @@ fn agglomerate_rescan<S>(
 ) -> Topology {
     struct Cluster<S> {
         id: u32,
-        topo: Topology,
         state: S,
     }
-    let mut next_id = initial.len() as u32;
+    let n = initial.len();
+    let mut next_id = n as u32;
     let mut clusters: Vec<Cluster<S>> = initial
         .into_iter()
         .enumerate()
         .map(|(i, state)| Cluster {
             id: i as u32,
-            topo: Topology::sink(i),
             state,
         })
         .collect();
+    let mut merges = Vec::new();
     while clusters.len() > 1 {
         let (mut bi, mut bj) = (0, 1);
         let mut bk = (f64::INFINITY, u32::MAX, u32::MAX);
@@ -397,11 +396,11 @@ fn agglomerate_rescan<S>(
         clusters.push(Cluster {
             id: next_id,
             state: merge(&a.state, &b.state),
-            topo: Topology::merge(a.topo, b.topo),
         });
+        merges.push((a.id as usize, b.id as usize));
         next_id += 1;
     }
-    clusters.pop().expect("nonempty").topo
+    Topology::from_merges(n, &merges)
 }
 
 /// Bi-Partition: recursively split the sink set in two along the axis
@@ -525,7 +524,7 @@ fn split_cluster(net: &ClockNet, idx: Vec<usize>) -> Topology {
 mod tests {
     use super::*;
     use sllt_rng::prelude::*;
-    use sllt_tree::Sink;
+    use sllt_tree::{Sink, TopoNode};
 
     fn random_net(seed: u64, n: usize) -> ClockNet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -595,7 +594,7 @@ mod tests {
     fn single_sink_topology() {
         let net = random_net(1, 1);
         for scheme in TopologyScheme::ALL {
-            assert_eq!(scheme.build(&net), Topology::Sink(0));
+            assert_eq!(scheme.build(&net), Topology::sink(0));
         }
     }
 
@@ -613,18 +612,19 @@ mod tests {
             ],
         );
         let topo = greedy_dist(&net);
-        match &topo {
-            Topology::Merge(a, b) => {
-                let mut la = a.leaves();
-                let mut lb = b.leaves();
-                la.sort_unstable();
-                lb.sort_unstable();
-                let (la, lb) = if la[0] == 0 { (la, lb) } else { (lb, la) };
-                assert_eq!(la, vec![0, 1]);
-                assert_eq!(lb, vec![2, 3]);
-            }
-            _ => panic!("expected a merge at the root"),
-        }
+        let Some(&TopoNode::Merge { left, .. }) = topo.nodes().last() else {
+            panic!("expected a merge at the root");
+        };
+        // Postorder: the left subtree is nodes `0..=left`, its sinks the
+        // leading `left / 2 + 1` leaves.
+        let leaves = topo.leaves();
+        let (la, lb) = leaves.split_at(left / 2 + 1);
+        let (mut la, mut lb) = (la.to_vec(), lb.to_vec());
+        la.sort_unstable();
+        lb.sort_unstable();
+        let (la, lb) = if la[0] == 0 { (la, lb) } else { (lb, la) };
+        assert_eq!(la, vec![0, 1]);
+        assert_eq!(lb, vec![2, 3]);
     }
 
     #[test]
@@ -793,8 +793,8 @@ mod tests {
         }
         // Single sink short-circuits every path identically.
         let one = collinear_net(1);
-        assert_eq!(greedy_dist(&one), Topology::Sink(0));
-        assert_eq!(greedy_merge(&one), Topology::Sink(0));
+        assert_eq!(greedy_dist(&one), Topology::sink(0));
+        assert_eq!(greedy_merge(&one), Topology::sink(0));
     }
 
     /// Acceptance: 50k-sink random nets complete in well under 10 s per

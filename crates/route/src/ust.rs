@@ -14,9 +14,11 @@
 //! delay, so a feasible tree always exists (it may be wire-expensive when
 //! windows conflict strongly).
 
-use crate::dme::{bisect, elmore_delays, solve_increasing_from, DelayModel, DmeOptions};
-use sllt_geom::{Point, RRect};
-use sllt_tree::{ClockNet, ClockTree, HintedTopology, NodeId, Topology};
+use crate::dme::{
+    bisect, elmore_delays, embed_down, solve_increasing_from, DelayModel, DmeOptions, MergeNode,
+    Merged,
+};
+use sllt_tree::{ClockNet, ClockTree, TopoNode, Topology};
 
 /// A useful-skew tree: the routed tree plus the launch window at its
 /// root.
@@ -51,100 +53,35 @@ pub fn ust_dme(
     for &(lo, hi) in windows {
         assert!(lo >= 0.0 && hi >= lo, "bad arrival window ({lo}, {hi})");
     }
-    let hinted = topo.to_hinted();
-    let mut nodes: Vec<UstNode> = Vec::new();
-    let root = build(net, &hinted, windows, &opts.model, &mut nodes);
-
-    let mut tree = ClockTree::new(net.source);
-    let root_pt = nodes[root].region.nearest_to(net.source);
-    let source_node = tree.root();
-    embed(net, &nodes, root, &mut tree, source_node, root_pt, None);
+    // Bottom-up window merges, one forward loop over the postorder nodes
+    // (node `i` becomes arena entry `i`, as in DME's build), then DME's
+    // top-down embedding of the same arena. Hints are ignored: windows,
+    // not a skew bound, fix each split.
+    let model = &opts.model;
+    let mut nodes: Vec<MergeNode> = Vec::with_capacity(topo.nodes().len());
+    for &node in topo.nodes() {
+        let built = match node {
+            TopoNode::Sink(i) => {
+                assert!(i < net.sinks.len(), "topology sink index {i} out of range");
+                MergeNode::leaf(net, i, windows[i], model)
+            }
+            TopoNode::Merge { left, right, .. } => {
+                merge_windows(&nodes[left], &nodes[right], model).node(left, right)
+            }
+        };
+        nodes.push(built);
+    }
+    let (tree, root_pt) = embed_down(net, &nodes);
 
     // The trunk wire shifts every arrival equally; report its delay so
     // callers can translate the window to source departure times.
-    let trunk_delay = opts
-        .model
-        .wire_delay(net.source.dist(root_pt), nodes[root].cap);
+    let root = &nodes[nodes.len() - 1];
+    let trunk_delay = model.wire_delay(net.source.dist(root_pt), root.cap);
     UstTree {
         tree,
-        launch_window: (nodes[root].lo, nodes[root].hi),
+        launch_window: (root.lo, root.hi),
         trunk_delay,
     }
-}
-
-struct UstNode {
-    region: RRect,
-    /// Launch window at this node, ps.
-    lo: f64,
-    hi: f64,
-    cap: f64,
-    kids: Option<(usize, usize, f64, f64)>,
-    sink: Option<usize>,
-}
-
-/// Bottom-up window-merge construction as an explicit postorder stack
-/// machine (same shape as `dme::build_up`): greedy merge orders can be
-/// n-deep chains, which recursion cannot traverse at production sink
-/// counts. Arena order matches the recursive formulation exactly.
-fn build(
-    net: &ClockNet,
-    topo: &HintedTopology,
-    windows: &[(f64, f64)],
-    model: &DelayModel,
-    out: &mut Vec<UstNode>,
-) -> usize {
-    enum W<'t> {
-        Visit(&'t HintedTopology),
-        Build,
-    }
-    let mut work = vec![W::Visit(topo)];
-    let mut done: Vec<usize> = Vec::new();
-    while let Some(w) = work.pop() {
-        match w {
-            W::Visit(HintedTopology::Sink(i)) => {
-                let i = *i;
-                assert!(i < net.sinks.len(), "topology sink index {i} out of range");
-                out.push(UstNode {
-                    region: RRect::from_point(net.sinks[i].pos),
-                    lo: windows[i].0,
-                    hi: windows[i].1,
-                    cap: model.pin_cap(net.sinks[i].cap_ff),
-                    kids: None,
-                    sink: Some(i),
-                });
-                done.push(out.len() - 1);
-            }
-            W::Visit(HintedTopology::Merge(a, b, _)) => {
-                work.push(W::Build);
-                work.push(W::Visit(b));
-                work.push(W::Visit(a));
-            }
-            W::Build => {
-                let ib = done.pop().expect("build follows two subtrees");
-                let ia = done.pop().expect("build follows two subtrees");
-                let m = merge_windows(&out[ia], &out[ib], model);
-                out.push(UstNode {
-                    region: m.region,
-                    lo: m.lo,
-                    hi: m.hi,
-                    cap: m.cap,
-                    kids: Some((ia, ib, m.ea, m.eb)),
-                    sink: None,
-                });
-                done.push(out.len() - 1);
-            }
-        }
-    }
-    done.pop().expect("nonempty topology")
-}
-
-struct MergedWindow {
-    region: RRect,
-    lo: f64,
-    hi: f64,
-    cap: f64,
-    ea: f64,
-    eb: f64,
 }
 
 /// One useful-skew merge. With split `ea ∈ [0, d]` the children's launch
@@ -152,7 +89,7 @@ struct MergedWindow {
 /// `W_b − Db(d − ea)`; we want them to overlap with as much slack as
 /// possible, detouring the *late-window* (early-arriving) child when the
 /// full split range cannot make them meet.
-fn merge_windows(a: &UstNode, b: &UstNode, model: &DelayModel) -> MergedWindow {
+fn merge_windows(a: &MergeNode, b: &MergeNode, model: &DelayModel) -> Merged {
     let d = a.region.dist(&b.region);
     let da = |ea: f64| model.wire_delay(ea, a.cap);
     let db = |ea: f64| model.wire_delay(d - ea, b.cap);
@@ -215,7 +152,7 @@ fn merge_windows(a: &UstNode, b: &UstNode, model: &DelayModel) -> MergedWindow {
         .inflated(ea)
         .intersection(&b.region.inflated(eb))
         .expect("e_a + e_b >= dist keeps regions intersecting");
-    MergedWindow {
+    Merged {
         region,
         lo,
         hi: hi.max(lo), // numerical guard: windows touch at worst
@@ -230,39 +167,6 @@ fn solve_delay(model: &DelayModel, cap: f64, target: f64, min_e: f64) -> f64 {
     solve_increasing_from(|e| model.wire_delay(e, cap) - target, min_e.max(1.0) * 2.0)
         .expect("UST detour search diverged")
         .max(min_e)
-}
-
-/// Top-down embedding as an explicit preorder stack (left child pushed
-/// last, so embedded first — tree node ids come out in recursive order);
-/// see `dme::embed_down`.
-#[allow(clippy::too_many_arguments)]
-fn embed(
-    net: &ClockNet,
-    nodes: &[UstNode],
-    root_idx: usize,
-    tree: &mut ClockTree,
-    root_parent: NodeId,
-    root_pos: Point,
-    root_edge: Option<f64>,
-) {
-    let mut stack: Vec<(usize, NodeId, Point, Option<f64>)> =
-        vec![(root_idx, root_parent, root_pos, root_edge)];
-    while let Some((idx, parent, pos, edge)) = stack.pop() {
-        let n = &nodes[idx];
-        let id = match n.sink {
-            Some(i) => tree.add_sink_indexed(parent, pos, net.sinks[i].cap_ff, i),
-            None => tree.add_steiner(parent, pos),
-        };
-        if let Some(e) = edge {
-            tree.set_edge_len(id, e.max(tree.node(id).edge_len()));
-        }
-        if let Some((ia, ib, ea, eb)) = n.kids {
-            let pa = nodes[ia].region.nearest_to(pos);
-            let pb = nodes[ib].region.nearest_to(pos);
-            stack.push((ib, id, pb, Some(eb)));
-            stack.push((ia, id, pa, Some(ea)));
-        }
-    }
 }
 
 /// Verifies a UST result: with departure at `launch` ps (measured at the
@@ -296,6 +200,7 @@ pub fn window_violation(
 mod tests {
     use super::*;
     use crate::topogen::TopologyScheme;
+    use sllt_geom::Point;
     use sllt_rng::prelude::*;
     use sllt_tree::Sink;
 
@@ -351,8 +256,8 @@ mod tests {
             ],
         );
         let topo = Topology::merge(
-            Topology::merge(Topology::Sink(0), Topology::Sink(1)),
-            Topology::Sink(2),
+            Topology::merge(Topology::sink(0), Topology::sink(1)),
+            Topology::sink(2),
         );
         let wide = vec![(0.0, 1e6); net.len()];
         let ust = ust_dme(&net, &topo, &wide, &opts_pl());

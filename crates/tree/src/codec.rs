@@ -29,7 +29,6 @@
 use crate::{ClockTree, NodeKind};
 use std::error::Error;
 use std::fmt;
-use std::io::{Read, Write};
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"SLTB";
@@ -59,8 +58,6 @@ const CAP_DICT: usize = 8;
 /// Errors from the binary tree reader.
 #[derive(Debug)]
 pub enum BinaryTreeError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// Malformed frame at a byte offset into the frame.
     Corrupt {
         /// Offset of the defect, bytes from the frame start.
@@ -82,7 +79,6 @@ pub enum BinaryTreeError {
 impl fmt::Display for BinaryTreeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BinaryTreeError::Io(e) => write!(f, "i/o error reading binary tree: {e}"),
             BinaryTreeError::Corrupt { offset, message } => {
                 write!(f, "corrupt binary tree at byte {offset}: {message}")
             }
@@ -97,20 +93,7 @@ impl fmt::Display for BinaryTreeError {
     }
 }
 
-impl Error for BinaryTreeError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            BinaryTreeError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for BinaryTreeError {
-    fn from(e: std::io::Error) -> Self {
-        BinaryTreeError::Io(e)
-    }
-}
+impl Error for BinaryTreeError {}
 
 /// FNV-1a 64 — the same sealing hash the observation journal uses, inlined
 /// so the tree crate stays dependency-free.
@@ -444,26 +427,6 @@ pub fn decode_tree(bytes: &[u8]) -> Result<ClockTree, BinaryTreeError> {
     Ok(tree)
 }
 
-/// Writes the tree as one binary frame.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_tree_binary<W: Write>(tree: &ClockTree, w: &mut W) -> std::io::Result<()> {
-    w.write_all(&encode_tree(tree))
-}
-
-/// Reads a tree from a binary frame, consuming the reader to its end.
-///
-/// # Errors
-///
-/// See [`BinaryTreeError`].
-pub fn read_tree_binary<R: Read>(r: &mut R) -> Result<ClockTree, BinaryTreeError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode_tree(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,14 +620,5 @@ mod tests {
         let back = decode_tree(&encode_tree(&t)).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back.source_pos().x.to_bits(), t.source_pos().x.to_bits());
-    }
-
-    #[test]
-    fn writer_reader_io_layer() {
-        let t = sample_tree();
-        let mut buf = Vec::new();
-        write_tree_binary(&t, &mut buf).unwrap();
-        let back = read_tree_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(text_of(&t), text_of(&back));
     }
 }

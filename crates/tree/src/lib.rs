@@ -9,8 +9,9 @@
 //! * [`edits`] — the structural clean-ups the CBS pipeline needs between
 //!   phases: redundant-Steiner-node elimination, binarization, and the
 //!   "sinks must be leaves" rule (paper Fig. 2, steps 2 and 4),
-//! * [`topology`] — the abstract merge order ([`Topology`]) extracted from
-//!   a tree and handed to DME for re-embedding,
+//! * [`topology`] — the abstract merge order ([`Topology`]) the merge-order
+//!   generators build and CBS extracts from a tree, handed to DME for
+//!   embedding,
 //! * [`io`] — a diff-friendly text serialization of routed trees,
 //! * [`svg`] — plotting for the Fig. 1 topology gallery.
 //!
@@ -42,5 +43,5 @@ pub mod tree;
 pub use metrics::SlltMetrics;
 pub use net::{ClockNet, Sink};
 pub use node::{Node, NodeId, NodeKind};
-pub use topology::{HintedTopology, Topology};
+pub use topology::{TopoNode, Topology};
 pub use tree::{Children, ClockTree};

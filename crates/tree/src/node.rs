@@ -62,12 +62,6 @@ impl NodeKind {
     pub fn is_steiner(&self) -> bool {
         matches!(self, NodeKind::Steiner)
     }
-
-    /// Whether this node is a buffer.
-    #[inline]
-    pub fn is_buffer(&self) -> bool {
-        matches!(self, NodeKind::Buffer { .. })
-    }
 }
 
 /// A borrowed view over one live node of a [`ClockTree`].
@@ -146,7 +140,6 @@ mod tests {
         }
         .is_sink());
         assert!(NodeKind::Steiner.is_steiner());
-        assert!(NodeKind::Buffer { cell: 0 }.is_buffer());
         assert!(!NodeKind::Source.is_sink());
     }
 

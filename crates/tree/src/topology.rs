@@ -5,21 +5,40 @@
 //! that merge order; `sllt-route` builds them with the paper's four
 //! candidate schemes (Greedy-Dist, Greedy-Merge, Bi-Partition, Bi-Cluster)
 //! and the CBS pipeline extracts them back out of intermediate trees
-//! (Fig. 2, steps 2 and 4).
+//! (Fig. 2, steps 2 and 4), each merge hinted with the position it had
+//! there.
 //!
-//! Greedy merge orders can produce arbitrarily deep (left-deep chain)
-//! trees on degenerate sink placements, and production nets reach
-//! hundreds of thousands of sinks — so every traversal here (`leaves`,
-//! `len`, `depth`, `to_hinted`, `from_tree`, `Clone`, `PartialEq`, and
-//! crucially `Drop`) is explicit-stack iterative: stack usage is O(1) in
-//! topology depth and a 200k-deep chain is handled on the default thread
-//! stack. Only [`Topology::balanced`] stays recursive (its depth is
-//! `log₂ n` by construction).
+//! A topology is one flat vector of nodes in canonical postorder — left
+//! subtree, right subtree, merge — so the root is last and every merge
+//! names two earlier nodes. Greedy merge orders can be arbitrarily deep
+//! (left-deep chains on degenerate sink placements) over hundreds of
+//! thousands of sinks; over a flat vector every walk here is a loop or an
+//! explicit heap stack, and the derived `Clone`, `PartialEq` and drop glue
+//! never recurse, so stack usage is O(1) in topology depth.
 
 use crate::{ClockTree, NodeId};
+use sllt_geom::Point;
 
-/// A binary merge order over a net's sinks. Leaves are indices into the
-/// caller's sink list.
+/// One node of a [`Topology`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TopoNode {
+    /// A leaf: index into the caller's sink list.
+    Sink(usize),
+    /// A merge of two earlier nodes (indices into [`Topology::nodes`]).
+    Merge {
+        /// The left subtree's root.
+        left: usize,
+        /// The right subtree's root.
+        right: usize,
+        /// Where the merge point sat in the tree the order was extracted
+        /// from; hinted embeddings (CBS step 5) stay close to it whenever
+        /// the skew bound leaves slack.
+        hint: Option<Point>,
+    },
+}
+
+/// A binary merge order over a net's sinks, stored as its nodes in
+/// postorder. Leaves are indices into the caller's sink list.
 ///
 /// # Example
 ///
@@ -32,331 +51,156 @@ use crate::{ClockTree, NodeId};
 /// assert_eq!(t.leaves(), vec![0, 1, 2]);
 /// assert_eq!(t.depth(), 2);
 /// ```
-#[derive(Debug)]
-pub enum Topology {
-    /// A leaf: index into the sink list.
-    Sink(usize),
-    /// An internal merge of two subtrees.
-    Merge(Box<Topology>, Box<Topology>),
+#[derive(Debug, Clone, PartialEq)]
+pub struct Topology {
+    nodes: Vec<TopoNode>,
 }
 
 impl Topology {
     /// Leaf constructor.
     pub fn sink(index: usize) -> Topology {
-        Topology::Sink(index)
+        Topology {
+            nodes: vec![TopoNode::Sink(index)],
+        }
     }
 
-    /// Merge constructor.
+    /// Merge constructor, without a hint. Extends `a`'s node vector in
+    /// place, so folding sinks onto a growing left-deep chain is linear.
     pub fn merge(a: Topology, b: Topology) -> Topology {
-        Topology::Merge(Box::new(a), Box::new(b))
+        let mut nodes = a.nodes;
+        let (left, offset) = (nodes.len() - 1, nodes.len());
+        nodes.extend(b.nodes.into_iter().map(|node| match node {
+            TopoNode::Merge { left, right, hint } => TopoNode::Merge {
+                left: left + offset,
+                right: right + offset,
+                hint,
+            },
+            sink => sink,
+        }));
+        nodes.push(TopoNode::Merge {
+            left,
+            right: nodes.len() - 1,
+            hint: None,
+        });
+        Topology { nodes }
+    }
+
+    /// The merge order an agglomeration recorded by creation id: sinks
+    /// `0..sinks` carry ids `0..sinks`, and the `k`-th merge gets id
+    /// `sinks + k` and joins the `(left, right)` ids in `merges[k]` — the
+    /// agglomerations record `(older, newer)`. The last merge is the root.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sinks == 0` or `merges` is not `sinks − 1` merges of
+    /// earlier ids.
+    pub fn from_merges(sinks: usize, merges: &[(usize, usize)]) -> Topology {
+        assert!(sinks > 0, "topology over zero sinks");
+        assert_eq!(
+            merges.len(),
+            sinks - 1,
+            "a full merge order has n - 1 merges"
+        );
+        let mut nodes = Vec::with_capacity(2 * sinks - 1);
+        // Node indices of finished subtrees, and ids still to lay out
+        // (`true` once their children are done).
+        let mut done: Vec<usize> = Vec::new();
+        let mut work = vec![(sinks + merges.len() - 1, false)];
+        while let Some((id, children_done)) = work.pop() {
+            if id < sinks {
+                nodes.push(TopoNode::Sink(id));
+            } else if children_done {
+                let right = done.pop().expect("a merge follows its two subtrees");
+                let left = done.pop().expect("a merge follows its two subtrees");
+                nodes.push(TopoNode::Merge {
+                    left,
+                    right,
+                    hint: None,
+                });
+            } else {
+                let (left, right) = merges[id - sinks];
+                assert!(left.max(right) < id, "merge {id} joins a later id");
+                work.extend([(id, true), (right, false), (left, false)]);
+                continue;
+            }
+            done.push(nodes.len() - 1);
+        }
+        Topology { nodes }
+    }
+
+    /// The nodes in postorder; the root is last.
+    pub fn nodes(&self) -> &[TopoNode] {
+        &self.nodes
     }
 
     /// Sink indices in left-to-right order.
     pub fn leaves(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack = vec![self];
-        while let Some(t) = stack.pop() {
-            match t {
-                Topology::Sink(i) => out.push(*i),
-                Topology::Merge(a, b) => {
-                    stack.push(b);
-                    stack.push(a);
-                }
-            }
-        }
-        out
+        self.nodes
+            .iter()
+            .filter_map(|node| match node {
+                TopoNode::Sink(i) => Some(*i),
+                TopoNode::Merge { .. } => None,
+            })
+            .collect()
     }
 
-    /// Number of sinks below this node.
+    /// Number of sinks.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut stack = vec![self];
-        while let Some(t) = stack.pop() {
-            match t {
-                Topology::Sink(_) => n += 1,
-                Topology::Merge(a, b) => {
-                    stack.push(b);
-                    stack.push(a);
-                }
-            }
-        }
-        n
+        self.nodes.len().div_ceil(2)
     }
 
-    /// `true` only for the degenerate case of zero sinks — which cannot be
-    /// represented, so this is always `false`; provided for API symmetry.
+    /// Always `false`: a topology has at least one sink. Provided for API
+    /// symmetry.
     pub fn is_empty(&self) -> bool {
         false
     }
 
     /// Height of the merge tree (a single sink has depth 0).
     pub fn depth(&self) -> usize {
-        let mut max = 0;
-        let mut stack = vec![(self, 0usize)];
-        while let Some((t, d)) = stack.pop() {
-            match t {
-                Topology::Sink(_) => max = max.max(d),
-                Topology::Merge(a, b) => {
-                    stack.push((b, d + 1));
-                    stack.push((a, d + 1));
-                }
-            }
+        let mut height: Vec<usize> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            height.push(match *node {
+                TopoNode::Sink(_) => 0,
+                TopoNode::Merge { left, right, .. } => 1 + height[left].max(height[right]),
+            });
         }
-        max
+        height.pop().expect("nonempty topology")
     }
 
-    /// A balanced merge order over sinks `0..n` in index order. Handy as a
-    /// neutral baseline and in tests.
+    /// Extracts the merge order implied by a clock tree, every merge
+    /// hinted at the position of the tree node it came from.
     ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0`.
-    pub fn balanced(n: usize) -> Topology {
-        assert!(n > 0, "topology over zero sinks");
-        fn build(lo: usize, hi: usize) -> Topology {
-            if hi - lo == 1 {
-                Topology::Sink(lo)
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                Topology::merge(build(lo, mid), build(mid, hi))
-            }
-        }
-        build(0, n)
-    }
-
-    /// Converts into a [`HintedTopology`] with no position hints.
-    pub fn to_hinted(&self) -> HintedTopology {
-        enum W<'a> {
-            Visit(&'a Topology),
-            Build,
-        }
-        let mut work = vec![W::Visit(self)];
-        let mut out: Vec<HintedTopology> = Vec::new();
-        while let Some(w) = work.pop() {
-            match w {
-                W::Visit(Topology::Sink(i)) => out.push(HintedTopology::Sink(*i)),
-                W::Visit(Topology::Merge(a, b)) => {
-                    work.push(W::Build);
-                    work.push(W::Visit(b));
-                    work.push(W::Visit(a));
-                }
-                W::Build => {
-                    let b = out.pop().expect("build follows two subtrees");
-                    let a = out.pop().expect("build follows two subtrees");
-                    out.push(HintedTopology::merge(a, b, None));
-                }
-            }
-        }
-        out.pop().expect("nonempty topology")
-    }
-
-    /// Extracts the merge order implied by a clock tree.
-    ///
-    /// The tree is interpreted structurally: sink leaves become
-    /// [`Topology::Sink`] (carrying their `sink_index`), internal fan-out
-    /// becomes left-deep merges when a node has more than two children, and
-    /// childless Steiner/buffer leaves are dropped. Internal sinks are
-    /// treated as a leaf merged with their descendants, so un-normalized
-    /// trees extract sensibly too.
+    /// The tree is interpreted structurally: sink leaves become sinks
+    /// (carrying their `sink_index`), internal fan-out becomes left-deep
+    /// merges when a node has more than two children, and childless
+    /// Steiner/buffer leaves are dropped. Internal sinks are treated as a
+    /// leaf merged with their descendants, so un-normalized trees extract
+    /// sensibly too.
     ///
     /// Returns `None` when the tree contains no sinks.
     pub fn from_tree(tree: &ClockTree) -> Option<Topology> {
-        let own = |id: NodeId| match tree.node(id).kind {
-            crate::NodeKind::Sink { sink_index, .. } => Some(Topology::Sink(sink_index)),
-            _ => None,
-        };
-        struct Frame<'t> {
-            kids: crate::Children<'t>,
-            acc: Option<Topology>,
-        }
-        let root = tree.root();
-        let mut stack = vec![Frame {
-            kids: tree.children(root),
-            acc: own(root),
-        }];
-        loop {
-            let next = stack
-                .last_mut()
-                .expect("stack nonempty until return")
-                .kids
-                .next();
-            if let Some(c) = next {
-                stack.push(Frame {
-                    kids: tree.children(c),
-                    acc: own(c),
-                });
-                continue;
-            }
-            let done = stack.pop().expect("checked");
-            let Some(parent) = stack.last_mut() else {
-                return done.acc;
-            };
-            if let Some(sub) = done.acc {
-                parent.acc = Some(match parent.acc.take() {
-                    None => sub,
-                    Some(prev) => Topology::merge(prev, sub),
-                });
-            }
-        }
-    }
-}
-
-impl Clone for Topology {
-    fn clone(&self) -> Topology {
-        enum W<'a> {
-            Visit(&'a Topology),
-            Build,
-        }
-        let mut work = vec![W::Visit(self)];
-        let mut out: Vec<Topology> = Vec::new();
-        while let Some(w) = work.pop() {
-            match w {
-                W::Visit(Topology::Sink(i)) => out.push(Topology::Sink(*i)),
-                W::Visit(Topology::Merge(a, b)) => {
-                    work.push(W::Build);
-                    work.push(W::Visit(b));
-                    work.push(W::Visit(a));
-                }
-                W::Build => {
-                    let b = out.pop().expect("build follows two subtrees");
-                    let a = out.pop().expect("build follows two subtrees");
-                    out.push(Topology::merge(a, b));
-                }
-            }
-        }
-        out.pop().expect("nonempty topology")
-    }
-}
-
-impl PartialEq for Topology {
-    fn eq(&self, other: &Topology) -> bool {
-        let mut stack = vec![(self, other)];
-        while let Some(pair) = stack.pop() {
-            match pair {
-                (Topology::Sink(i), Topology::Sink(j)) => {
-                    if i != j {
-                        return false;
-                    }
-                }
-                (Topology::Merge(a1, b1), Topology::Merge(a2, b2)) => {
-                    stack.push((b1, b2));
-                    stack.push((a1, a2));
-                }
-                _ => return false,
-            }
-        }
-        true
-    }
-}
-
-impl Eq for Topology {}
-
-impl Drop for Topology {
-    /// Iterative drop: the derived drop glue recurses per merge level and
-    /// blows the stack on chain topologies (a 200k-sink greedy order over
-    /// degenerate placements is a 200k-deep chain). Children are detached
-    /// onto an explicit stack so every node drops with leaf children only.
-    fn drop(&mut self) {
-        let mut stack: Vec<Topology> = Vec::new();
-        let detach = |node: &mut Topology, stack: &mut Vec<Topology>| {
-            if let Topology::Merge(a, b) = node {
-                for child in [a, b] {
-                    let c = std::mem::replace(&mut **child, Topology::Sink(0));
-                    if matches!(c, Topology::Merge(..)) {
-                        stack.push(c);
-                    }
-                }
-            }
-        };
-        detach(self, &mut stack);
-        while let Some(mut t) = stack.pop() {
-            detach(&mut t, &mut stack);
-            // `t` drops here with both children replaced by sinks, so its
-            // own drop glue bottoms out immediately.
-        }
-    }
-}
-
-/// A merge order whose internal nodes optionally carry a *position hint* —
-/// the location the merge point had in the tree the order was extracted
-/// from. Hinted embeddings (CBS step 5) use the hint to stay close to the
-/// source geometry whenever the skew bound leaves slack.
-#[derive(Debug)]
-pub enum HintedTopology {
-    /// A leaf: index into the sink list.
-    Sink(usize),
-    /// A merge, optionally hinted with the original merge-point location.
-    Merge(
-        Box<HintedTopology>,
-        Box<HintedTopology>,
-        Option<sllt_geom::Point>,
-    ),
-}
-
-impl HintedTopology {
-    /// Merge constructor.
-    pub fn merge(a: HintedTopology, b: HintedTopology, hint: Option<sllt_geom::Point>) -> Self {
-        HintedTopology::Merge(Box::new(a), Box::new(b), hint)
-    }
-
-    /// Number of sinks below this node.
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut stack = vec![self];
-        while let Some(t) = stack.pop() {
-            match t {
-                HintedTopology::Sink(_) => n += 1,
-                HintedTopology::Merge(a, b, _) => {
-                    stack.push(b);
-                    stack.push(a);
-                }
-            }
-        }
-        n
-    }
-
-    /// Always `false`; provided for API symmetry with collections.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Sink indices in left-to-right order.
-    pub fn leaves(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack = vec![self];
-        while let Some(t) = stack.pop() {
-            match t {
-                HintedTopology::Sink(i) => out.push(*i),
-                HintedTopology::Merge(a, b, _) => {
-                    stack.push(b);
-                    stack.push(a);
-                }
-            }
-        }
-        out
-    }
-
-    /// Extracts the hinted merge order implied by a clock tree: the same
-    /// structural interpretation as [`Topology::from_tree`], with every
-    /// merge hinted at the position of the tree node it came from.
-    ///
-    /// Returns `None` when the tree contains no sinks.
-    pub fn from_tree(tree: &ClockTree) -> Option<HintedTopology> {
-        let own = |id: NodeId| match tree.node(id).kind {
-            crate::NodeKind::Sink { sink_index, .. } => Some(HintedTopology::Sink(sink_index)),
-            _ => None,
-        };
         struct Frame<'t> {
             id: NodeId,
             kids: crate::Children<'t>,
-            acc: Option<HintedTopology>,
+            /// Root of the merges accumulated so far under this node.
+            acc: Option<usize>,
         }
-        let root = tree.root();
-        let mut stack = vec![Frame {
-            id: root,
-            kids: tree.children(root),
-            acc: own(root),
-        }];
+        let mut nodes = Vec::new();
+        let enter = |id: NodeId, nodes: &mut Vec<TopoNode>| {
+            let acc = match tree.node(id).kind {
+                crate::NodeKind::Sink { sink_index, .. } => {
+                    nodes.push(TopoNode::Sink(sink_index));
+                    Some(nodes.len() - 1)
+                }
+                _ => None,
+            };
+            Frame {
+                id,
+                kids: tree.children(id),
+                acc,
+            }
+        };
+        let mut stack = vec![enter(tree.root(), &mut nodes)];
         loop {
             let next = stack
                 .last_mut()
@@ -364,96 +208,27 @@ impl HintedTopology {
                 .kids
                 .next();
             if let Some(c) = next {
-                stack.push(Frame {
-                    id: c,
-                    kids: tree.children(c),
-                    acc: own(c),
-                });
+                let frame = enter(c, &mut nodes);
+                stack.push(frame);
                 continue;
             }
             let done = stack.pop().expect("checked");
             let Some(parent) = stack.last_mut() else {
-                return done.acc;
+                return done.acc.map(|_| Topology { nodes });
             };
-            if let Some(sub) = done.acc {
-                let hint = Some(tree.node(parent.id).pos);
-                parent.acc = Some(match parent.acc.take() {
-                    None => sub,
-                    Some(prev) => HintedTopology::merge(prev, sub, hint),
+            if let Some(right) = done.acc {
+                parent.acc = Some(match parent.acc {
+                    None => right,
+                    Some(left) => {
+                        nodes.push(TopoNode::Merge {
+                            left,
+                            right,
+                            hint: Some(tree.node(parent.id).pos),
+                        });
+                        nodes.len() - 1
+                    }
                 });
             }
-        }
-    }
-}
-
-impl Clone for HintedTopology {
-    fn clone(&self) -> HintedTopology {
-        enum W<'a> {
-            Visit(&'a HintedTopology),
-            Build(Option<sllt_geom::Point>),
-        }
-        let mut work = vec![W::Visit(self)];
-        let mut out: Vec<HintedTopology> = Vec::new();
-        while let Some(w) = work.pop() {
-            match w {
-                W::Visit(HintedTopology::Sink(i)) => out.push(HintedTopology::Sink(*i)),
-                W::Visit(HintedTopology::Merge(a, b, hint)) => {
-                    work.push(W::Build(*hint));
-                    work.push(W::Visit(b));
-                    work.push(W::Visit(a));
-                }
-                W::Build(hint) => {
-                    let b = out.pop().expect("build follows two subtrees");
-                    let a = out.pop().expect("build follows two subtrees");
-                    out.push(HintedTopology::merge(a, b, hint));
-                }
-            }
-        }
-        out.pop().expect("nonempty topology")
-    }
-}
-
-impl PartialEq for HintedTopology {
-    fn eq(&self, other: &HintedTopology) -> bool {
-        let mut stack = vec![(self, other)];
-        while let Some(pair) = stack.pop() {
-            match pair {
-                (HintedTopology::Sink(i), HintedTopology::Sink(j)) => {
-                    if i != j {
-                        return false;
-                    }
-                }
-                (HintedTopology::Merge(a1, b1, h1), HintedTopology::Merge(a2, b2, h2)) => {
-                    if h1 != h2 {
-                        return false;
-                    }
-                    stack.push((b1, b2));
-                    stack.push((a1, a2));
-                }
-                _ => return false,
-            }
-        }
-        true
-    }
-}
-
-impl Drop for HintedTopology {
-    /// Iterative drop; see [`Topology::drop`].
-    fn drop(&mut self) {
-        let mut stack: Vec<HintedTopology> = Vec::new();
-        let detach = |node: &mut HintedTopology, stack: &mut Vec<HintedTopology>| {
-            if let HintedTopology::Merge(a, b, _) = node {
-                for child in [a, b] {
-                    let c = std::mem::replace(&mut **child, HintedTopology::Sink(0));
-                    if matches!(c, HintedTopology::Merge(..)) {
-                        stack.push(c);
-                    }
-                }
-            }
-        };
-        detach(self, &mut stack);
-        while let Some(mut t) = stack.pop() {
-            detach(&mut t, &mut stack);
         }
     }
 }
@@ -461,23 +236,46 @@ impl Drop for HintedTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sllt_geom::Point;
+
+    fn root(t: &Topology) -> TopoNode {
+        *t.nodes().last().expect("nonempty")
+    }
 
     #[test]
-    fn balanced_topology_shape() {
-        let t = Topology::balanced(4);
+    fn merges_lay_out_in_postorder() {
+        let t = Topology::merge(
+            Topology::merge(Topology::sink(0), Topology::sink(1)),
+            Topology::merge(Topology::sink(2), Topology::sink(3)),
+        );
         assert_eq!(t.len(), 4);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.leaves(), vec![0, 1, 2, 3]);
-        let t7 = Topology::balanced(7);
-        assert_eq!(t7.len(), 7);
-        assert_eq!(t7.depth(), 3);
+        assert_eq!(
+            root(&t),
+            TopoNode::Merge {
+                left: 2,
+                right: 5,
+                hint: None
+            }
+        );
+    }
+
+    #[test]
+    fn recorded_merges_match_nested_construction() {
+        // Ids: sinks 0..4, then 4 = (1, 3), 5 = (0, 2), 6 = (4, 5).
+        let t = Topology::from_merges(4, &[(1, 3), (0, 2), (4, 5)]);
+        let expect = Topology::merge(
+            Topology::merge(Topology::sink(1), Topology::sink(3)),
+            Topology::merge(Topology::sink(0), Topology::sink(2)),
+        );
+        assert_eq!(t, expect);
+        assert_eq!(Topology::from_merges(1, &[]), Topology::sink(0));
     }
 
     #[test]
     #[should_panic(expected = "zero sinks")]
-    fn balanced_rejects_zero() {
-        let _ = Topology::balanced(0);
+    fn recorded_merges_reject_zero_sinks() {
+        let _ = Topology::from_merges(0, &[]);
     }
 
     #[test]
@@ -501,7 +299,7 @@ mod tests {
         t.add_steiner(a, Point::new(2.0, 0.0)); // barren
         t.add_sink(t.root(), Point::new(-1.0, 0.0), 1.0);
         let topo = Topology::from_tree(&t).unwrap();
-        assert_eq!(topo, Topology::Sink(0));
+        assert_eq!(topo, Topology::sink(0));
     }
 
     #[test]
@@ -521,31 +319,20 @@ mod tests {
     }
 
     #[test]
-    fn hinted_extraction_carries_positions() {
+    fn extraction_hints_merges_at_their_tree_positions() {
         let mut t = ClockTree::new(Point::ORIGIN);
         let a = t.add_steiner(t.root(), Point::new(3.0, 4.0));
         t.add_sink(a, Point::new(5.0, 4.0), 1.0);
         t.add_sink(a, Point::new(3.0, 7.0), 1.0);
-        let h = HintedTopology::from_tree(&t).unwrap();
-        match &h {
-            HintedTopology::Merge(_, _, Some(p)) => assert!(p.approx_eq(Point::new(3.0, 4.0))),
-            other => panic!("expected hinted merge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn to_hinted_has_no_hints() {
-        let t = Topology::balanced(3);
-        let h = t.to_hinted();
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.leaves(), t.leaves());
-        fn no_hints(h: &HintedTopology) -> bool {
-            match h {
-                HintedTopology::Sink(_) => true,
-                HintedTopology::Merge(a, b, hint) => hint.is_none() && no_hints(a) && no_hints(b),
+        let topo = Topology::from_tree(&t).unwrap();
+        assert_eq!(
+            root(&topo),
+            TopoNode::Merge {
+                left: 0,
+                right: 1,
+                hint: Some(Point::new(3.0, 4.0))
             }
-        }
-        assert!(no_hints(&h));
+        );
     }
 
     #[test]
@@ -560,13 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_eq_are_structural() {
+    fn equality_is_structural() {
         let t = Topology::merge(
             Topology::sink(0),
             Topology::merge(Topology::sink(1), Topology::sink(2)),
         );
-        let c = t.clone();
-        assert_eq!(t, c);
+        assert_eq!(t, t.clone());
         // Mirror-image structure over the same leaves is not equal.
         let mirrored = Topology::merge(
             Topology::merge(Topology::sink(0), Topology::sink(1)),
@@ -574,23 +360,21 @@ mod tests {
         );
         assert_ne!(t, mirrored);
         assert_ne!(t, Topology::sink(0));
-        let h = t.to_hinted();
-        assert_eq!(h, h.clone());
     }
 
     /// A left-deep chain over `n` sinks: sink 0 at the bottom, each merge
     /// adding the next index on the right.
     fn chain(n: usize) -> Topology {
-        let mut t = Topology::Sink(0);
+        let mut t = Topology::sink(0);
         for i in 1..n {
-            t = Topology::merge(t, Topology::Sink(i));
+            t = Topology::merge(t, Topology::sink(i));
         }
         t
     }
 
-    /// Regression: building, traversing and dropping a 200k-deep chain
-    /// must not overflow the stack (derived drop glue and the old
-    /// recursive traversals both did).
+    /// Regression: building, traversing, extracting and dropping a
+    /// 200k-deep chain must not overflow the stack (the boxed
+    /// representation's drop glue and recursive traversals both did).
     #[test]
     fn chain_200k_deep_builds_traverses_and_drops() {
         const N: usize = 200_000;
@@ -601,24 +385,33 @@ mod tests {
         assert_eq!(leaves.len(), N);
         assert_eq!(leaves[0], 0);
         assert_eq!(leaves[N - 1], N - 1);
-        let h = t.to_hinted();
-        assert_eq!(h.len(), N);
+        let merges: Vec<(usize, usize)> = (1..N)
+            .map(|i| (if i == 1 { 0 } else { N + i - 2 }, i))
+            .collect();
+        let recorded = Topology::from_merges(N, &merges);
+        assert_eq!(t, recorded);
         let t2 = t.clone();
         assert_eq!(t, t2);
         drop(t);
         drop(t2);
-        drop(h); // HintedTopology drop must be iterative too
+        drop(recorded);
     }
 
-    /// Same regression for a hinted chain built directly.
+    /// The same chain extracted from a 200k-deep Steiner chain, hinted.
     #[test]
-    fn hinted_chain_200k_deep_drops() {
+    fn hinted_chain_200k_deep_extracts_and_drops() {
         const N: usize = 200_000;
-        let mut h = HintedTopology::Sink(0);
-        for i in 1..N {
-            h = HintedTopology::merge(h, HintedTopology::Sink(i), Some(Point::ORIGIN));
+        let mut tree = ClockTree::new(Point::ORIGIN);
+        let mut tip = tree.root();
+        for i in 0..N - 1 {
+            let next = tree.add_steiner(tip, Point::new(i as f64, 0.0));
+            tree.add_sink(tip, Point::new(i as f64, 1.0), 1.0);
+            tip = next;
         }
+        tree.add_sink(tip, Point::new(N as f64, 1.0), 1.0);
+        let h = Topology::from_tree(&tree).unwrap();
         assert_eq!(h.len(), N);
+        assert_eq!(h.depth(), N - 1);
         assert_eq!(h.leaves().len(), N);
         drop(h);
     }

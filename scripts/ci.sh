@@ -13,8 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc (warnings are errors: no dangling, ambiguous or private links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== feature-gated bench/proptest code still compiles"
-cargo check --workspace --all-targets --benches --features criterion,proptest
+echo "== cargo clippy on the feature-gated bench/proptest code (warnings are errors)"
+cargo clippy --workspace --all-targets --features criterion,proptest -- -D warnings
 
 echo "== tier-1: release build + root test suite"
 cargo build --release

@@ -349,7 +349,7 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
         "zst" => sllt::route::zst_dme(&net, &topo),
         "bst" => sllt::route::dme(
             &net,
-            &topo.to_hinted(),
+            &topo,
             &DmeOptions {
                 skew_bound: skew,
                 model,

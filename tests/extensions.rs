@@ -1,10 +1,12 @@
 //! Cross-crate integration for the extension features: useful-skew trees,
 //! skew legalization, OCV analysis and serialization.
 
+use sllt::core::cbs::{cbs, CbsConfig};
 use sllt::cts::{eval::evaluate, flow::HierarchicalCts, ocv};
 use sllt::design::{DesignSpec, NetGenerator};
 use sllt::route::{
-    skew_legalize, skew_of, ust_dme, window_violation, DelayModel, DmeOptions, TopologyScheme,
+    bst_dme, dme, skew_legalize, skew_of, ust_dme, window_violation, zst_dme, DelayModel,
+    DmeOptions, TopologyScheme,
 };
 use sllt::timing::Technology;
 use sllt::tree::io::{read_tree, write_tree};
@@ -115,6 +117,47 @@ fn ust_and_legalization_are_pinned_on_paper_nets() {
     assert_eq!(
         format!("{:016x}", sllt::obs::journal::fnv1a64(&bytes)),
         "77ab3fdf9d607afe"
+    );
+}
+
+/// Every merge order the four schemes build on paper nets, and every tree
+/// embedded over it, digested as bytes: the order's leaves and depth, then
+/// the written ZST-DME, 5 µm BST-DME, 1 ps Elmore DME and CBS trees. A
+/// change to how merge orders are built, stored or walked must leave all
+/// of it unchanged.
+#[test]
+fn merge_orders_and_their_embeddings_are_pinned_on_paper_nets() {
+    let gen = NetGenerator::paper();
+    let elmore = DmeOptions {
+        skew_bound: 1.0,
+        model: DelayModel::Elmore(Technology::n28()),
+    };
+    let mut bytes = Vec::new();
+    for i in 0..200u64 {
+        let net = gen.net(i);
+        for scheme in TopologyScheme::ALL {
+            let topo = scheme.build(&net);
+            for leaf in topo.leaves() {
+                bytes.extend((leaf as u64).to_le_bytes());
+            }
+            bytes.extend((topo.depth() as u64).to_le_bytes());
+            let cfg = CbsConfig {
+                scheme,
+                ..CbsConfig::default()
+            };
+            for tree in [
+                zst_dme(&net, &topo),
+                bst_dme(&net, &topo, 5.0),
+                dme(&net, &topo, &elmore),
+                cbs(&net, &cfg),
+            ] {
+                write_tree(&tree, &mut bytes).expect("in-memory write");
+            }
+        }
+    }
+    assert_eq!(
+        format!("{:016x}", sllt::obs::journal::fnv1a64(&bytes)),
+        "7c4698c05936f2c4"
     );
 }
 

@@ -7,9 +7,10 @@
 //!   thousand sinks — the nearest-pair engine must take a 200k-sink
 //!   collinear net through `greedy_dist` → DME → drop;
 //! * chain-deep merge orders (depth ≈ n) used to overflow the default
-//!   8 MiB stack in `Topology`'s drop glue and DME's recursive
-//!   build/embed — all are explicit-stack iterative now, verified on a
-//!   200k-deep chain end to end;
+//!   8 MiB stack in the boxed `Topology`'s drop glue and DME's recursive
+//!   build/embed — `Topology` is a flat postorder node array now, DME
+//!   builds over it in one forward loop and embeds with an explicit
+//!   stack, verified on a 200k-deep chain end to end;
 //! * skew legalization once re-walked every child's subtree from each
 //!   ancestor, recursively: quadratic, and unbounded recursion, on a
 //!   deep Steiner chain.
