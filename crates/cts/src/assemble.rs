@@ -1,21 +1,25 @@
-//! Final assembly: copy every built cluster under the design's clock
+//! Final assembly: stream every built cluster under the design's clock
 //! root and repeater long common wires.
 
 use crate::flow::HierarchicalCts;
 use crate::report::AssembleReport;
-use crate::route::{LevelNode, NodeSource};
+use crate::route::NodeSource;
 use sllt_buffer::{insert_repeaters, RepeaterPolicy};
 use sllt_design::Design;
+use sllt_geom::Point;
+use sllt_tree::codec::{read_header, visit_frame};
 use sllt_tree::{ClockTree, NodeId, NodeKind};
 use std::time::Instant;
 
 /// A routed, buffered cluster awaiting assembly.
 #[derive(Debug)]
 pub(crate) struct BuiltCluster {
-    /// Tree rooted at the cluster tap; sink indices refer to `members`.
-    pub tree: ClockTree,
-    /// Members, in the order the cluster net's sinks were listed.
-    pub members: Vec<LevelNode>,
+    /// Tree rooted at the cluster tap, as one `sllt_tree::codec` frame in
+    /// depth-first preorder; its sink indices refer to `members`.
+    pub frame: Vec<u8>,
+    /// Where each member came from, in the order the cluster net's sinks
+    /// were listed.
+    pub members: Vec<NodeSource>,
     /// Chosen driver cell (library index).
     pub cell: usize,
     /// Delay-padding buffers (smallest cell) chained above the driver —
@@ -28,7 +32,14 @@ pub(crate) struct BuiltCluster {
     pub driver_pos: Point,
 }
 
-use sllt_geom::Point;
+impl BuiltCluster {
+    /// Nodes in the cluster's routed tree, its root included.
+    pub(crate) fn tree_nodes(&self) -> usize {
+        read_header(&self.frame)
+            .expect("cluster frames are well-formed")
+            .nodes
+    }
+}
 
 /// Assembles the flow's output under the clock root and inserts
 /// critical-wirelength repeaters on long common wires (typically the
@@ -37,18 +48,18 @@ pub(crate) fn assemble(
     cts: &HierarchicalCts,
     design: &Design,
     clusters: &[BuiltCluster],
-    top: &LevelNode,
+    top: NodeSource,
 ) -> (ClockTree, AssembleReport) {
     let start = Instant::now();
     // Each cluster becomes its pads, its driver and its tree's other
-    // nodes: at most `pads + tree.len()` nodes apiece.
+    // nodes: at most `pads + tree nodes` nodes apiece.
     let nodes = 1 + clusters
         .iter()
-        .map(|c| c.pads + c.tree.len())
+        .map(|c| c.pads + c.tree_nodes())
         .sum::<usize>();
     let mut tree = ClockTree::with_capacity(design.clock_root, nodes);
     let root = tree.root();
-    let top_id = attach(clusters, &mut tree, root, top, None);
+    let top_id = attach(design, clusters, &mut tree, root, top, None);
     let trunk_wl_um = tree.node(top_id).edge_len();
     let repeater_cell = cts.lib.cells().len() / 2;
     let repeaters = insert_repeaters(
@@ -74,23 +85,33 @@ pub(crate) fn assemble(
     (tree, report)
 }
 
-/// Recursively copies a level node (and everything below it) into the
-/// global tree under `parent`. `edge_len` overrides the edge's routed
-/// length (detour from the upper net); `None` wires the plain Manhattan
-/// distance.
+/// Adds a level node, and everything below it, to the final tree under
+/// `parent`, returning the node its subtree hangs from. `edge_len`
+/// overrides the edge's routed length (detour from the upper net);
+/// `None` wires the plain Manhattan distance.
+///
+/// A cluster streams its frame node by node: frames list nodes in
+/// depth-first preorder, and a member sink brings its own cluster in
+/// before the frame goes on, so the final tree's arena lays every
+/// cluster out in depth-first preorder from the clock root.
 fn attach(
+    design: &Design,
     clusters: &[BuiltCluster],
     tree: &mut ClockTree,
     parent: NodeId,
-    node: &LevelNode,
+    source: NodeSource,
     edge_len: Option<f64>,
 ) -> NodeId {
-    match node.source {
+    let set_edge = |tree: &mut ClockTree, id: NodeId| {
+        if let Some(e) = edge_len {
+            tree.set_edge_len(id, e.max(tree.node(id).edge_len()));
+        }
+    };
+    match source {
         NodeSource::DesignSink(i) => {
-            let id = tree.add_sink_indexed(parent, node.pos, node.cap_ff, i);
-            if let Some(e) = edge_len {
-                tree.set_edge_len(id, e.max(tree.node(id).edge_len()));
-            }
+            let sink = &design.sinks[i];
+            let id = tree.add_sink_indexed(parent, sink.pos, sink.cap_ff, i);
+            set_edge(tree, id);
             id
         }
         NodeSource::Cluster(ci) => {
@@ -102,52 +123,33 @@ fn attach(
                 let pad = tree.add_buffer(upper, bc.driver_pos, 0);
                 if first.is_none() {
                     first = Some(pad);
-                    if let Some(e) = edge_len {
-                        tree.set_edge_len(pad, e.max(tree.node(pad).edge_len()));
-                    }
+                    set_edge(tree, pad);
                 }
                 upper = pad;
             }
             let buf = tree.add_buffer(upper, bc.driver_pos, bc.cell);
             if first.is_none() {
-                if let Some(e) = edge_len {
-                    tree.set_edge_len(buf, e.max(tree.node(buf).edge_len()));
-                }
+                set_edge(tree, buf);
             }
-            copy_subtree(clusters, tree, buf, &bc.tree, bc.tree.root(), &bc.members);
+            visit_frame(&bc.frame, buf, |parent, n| match n.kind {
+                // Internal sinks (RSMT/SALT cluster trees route through
+                // pins) keep their subtree below the attached node.
+                NodeKind::Sink { sink_index, .. } => attach(
+                    design,
+                    clusters,
+                    tree,
+                    parent,
+                    bc.members[sink_index],
+                    Some(n.edge_len),
+                ),
+                _ => {
+                    let id = tree.add_steiner(parent, n.pos);
+                    tree.set_edge_len(id, n.edge_len.max(tree.node(id).edge_len()));
+                    id
+                }
+            })
+            .expect("cluster frames are well-formed");
             first.unwrap_or(buf)
         }
-    }
-}
-
-/// Copies the children of `src_node` (in a cluster tree) under
-/// `dst_parent` in the global tree, resolving cluster-tree sinks into
-/// their level nodes.
-fn copy_subtree(
-    clusters: &[BuiltCluster],
-    tree: &mut ClockTree,
-    dst_parent: NodeId,
-    src: &ClockTree,
-    src_node: NodeId,
-    members: &[LevelNode],
-) {
-    for child in src.node(src_node).children() {
-        let (kind, pos, edge) = {
-            let cn = src.node(child);
-            (cn.kind, cn.pos, cn.edge_len())
-        };
-        let id = match kind {
-            // Internal sinks (RSMT/SALT cluster trees route through
-            // pins) keep their subtree below the attached node.
-            NodeKind::Sink { sink_index, .. } => {
-                attach(clusters, tree, dst_parent, &members[sink_index], Some(edge))
-            }
-            _ => {
-                let id = tree.add_steiner(dst_parent, pos);
-                tree.set_edge_len(id, edge.max(tree.node(id).edge_len()));
-                id
-            }
-        };
-        copy_subtree(clusters, tree, id, src, child, members);
     }
 }

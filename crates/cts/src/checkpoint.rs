@@ -8,11 +8,14 @@
 //! inter-level state: a resumed run re-derives everything else and
 //! continues bit-identically.
 //!
-//! On disk (schema 2, the only format), each level is one binary
+//! On disk (schema 3, the only format), each level is one binary
 //! journal frame: a `CKL2` payload holding the report (JSON bytes), the
-//! level nodes as raw little-endian `f64` bit patterns, and every cluster
-//! tree in the compact `sllt_tree::codec` binary form. A journal whose
-//! meta record names any other schema is refused.
+//! level nodes as tagged varint/`f64` records, and every cluster as its
+//! member references plus its routed tree's `sllt_tree::codec` frame —
+//! the form the flow already holds it in, copied verbatim. A journal
+//! whose meta record names any other schema is refused: schema-2
+//! journals hold the same records with breadth-first tree frames, which
+//! would lay the assembled tree's arena out in another order.
 //!
 //! Durability contract:
 //!
@@ -36,11 +39,16 @@ use sllt_geom::Point;
 use sllt_obs::journal::read_journal_bytes;
 use sllt_obs::vfs::Vfs;
 use sllt_obs::{DurableAppender, Value};
-use sllt_tree::codec::{decode_tree_prefix, encode_tree};
+use sllt_tree::codec::{
+    as_exact_int, put_f64, put_varint, put_zigzag, read_header, visit_frame, ReadError, Reader,
+};
+use sllt_tree::NodeKind;
+use std::ops::Range;
 use std::path::Path;
 
 /// Journal schema version; bump on any incompatible record change.
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+/// Schema 3 lists each cluster tree's nodes in depth-first preorder.
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
 fn ckpt_err(detail: impl Into<String>) -> CtsError {
     CtsError::Checkpoint {
@@ -77,10 +85,12 @@ fn fingerprint(cts: &HierarchicalCts, design: &Design) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Schema 2 (binary frame) encoding
+// Level record encoding
 // ---------------------------------------------------------------------
 
-/// Magic prefix of a schema-2 level payload inside its journal frame.
+/// Magic prefix of a level payload inside its journal frame. The record
+/// layout has not changed since schema 2; schema 3 changed only the node
+/// order inside each cluster's tree frame.
 const LEVEL_MAGIC: &[u8; 4] = b"CKL2";
 
 /// Node head byte: bits 0–4 flag which of the five floats (x, y, cap,
@@ -92,44 +102,27 @@ const NODE_KIND_CLUSTER: u8 = 1 << 5;
 const NODE_POS_FROM_CLUSTER: u8 = 1 << 6;
 const NODE_HEAD_RESERVED: u8 = 0b1000_0000;
 
-/// Member tag bytes: a member is normally a *reference* to a node of
-/// the previous level (those are stored once, in the previous record),
-/// falling back to an inline node if the bit-exact invariant ever
-/// breaks.
+/// Member tag bytes: a member is a reference to a node of the level's
+/// entering node list — a design sink at level 0, a cluster the level
+/// below built after that. Any other tag is refused.
 const MEMBER_REF_SINK: u8 = 0;
 const MEMBER_REF_CLUSTER: u8 = 1;
-const MEMBER_INLINE: u8 = 2;
 
 /// Cluster flags byte: bit 0 flags that the driver position is elided
 /// because it bit-equals the tree's source position (verified at
 /// encode time — it always does for trees routed by this flow).
 const CLUSTER_POS_FROM_TREE: u8 = 1;
 
-/// Minimum encoded size of one inline node: head byte, up to five
-/// 1-byte zigzag varints (two elidable), 1-byte index.
+/// Minimum encoded size of one node: head byte, up to five 1-byte
+/// zigzag varints (two elidable), 1-byte index.
 const NODE_MIN_BYTES: usize = 5;
 
 /// Minimum encoded size of one member: tag byte + 1-byte index.
 const MEMBER_MIN_BYTES: usize = 2;
 
-/// Key uniquely identifying a level node within its level: the source
-/// is unique (one node per design sink / per built cluster).
-type SourceKey = (u8, u64);
-
-fn source_key(n: &LevelNode) -> SourceKey {
-    match n.source {
-        NodeSource::DesignSink(i) => (0, i as u64),
-        NodeSource::Cluster(i) => (1, i as u64),
-    }
-}
-
-/// Map from source key to the full node, for member-by-reference
-/// encoding against the previous level's node list.
-type NodeMap = std::collections::HashMap<SourceKey, LevelNode>;
-
-fn node_map(nodes: &[LevelNode]) -> NodeMap {
-    nodes.iter().map(|n| (source_key(n), *n)).collect()
-}
+/// The node list that entered a level, as what its members may
+/// reference: a member tag and the index range under it.
+type Entering = (u8, Range<usize>);
 
 /// The level-0 node list is derived, not stored: one node per design
 /// sink with zero accumulated delay (mirrors the flow's seeding).
@@ -147,50 +140,17 @@ pub(crate) fn seed_nodes(design: &Design) -> Vec<LevelNode> {
         .collect()
 }
 
-fn nodes_bit_equal(a: &LevelNode, b: &LevelNode) -> bool {
-    a.pos.x.to_bits() == b.pos.x.to_bits()
-        && a.pos.y.to_bits() == b.pos.y.to_bits()
-        && a.cap_ff.to_bits() == b.cap_ff.to_bits()
-        && a.interval_ps.0.to_bits() == b.interval_ps.0.to_bits()
-        && a.interval_ps.1.to_bits() == b.interval_ps.1.to_bits()
-        && source_key(a) == source_key(b)
-}
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
-    put_varint(buf, (v.wrapping_shl(1) ^ (v >> 63)) as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// `Some(i)` when `v` is an integer whose f64 form is bit-identical to
-/// `v` — the value round-trips through a zigzag varint exactly.
-fn as_exact_int(v: f64) -> Option<i64> {
-    if !v.is_finite() {
-        return None;
-    }
-    let t = v as i64;
-    if (t as f64).to_bits() == v.to_bits() {
-        Some(t)
-    } else {
-        None
-    }
+/// The source position a cluster frame records.
+fn frame_source(frame: &[u8]) -> Point {
+    read_header(frame)
+        .expect("cluster frames are well-formed")
+        .source
 }
 
 /// Encodes one node. `clusters` are the clusters built in the *same*
 /// record: a cluster-sourced node whose position bit-equals its
 /// cluster's driver position elides the 16 position bytes (flagged via
-/// [`NODE_POS_FROM_CLUSTER`]). Pass an empty slice where that context
-/// does not exist (inline members resolve against the previous level).
+/// [`NODE_POS_FROM_CLUSTER`]).
 fn put_node(buf: &mut Vec<u8>, n: &LevelNode, clusters: &[BuiltCluster]) {
     let floats = [n.pos.x, n.pos.y, n.cap_ff, n.interval_ps.0, n.interval_ps.1];
     let (kind, idx) = match n.source {
@@ -223,34 +183,14 @@ fn put_node(buf: &mut Vec<u8>, n: &LevelNode, clusters: &[BuiltCluster]) {
     put_varint(buf, idx);
 }
 
-/// Encodes one cluster member: by reference into the previous level's
-/// node list when the bit-exact invariant holds (2–3 bytes), inline
-/// otherwise.
-fn put_member(buf: &mut Vec<u8>, n: &LevelNode, prev: &NodeMap) {
-    let key = source_key(n);
-    if prev.get(&key).is_some_and(|p| nodes_bit_equal(p, n)) {
-        buf.push(if key.0 == 0 {
-            MEMBER_REF_SINK
-        } else {
-            MEMBER_REF_CLUSTER
-        });
-        put_varint(buf, key.1);
-        return;
-    }
-    buf.push(MEMBER_INLINE);
-    put_node(buf, n, &[]);
-}
-
-/// Encodes one committed level as a schema-2 frame payload: report JSON
-/// bytes (small, once per level), the output nodes as tagged varint/f64
-/// records, and every cluster with member references and its routed
-/// tree in the compact binary tree codec. `prev` is the node list that
-/// *entered* this level — members resolve against it.
+/// Encodes one committed level as a frame payload: report JSON bytes
+/// (small, once per level), the output nodes as tagged varint/f64
+/// records, and every cluster with its member references and its routed
+/// tree's codec frame, copied verbatim.
 fn encode_level(
     report: &LevelReport,
     nodes: &[LevelNode],
     new_clusters: &[BuiltCluster],
-    prev: &NodeMap,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + nodes.len() * 48 + new_clusters.len() * 160);
     out.extend_from_slice(LEVEL_MAGIC);
@@ -264,7 +204,7 @@ fn encode_level(
     }
     put_varint(&mut out, new_clusters.len() as u64);
     for c in new_clusters {
-        let src = c.tree.source_pos();
+        let src = frame_source(&c.frame);
         let pos_from_tree = src.x.to_bits() == c.driver_pos.x.to_bits()
             && src.y.to_bits() == c.driver_pos.y.to_bits();
         out.push(if pos_from_tree {
@@ -280,170 +220,125 @@ fn encode_level(
         }
         put_varint(&mut out, c.members.len() as u64);
         for m in &c.members {
-            put_member(&mut out, m, prev);
+            let (tag, idx) = match *m {
+                NodeSource::DesignSink(i) => (MEMBER_REF_SINK, i),
+                NodeSource::Cluster(i) => (MEMBER_REF_CLUSTER, i),
+            };
+            out.push(tag);
+            put_varint(&mut out, idx as u64);
         }
-        out.extend_from_slice(&encode_tree(&c.tree));
+        out.extend_from_slice(&c.frame);
     }
     out
 }
 
-/// Bounds-checked cursor over a schema-2 level payload.
-struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Decodes one node. When [`NODE_POS_FROM_CLUSTER`] is flagged the
+/// position bytes are absent — the returned `bool` asks the caller to
+/// copy the position from the node's same-record cluster once clusters
+/// are decoded.
+fn read_node(cur: &mut Reader<'_>) -> Result<(LevelNode, bool), ReadError> {
+    let head = cur.u8("node head")?;
+    if head & NODE_HEAD_RESERVED != 0 {
+        return Err(cur.error(format!("reserved node head bits set ({head:#04x})")));
+    }
+    let pos_pending = head & NODE_POS_FROM_CLUSTER != 0;
+    if pos_pending && (head & NODE_KIND_CLUSTER == 0 || head & 0b11 != 0) {
+        return Err(cur.error(format!(
+            "node head {head:#04x} elides the position but is not a plain cluster node"
+        )));
+    }
+    let skip = if pos_pending { 2 } else { 0 };
+    let mut floats = [0.0f64; 5];
+    for (i, f) in floats.iter_mut().enumerate().skip(skip) {
+        *f = if (head >> i) & 1 == 1 {
+            cur.zigzag("node int value")? as f64
+        } else {
+            cur.f64("node value")?
+        };
+    }
+    let idx = cur.varint("node index")? as usize;
+    let source = if head & NODE_KIND_CLUSTER != 0 {
+        NodeSource::Cluster(idx)
+    } else {
+        NodeSource::DesignSink(idx)
+    };
+    let node = LevelNode {
+        pos: Point::new(floats[0], floats[1]),
+        cap_ff: floats[2],
+        interval_ps: (floats[3], floats[4]),
+        source,
+    };
+    Ok((node, pos_pending))
 }
 
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.pos < n {
-            return Err(format!(
-                "truncated {what} at payload offset {}: need {n} bytes, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8(what)?;
-            if shift >= 63 && b > 1 {
-                return Err(format!("overlong varint in {what}"));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, String> {
-        let s = self.take(8, what)?;
-        Ok(f64::from_bits(u64::from_le_bytes(s.try_into().unwrap())))
-    }
-
-    fn zigzag(&mut self, what: &str) -> Result<i64, String> {
-        let u = self.varint(what)?;
-        Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
-    }
-
-    /// A count that claims more elements (of at least `min_bytes` each)
-    /// than the payload has room for is corruption, not an allocation
-    /// request.
-    fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize, String> {
-        let n = self.varint(what)? as usize;
-        if n.saturating_mul(min_bytes) > self.bytes.len() - self.pos {
-            return Err(format!(
-                "{what} count {n} exceeds remaining payload ({} bytes)",
-                self.bytes.len() - self.pos
-            ));
-        }
-        Ok(n)
-    }
-
-    /// Decodes one node. When [`NODE_POS_FROM_CLUSTER`] is flagged the
-    /// position bytes are absent — the returned `bool` asks the caller
-    /// to copy the position from the node's same-record cluster once
-    /// clusters are decoded.
-    fn node(&mut self) -> Result<(LevelNode, bool), String> {
-        let head = self.u8("node head")?;
-        if head & NODE_HEAD_RESERVED != 0 {
-            return Err(format!("reserved node head bits set ({head:#04x})"));
-        }
-        let pos_pending = head & NODE_POS_FROM_CLUSTER != 0;
-        if pos_pending && (head & NODE_KIND_CLUSTER == 0 || head & 0b11 != 0) {
-            return Err(format!(
-                "node head {head:#04x} elides the position but is not a plain cluster node"
-            ));
-        }
-        let skip = if pos_pending { 2 } else { 0 };
-        let mut floats = [0.0f64; 5];
-        for (i, f) in floats.iter_mut().enumerate().skip(skip) {
-            *f = if (head >> i) & 1 == 1 {
-                self.zigzag("node int value")? as f64
-            } else {
-                self.f64("node value")?
-            };
-        }
-        let idx = self.varint("node index")? as usize;
-        let source = if head & NODE_KIND_CLUSTER != 0 {
-            NodeSource::Cluster(idx)
+/// Decodes one member reference, which must name a node of the level's
+/// entering node list.
+fn read_member(cur: &mut Reader<'_>, entering: &Entering) -> Result<NodeSource, ReadError> {
+    let tag = cur.u8("member tag")?;
+    let idx = cur.varint("member index")? as usize;
+    let source = match tag {
+        MEMBER_REF_SINK => NodeSource::DesignSink(idx),
+        MEMBER_REF_CLUSTER => NodeSource::Cluster(idx),
+        other => return Err(cur.error(format!("unknown member tag {other}"))),
+    };
+    if tag != entering.0 || !entering.1.contains(&idx) {
+        let entered = if entering.0 == MEMBER_REF_SINK {
+            "design sinks"
         } else {
-            NodeSource::DesignSink(idx)
+            "clusters"
         };
-        let node = LevelNode {
-            pos: Point::new(floats[0], floats[1]),
-            cap_ff: floats[2],
-            interval_ps: (floats[3], floats[4]),
-            source,
-        };
-        Ok((node, pos_pending))
+        return Err(cur.error(format!(
+            "member {source:?} is not among the {entered} {:?} that entered the level",
+            entering.1
+        )));
     }
+    Ok(source)
+}
 
-    fn member(&mut self, prev: &NodeMap) -> Result<LevelNode, String> {
-        let tag = self.u8("member tag")?;
-        match tag {
-            MEMBER_REF_SINK | MEMBER_REF_CLUSTER => {
-                let idx = self.varint("member index")?;
-                let key = (tag, idx);
-                prev.get(&key).copied().ok_or_else(|| {
-                    format!(
-                        "member references {} {idx} absent from the previous level",
-                        if tag == MEMBER_REF_SINK {
-                            "design sink"
-                        } else {
-                            "cluster"
-                        }
-                    )
-                })
+/// Checks one cluster's tree frame at the cursor and returns its bytes:
+/// checksum, node structure, and every sink index naming one of the
+/// cluster's `members`.
+fn read_frame<'a>(cur: &mut Reader<'a>, members: usize) -> Result<&'a [u8], ReadError> {
+    let mut bad_sink = None;
+    let header = visit_frame(cur.rest(), (), |(), n| {
+        if let NodeKind::Sink { sink_index, .. } = n.kind {
+            if sink_index >= members {
+                bad_sink.get_or_insert(sink_index);
             }
-            MEMBER_INLINE => {
-                let (node, pos_pending) = self.node()?;
-                if pos_pending {
-                    return Err("inline member elides its position".to_string());
-                }
-                Ok(node)
-            }
-            other => Err(format!("unknown member tag {other}")),
         }
+    })
+    .map_err(|e| cur.error(format!("cluster tree: {e}")))?;
+    if let Some(i) = bad_sink {
+        return Err(cur.error(format!(
+            "cluster tree sink {i} names none of the cluster's {members} members"
+        )));
     }
+    cur.take(header.len, "cluster tree")
 }
 
 type DecodedLevel = (usize, LevelReport, Vec<LevelNode>, Vec<BuiltCluster>);
 
-/// Decodes one schema-2 level payload back to the flow state it sealed.
-/// `prev` maps source keys of the node list that entered this level —
-/// member references resolve through it.
-fn decode_level(payload: &[u8], prev: &NodeMap) -> Result<DecodedLevel, String> {
-    let mut cur = Cur {
-        bytes: payload,
-        pos: 0,
-    };
+/// Decodes one level payload back to the flow state it sealed. Member
+/// references must name a node of `entering`, the node list that
+/// entered this level.
+fn decode_level(payload: &[u8], entering: &Entering) -> Result<DecodedLevel, ReadError> {
+    let mut cur = Reader::new(payload);
     if cur.take(4, "level magic")? != LEVEL_MAGIC {
-        return Err("frame payload is not a CKL2 level record".to_string());
+        return Err(cur.error("frame payload is not a CKL2 level record"));
     }
     let level = cur.varint("level index")? as usize;
     let rep_len = cur.count("report", 1)?;
     let rep_bytes = cur.take(rep_len, "report JSON")?;
     let rep_str =
-        std::str::from_utf8(rep_bytes).map_err(|_| "report JSON is not UTF-8".to_string())?;
-    let rep_value = sllt_obs::json::parse(rep_str).map_err(|e| format!("report JSON: {e}"))?;
-    let report = level_report_from_value(&rep_value)?;
+        std::str::from_utf8(rep_bytes).map_err(|_| cur.error("report JSON is not UTF-8"))?;
+    let rep_value =
+        sllt_obs::json::parse(rep_str).map_err(|e| cur.error(format!("report JSON: {e}")))?;
+    let report = level_report_from_value(&rep_value).map_err(|e| cur.error(e))?;
     let n_nodes = cur.count("nodes", NODE_MIN_BYTES)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     let mut pos_pending = Vec::new();
     for i in 0..n_nodes {
-        let (node, pending) = cur.node()?;
+        let (node, pending) = read_node(&mut cur)?;
         if pending {
             pos_pending.push(i);
         }
@@ -454,7 +349,7 @@ fn decode_level(payload: &[u8], prev: &NodeMap) -> Result<DecodedLevel, String> 
     for _ in 0..n_clusters {
         let flags = cur.u8("cluster flags")?;
         if flags & !CLUSTER_POS_FROM_TREE != 0 {
-            return Err(format!("reserved cluster flag bits set ({flags:#04x})"));
+            return Err(cur.error(format!("reserved cluster flag bits set ({flags:#04x})")));
         }
         let cell = cur.varint("cluster cell")? as usize;
         let pads = cur.varint("cluster pads")? as usize;
@@ -466,36 +361,35 @@ fn decode_level(payload: &[u8], prev: &NodeMap) -> Result<DecodedLevel, String> 
             None
         };
         let n_members = cur.count("members", MEMBER_MIN_BYTES)?;
-        let mut members = Vec::with_capacity(n_members);
-        for _ in 0..n_members {
-            members.push(cur.member(prev)?);
-        }
-        let (tree, consumed) = decode_tree_prefix(&payload[cur.pos..])
-            .map_err(|e| format!("cluster tree at payload offset {}: {e}", cur.pos))?;
-        cur.pos += consumed;
-        let driver_pos = explicit_pos.unwrap_or_else(|| tree.source_pos());
+        let members = (0..n_members)
+            .map(|_| read_member(&mut cur, entering))
+            .collect::<Result<Vec<_>, _>>()?;
+        let frame = read_frame(&mut cur, members.len())?.to_vec();
+        let driver_pos = explicit_pos.unwrap_or_else(|| frame_source(&frame));
         clusters.push(BuiltCluster {
-            tree,
+            frame,
             members,
             cell,
             pads,
             driver_pos,
         });
     }
-    if cur.pos != payload.len() {
-        return Err(format!(
+    if cur.pos() != payload.len() {
+        return Err(cur.error(format!(
             "{} unread bytes after level record",
-            payload.len() - cur.pos
-        ));
+            payload.len() - cur.pos()
+        )));
     }
     for i in pos_pending {
         let idx = match nodes[i].source {
             NodeSource::Cluster(idx) => idx,
             NodeSource::DesignSink(_) => unreachable!("validated during node decode"),
         };
-        let cluster = clusters
-            .get(idx)
-            .ok_or_else(|| format!("node {i} elides its position via absent cluster {idx}"))?;
+        let cluster = clusters.get(idx).ok_or_else(|| {
+            cur.error(format!(
+                "node {i} elides its position via absent cluster {idx}"
+            ))
+        })?;
         nodes[i].pos = cluster.driver_pos;
     }
     Ok((level, report, nodes, clusters))
@@ -510,9 +404,6 @@ fn decode_level(payload: &[u8], prev: &NodeMap) -> Result<DecodedLevel, String> 
 /// committed level, each a single durable write.
 pub(crate) struct CheckpointWriter {
     app: DurableAppender,
-    /// Source-keyed view of the node list entering the next level, for
-    /// member-by-reference encoding.
-    prev: NodeMap,
 }
 
 impl CheckpointWriter {
@@ -534,28 +425,19 @@ impl CheckpointWriter {
             .with("fingerprint", format!("{:016x}", fingerprint(cts, design)));
         app.append(&meta)
             .map_err(|e| io_err("writing checkpoint meta", e))?;
-        Ok(CheckpointWriter {
-            app,
-            prev: node_map(&seed_nodes(design)),
-        })
+        Ok(CheckpointWriter { app })
     }
 
     /// Reopens an existing journal for appending, truncating to the
     /// intact prefix `valid_len` first (discarding any torn tail).
-    /// `entering_nodes` is the restored node list the next committed
-    /// level will consume (member references resolve against it).
     pub(crate) fn reopen(
         vfs: &dyn Vfs,
         path: &Path,
         valid_len: u64,
-        entering_nodes: &[LevelNode],
     ) -> Result<CheckpointWriter, CtsError> {
         let app = DurableAppender::reopen_with(vfs, path, valid_len)
             .map_err(|e| io_err("reopening checkpoint journal", e))?;
-        Ok(CheckpointWriter {
-            app,
-            prev: node_map(entering_nodes),
-        })
+        Ok(CheckpointWriter { app })
     }
 
     /// Seals one committed level: its report, the next level's nodes,
@@ -567,8 +449,7 @@ impl CheckpointWriter {
         nodes: &[LevelNode],
         new_clusters: &[BuiltCluster],
     ) -> Result<(), CtsError> {
-        let payload = encode_level(report, nodes, new_clusters, &self.prev);
-        self.prev = node_map(nodes);
+        let payload = encode_level(report, nodes, new_clusters);
         self.app
             .append_binary(&payload)
             .map_err(|e| io_err("appending level checkpoint frame", e))
@@ -652,16 +533,19 @@ impl Checkpoint {
                 "binary checkpoint contains extra JSON records after the meta",
             ));
         }
-        let mut prev = node_map(&seed_nodes(design));
+        // Level 0's members are the design's sinks; every later level's
+        // are the clusters the level below it built.
+        let mut entering: Entering = (MEMBER_REF_SINK, 0..design.sinks.len());
         for (i, frame) in journal.frames.iter().enumerate() {
-            let at = |msg: String| ckpt_err(format!("level frame {i}: {msg}"));
-            let (level, report, nodes, new_clusters) =
-                decode_level(&frame.payload, &prev).map_err(at)?;
-            prev = node_map(&nodes);
+            let (level, report, nodes, new_clusters) = decode_level(&frame.payload, &entering)
+                .map_err(|e| ckpt_err(format!("level frame {i}: {e}")))?;
+            let base = out.clusters.len();
+            entering = (MEMBER_REF_CLUSTER, base..base + new_clusters.len());
             out.push_level(i, level, report, nodes, new_clusters)?;
         }
 
-        // Arena integrity: every cluster-sourced node must resolve.
+        // Arena integrity: every node the next level would consume must
+        // resolve (members were checked against their level above).
         let arena = out.clusters.len();
         let check = |n: &LevelNode| match n.source {
             NodeSource::Cluster(i) if i >= arena => Err(ckpt_err(format!(
@@ -673,11 +557,7 @@ impl Checkpoint {
             ))),
             _ => Ok(()),
         };
-        for n in out
-            .nodes
-            .iter()
-            .chain(out.clusters.iter().flat_map(|c| c.members.iter()))
-        {
+        for n in &out.nodes {
             check(n)?;
         }
         Ok(out)
@@ -759,13 +639,10 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             put_node(&mut buf, &n, &[]);
-            let mut cur = Cur {
-                bytes: &buf,
-                pos: 0,
-            };
-            let (back, pos_pending) = cur.node().unwrap();
+            let mut cur = Reader::new(&buf);
+            let (back, pos_pending) = read_node(&mut cur).unwrap();
             assert!(!pos_pending);
-            assert_eq!(cur.pos, buf.len());
+            assert_eq!(cur.pos(), buf.len());
             assert_eq!(back.pos.x.to_bits(), n.pos.x.to_bits());
             assert_eq!(back.pos.y.to_bits(), n.pos.y.to_bits());
             assert_eq!(back.cap_ff.to_bits(), n.cap_ff.to_bits());
@@ -774,6 +651,8 @@ mod tests {
         }
     }
 
+    /// One level-0 record: `n_clusters` clusters of two design sinks
+    /// each, so its members reference design sinks `0..2 * n_clusters`.
     fn sample_level(n_clusters: usize) -> (LevelReport, Vec<LevelNode>, Vec<BuiltCluster>) {
         let mut nodes = Vec::new();
         let mut clusters = Vec::new();
@@ -785,10 +664,10 @@ mod tests {
             tree.add_sink(s, Point::new(i as f64 + 2.0, 6.25), 1.25);
             tree.add_sink(s, Point::new(i as f64 + 1.5, 4.0), 0.8);
             clusters.push(BuiltCluster {
-                tree,
+                frame: sllt_tree::codec::encode_tree(&tree),
                 members: vec![
-                    node(i as f64, false, 2 * i),
-                    node(i as f64 + 0.3, false, 2 * i + 1),
+                    NodeSource::DesignSink(2 * i),
+                    NodeSource::DesignSink(2 * i + 1),
                 ],
                 cell: i % 4,
                 pads: i % 3,
@@ -813,13 +692,15 @@ mod tests {
         (report, nodes, clusters)
     }
 
+    fn sinks(n: usize) -> Entering {
+        (MEMBER_REF_SINK, 0..n)
+    }
+
     #[test]
     fn binary_level_record_round_trips_bit_exactly() {
         let (report, nodes, clusters) = sample_level(5);
-        // Empty prev map: every member encodes inline.
-        let payload = encode_level(&report, &nodes, &clusters, &NodeMap::new());
-        let (level, rep, back_nodes, back_clusters) =
-            decode_level(&payload, &NodeMap::new()).unwrap();
+        let payload = encode_level(&report, &nodes, &clusters);
+        let (level, rep, back_nodes, back_clusters) = decode_level(&payload, &sinks(10)).unwrap();
         assert_eq!(level, 0);
         assert_eq!(rep.level, report.level);
         assert_eq!(back_nodes.len(), nodes.len());
@@ -831,52 +712,82 @@ mod tests {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.pads, b.pads);
             assert_eq!(a.driver_pos.x.to_bits(), b.driver_pos.x.to_bits());
-            assert_eq!(a.members.len(), b.members.len());
-            // Canonical text form is byte-identical => per-node bit-exact.
-            let text = |t: &ClockTree| {
-                let mut buf = Vec::new();
-                sllt_tree::io::write_tree(t, &mut buf).unwrap();
-                buf
-            };
-            assert_eq!(text(&a.tree), text(&b.tree));
+            assert_eq!(a.members, b.members);
+            // Frames travel verbatim.
+            assert_eq!(a.frame, b.frame);
         }
     }
 
     #[test]
-    fn member_references_resolve_and_shrink_the_record() {
+    fn member_references_outside_the_entering_level_are_refused() {
         let (report, nodes, clusters) = sample_level(4);
-        let members: Vec<LevelNode> = clusters.iter().flat_map(|c| c.members.clone()).collect();
-        let prev = node_map(&members);
-        let by_ref = encode_level(&report, &nodes, &clusters, &prev);
-        let inline = encode_level(&report, &nodes, &clusters, &NodeMap::new());
+        let payload = encode_level(&report, &nodes, &clusters);
+        // Members are design sinks 0..8: a shorter sink range or a
+        // cluster range cannot hold them.
+        assert!(decode_level(&payload, &sinks(8)).is_ok());
+        let short = decode_level(&payload, &sinks(7)).unwrap_err();
+        assert!(short.message.contains("DesignSink(7)"), "{short}");
+        let clusters_entered = decode_level(&payload, &(MEMBER_REF_CLUSTER, 0..8)).unwrap_err();
         assert!(
-            by_ref.len() + 30 * members.len() < inline.len(),
-            "references must save ~40 bytes per member ({} vs {})",
-            by_ref.len(),
-            inline.len()
+            clusters_entered
+                .message
+                .contains("is not among the clusters 0..8"),
+            "{clusters_entered}"
         );
-        let (_, _, _, back) = decode_level(&by_ref, &prev).unwrap();
-        for (a, b) in back.iter().zip(&clusters) {
-            for (ma, mb) in a.members.iter().zip(&b.members) {
-                assert!(nodes_bit_equal(ma, mb));
-            }
+    }
+
+    #[test]
+    fn cluster_trees_naming_absent_members_are_refused() {
+        let (report, nodes, mut clusters) = sample_level(2);
+        clusters[1].members.pop();
+        let payload = encode_level(&report, &nodes, &clusters);
+        let e = decode_level(&payload, &sinks(4)).unwrap_err();
+        assert!(
+            e.message.contains("names none of the cluster's 1 members"),
+            "{e}"
+        );
+    }
+
+    /// Past the report JSON (whose timings go through fractional
+    /// milliseconds), the level records of the schema-2 fixture decode
+    /// and re-encode to the same bytes: the shared byte helpers write
+    /// what the checkpoint's own copies wrote, and frames travel
+    /// verbatim.
+    #[test]
+    fn fixture_level_records_re_encode_byte_for_byte() {
+        let past_report = |payload: &[u8]| {
+            let mut cur = Reader::new(payload);
+            cur.take(4, "magic").unwrap();
+            cur.varint("level").unwrap();
+            let len = cur.count("report", 1).unwrap();
+            cur.take(len, "report").unwrap();
+            cur.rest().to_vec()
+        };
+        let bytes = include_bytes!("../tests/fixtures/schema2_grid36.ckpt");
+        let journal = read_journal_bytes(bytes).unwrap();
+        assert!(journal.frames.len() >= 2);
+        let (mut entering, mut built) = (sinks(36), 0);
+        for frame in &journal.frames {
+            let (_, report, nodes, clusters) = decode_level(&frame.payload, &entering).unwrap();
+            let again = encode_level(&report, &nodes, &clusters);
+            assert_eq!(past_report(&again), past_report(&frame.payload));
+            entering = (MEMBER_REF_CLUSTER, built..built + clusters.len());
+            built += clusters.len();
         }
-        // A dangling reference is an error, not a default.
-        assert!(decode_level(&by_ref, &NodeMap::new()).is_err());
     }
 
     #[test]
     fn corrupt_binary_level_records_error_not_panic() {
         let (report, nodes, clusters) = sample_level(2);
-        let prev = NodeMap::new();
-        let payload = encode_level(&report, &nodes, &clusters, &prev);
-        assert!(decode_level(b"nope", &prev).is_err());
-        assert!(decode_level(&payload[..payload.len() - 1], &prev).is_err());
+        let entering = sinks(4);
+        let payload = encode_level(&report, &nodes, &clusters);
+        assert!(decode_level(b"nope", &entering).is_err());
+        assert!(decode_level(&payload[..payload.len() - 1], &entering).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
-        assert!(decode_level(&trailing, &prev).is_err());
+        assert!(decode_level(&trailing, &entering).is_err());
         for cut in (0..payload.len()).step_by(7) {
-            let _ = decode_level(&payload[..cut], &prev);
+            let _ = decode_level(&payload[..cut], &entering);
         }
         // Flipped bytes must error or decode, never panic. (Most flips
         // land in raw f64 coordinates and still decode — fine; the
@@ -884,7 +795,7 @@ mod tests {
         for i in (0..payload.len()).step_by(3) {
             let mut bad = payload.clone();
             bad[i] ^= 0xA5;
-            let _ = decode_level(&bad, &prev);
+            let _ = decode_level(&bad, &entering);
         }
     }
 

@@ -36,7 +36,7 @@ use crate::fault::FaultPlan;
 use crate::partition::partition_level;
 use crate::recovery::{ladder, Downgrade};
 use crate::report::{FlowEvent, FlowObserver, LevelReport, NullObserver, StageTimings};
-use crate::route::{route_clusters, LevelNode};
+use crate::route::{route_clusters, LevelNode, NodeSource};
 use crate::sizing::size_drivers;
 use sllt_buffer::DelayEstimator;
 use sllt_design::Design;
@@ -356,7 +356,6 @@ impl HierarchicalCts {
                     ctx.vfs.as_ref(),
                     path,
                     ckpt.valid_len,
-                    &cx.nodes,
                 )?)
             }
         };
@@ -415,10 +414,18 @@ impl HierarchicalCts {
             if sllt_obs::enabled() {
                 // Memory-footprint gauges, sampled once per committed
                 // level on the coordinating thread (deterministic, so
-                // the telemetry-equivalence contract holds): the
-                // built-cluster arena's tree columns, in nodes / bytes.
-                let nodes: usize = cx.clusters.iter().map(|c| c.tree.len()).sum();
-                let bytes: usize = cx.clusters.iter().map(|c| c.tree.arena_bytes()).sum();
+                // the telemetry-equivalence contract holds): what the
+                // built-cluster arena holds until assembly, its trees'
+                // nodes and the bytes of their frames and member lists.
+                let nodes: usize = cx.clusters.iter().map(|c| c.tree_nodes()).sum();
+                let bytes: usize = cx
+                    .clusters
+                    .iter()
+                    .map(|c| {
+                        c.frame.capacity()
+                            + c.members.capacity() * std::mem::size_of::<NodeSource>()
+                    })
+                    .sum();
                 sllt_obs::gauge("cts.arena.trees", cx.clusters.len() as f64);
                 sllt_obs::gauge("cts.arena.nodes", nodes as f64);
                 sllt_obs::gauge("cts.arena.bytes", bytes as f64);
@@ -427,7 +434,7 @@ impl HierarchicalCts {
         }
 
         let assemble_span = sllt_obs::span("cts.assemble");
-        let (tree, report) = assemble(self, design, &cx.clusters, &cx.nodes[0]);
+        let (tree, report) = assemble(self, design, &cx.clusters, cx.nodes[0].source);
         drop(assemble_span);
         ctx.observer.on_event(&FlowEvent::Assembled { report });
         Ok(tree)
@@ -520,12 +527,11 @@ impl HierarchicalCts {
         budget: &WorkBudget,
     ) -> Result<(LevelReport, Vec<LevelNode>, Vec<BuiltCluster>), CtsError> {
         let num_nodes = cx.nodes.len();
-        let positions: Vec<Point> = cx.nodes.iter().map(|n| n.pos).collect();
-        let caps: Vec<f64> = cx.nodes.iter().map(|n| n.cap_ff).collect();
-
         let t0 = Instant::now();
         let part = {
             let _s = sllt_obs::span("cts.partition");
+            let positions: Vec<Point> = cx.nodes.iter().map(|n| n.pos).collect();
+            let caps: Vec<f64> = cx.nodes.iter().map(|n| n.cap_ff).collect();
             partition_level(eff, ctx, &positions, &caps, cx.level, attempt)?
         };
         let t1 = Instant::now();
@@ -535,7 +541,7 @@ impl HierarchicalCts {
         };
         let t2 = Instant::now();
 
-        let wirelength_um: f64 = routed.iter().map(|r| r.tree.wirelength()).sum();
+        let wirelength_um: f64 = routed.iter().map(|r| r.wirelength_um).sum();
         let load_cap_ff: f64 = routed.iter().map(|r| r.load).sum();
         let workers = eff.effective_workers().min(routed.len()).max(1);
 

@@ -1,11 +1,16 @@
 //! Per-cluster routing — the parallel stage of each level.
 //!
 //! Every cluster routes independently (`route_cluster` needs only
-//! `&HierarchicalCts`, the run's cancel token and fault plan, and the
-//! cluster's members), so the stage hands the clusters to
-//! [`sllt_obs::fan_out`]. Its contract (`DESIGN.md` §4a, "Threading and
-//! determinism") returns results by cluster index, so the output is
-//! bit-identical no matter how many workers run or how they interleave.
+//! `&HierarchicalCts`, the run's cancel token and fault plan, the
+//! level's nodes and the cluster's member indices), so the stage hands
+//! the clusters to [`sllt_obs::fan_out`]. Its contract (`DESIGN.md` §4a,
+//! "Threading and determinism") returns results by cluster index, so the
+//! output is bit-identical no matter how many workers run or how they
+//! interleave.
+//!
+//! A routed tree leaves its worker as one `sllt_tree::codec` frame: the
+//! flow holds every cluster in that form until assembly streams the
+//! frames into the final tree (`DESIGN.md` §4d).
 
 use crate::cancel::CancelToken;
 use crate::error::CtsError;
@@ -18,7 +23,8 @@ use sllt_core::cbs::{try_cbs_intervals, CbsConfig};
 use sllt_geom::{centroid, Point};
 use sllt_obs::WorkBudget;
 use sllt_route::{rsmt, try_dme_intervals, DelayModel, DmeOptions, TopologyScheme};
-use sllt_tree::{ClockNet, ClockTree, NodeKind, Sink};
+use sllt_tree::codec::encode_tree;
+use sllt_tree::{ClockNet, NodeKind, Sink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -35,7 +41,7 @@ pub(crate) struct LevelNode {
     pub source: NodeSource,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NodeSource {
     /// Index into the design's sink list.
     DesignSink(usize),
@@ -46,12 +52,18 @@ pub(crate) enum NodeSource {
 /// A routed cluster awaiting joint driver sizing.
 #[derive(Debug)]
 pub(crate) struct RoutedCluster {
-    pub tree: ClockTree,
-    pub members: Vec<LevelNode>,
+    /// The routed tree as a `sllt_tree::codec` frame (depth-first
+    /// preorder); its sink indices refer to `members`.
+    pub frame: Vec<u8>,
+    /// Where each member came from, in the order the cluster net's sinks
+    /// were listed.
+    pub members: Vec<NodeSource>,
     pub tap: Point,
     pub load: f64,
     pub subtree_lo: f64,
     pub subtree_hi: f64,
+    /// Routed wirelength of the tree, µm.
+    pub wirelength_um: f64,
 }
 
 /// Groups `nodes` by the partition and routes every non-empty cluster.
@@ -70,13 +82,14 @@ pub(crate) fn route_clusters(
     attempt: usize,
     budget: &WorkBudget,
 ) -> Result<Vec<RoutedCluster>, CtsError> {
-    // Single-pass bucketing: a per-cluster scan of `nodes` is O(k·n),
-    // which at a million sinks (k ≈ 5·10⁴) costs minutes of pure
-    // grouping. Buckets preserve node-index order within each cluster;
-    // a job's index in the non-empty list is its cluster identity.
-    let mut buckets: Vec<Vec<LevelNode>> = vec![Vec::new(); part.k];
-    for (node, &a) in nodes.iter().zip(&part.assignment) {
-        buckets[a].push(*node);
+    // Single-pass bucketing of node indices: a per-cluster scan of
+    // `nodes` is O(k·n), which at a million sinks (k ≈ 5·10⁴) costs
+    // minutes of pure grouping. Buckets preserve node-index order within
+    // each cluster; a job's index in the non-empty list is its cluster
+    // identity.
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); part.k];
+    for (i, &a) in part.assignment.iter().enumerate() {
+        buckets[a].push(i as u32);
     }
     buckets.retain(|members| !members.is_empty());
 
@@ -112,9 +125,10 @@ pub(crate) fn route_clusters(
     let (cancel, faults) = (&ctx.cancel, &ctx.faults);
     let failed = AtomicBool::new(false);
     let stop = || failed.load(Ordering::Relaxed) || cancel.poll();
-    let route = |cluster, members| {
+    let route = |cluster, indices: Vec<u32>| {
+        let members: Vec<&LevelNode> = indices.iter().map(|&i| &nodes[i as usize]).collect();
         let routed = catch_unwind(AssertUnwindSafe(|| {
-            route_cluster(cts, cancel, faults, cluster, members, level, attempt)
+            route_cluster(cts, cancel, faults, cluster, &members, level, attempt)
         }))
         .unwrap_or(Err(CtsError::ClusterPanicked { level, cluster }));
         match &routed {
@@ -139,7 +153,7 @@ fn route_cluster(
     cancel: &CancelToken,
     faults: &FaultPlan,
     cluster: usize,
-    members: Vec<LevelNode>,
+    members: &[&LevelNode],
     level: usize,
     attempt: usize,
 ) -> Result<RoutedCluster, CtsError> {
@@ -211,12 +225,13 @@ fn route_cluster(
         sllt_obs::record("cts.route.cluster_us", t.elapsed().as_micros() as u64);
     }
     Ok(RoutedCluster {
-        tree,
-        members,
+        frame: encode_tree(&tree),
+        members: members.iter().map(|m| m.source).collect(),
         tap,
         load,
         subtree_lo,
         subtree_hi,
+        wirelength_um: tree.wirelength(),
     })
 }
 
@@ -274,7 +289,6 @@ mod tests {
         assert_send_sync::<Technology>();
         assert_send_sync::<BufferLibrary>();
         assert_send_sync::<ClockNet>();
-        assert_send_sync::<ClockTree>();
         assert_send_sync::<LevelNode>();
         assert_send_sync::<RoutedCluster>();
     }

@@ -141,7 +141,7 @@ pub(crate) fn size_drivers(
             source: NodeSource::Cluster(idx),
         });
         built.push(BuiltCluster {
-            tree: r.tree,
+            frame: r.frame,
             members: r.members,
             cell,
             pads,

@@ -55,7 +55,7 @@ fn journal_path(tag: &str) -> PathBuf {
 
 /// Byte offsets of every record boundary in the journal (after the
 /// terminating newline of each record), including 0. Record-structure
-/// aware: a schema-2 binary frame's payload may contain `0x0A` bytes,
+/// aware: a binary frame's payload may contain `0x0A` bytes,
 /// so newlines alone do not delimit records — frames are skipped whole
 /// via their length header.
 fn boundaries(bytes: &[u8]) -> Vec<usize> {
@@ -271,6 +271,62 @@ fn fingerprint_guards_config_and_design_drift() {
     };
     let reference = cts.run(&design).unwrap();
     assert_eq!(journaled(&wide, &design, Resume(&path)).unwrap(), reference);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A journal written before cluster tree frames went depth-first
+/// (schema 2) is refused by name: its breadth-first frames would lay the
+/// assembled tree out in another arena order. A `slltd` job child meets
+/// the refusal by deleting the journal and running fresh, which builds
+/// the plain run's tree. The fixture is a `grid36` run at default
+/// settings, journaled by the last schema-2 build.
+#[test]
+fn schema_2_journals_are_refused_by_name() {
+    let design = sllt_design::design_by_name("grid36").unwrap();
+    let cts = HierarchicalCts {
+        workers: 1,
+        ..HierarchicalCts::default()
+    };
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/schema2_grid36.ckpt");
+    let old = sllt_obs::journal::read_journal_bytes(&std::fs::read(&fixture).unwrap()).unwrap();
+    assert!(old.torn_tail.is_none() && !old.frames.is_empty());
+    assert_eq!(
+        old.records[0].get("schema").and_then(|v| v.as_u64()),
+        Some(2)
+    );
+
+    let path = journal_path("schema2");
+    std::fs::copy(&fixture, &path).unwrap();
+    match journaled(&cts, &design, Resume(&path)) {
+        Err(CtsError::Checkpoint { detail }) => {
+            assert!(
+                detail.contains("unsupported checkpoint schema 2 "),
+                "{detail}"
+            )
+        }
+        other => panic!("a schema-2 journal must be refused, got {other:?}"),
+    }
+
+    // Starting over is what the refusal asks for: the fresh run builds
+    // the plain tree, and its journal differs from the old one only in
+    // schema, not in the run it is bound to.
+    let reference = cts.run(&design).unwrap();
+    assert_eq!(journaled(&cts, &design, Fresh(&path)).unwrap(), reference);
+    let new = sllt_obs::journal::read_journal_bytes(&std::fs::read(&path).unwrap()).unwrap();
+    let field = |j: &sllt_obs::journal::Journal, k: &str| {
+        j.records[0]
+            .get(k)
+            .and_then(|v| v.as_str())
+            .map(str::to_owned)
+    };
+    assert_eq!(field(&new, "fingerprint"), field(&old, "fingerprint"));
+    assert_eq!(new.frames.len(), old.frames.len());
+    assert_eq!(
+        Checkpoint::load(&RealFs, &path, &cts, &design)
+            .unwrap()
+            .levels(),
+        old.frames.len()
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -58,7 +58,7 @@ fn square_100k_tree_is_golden() {
     assert_eq!(written(&flow_tree(100_000, 2)), SQUARE_100K);
 }
 
-/// The benchmark's `grid_1m` tree at 2 workers (about 7 s and 600 MB on
+/// The benchmark's `grid_1m` tree at 2 workers (about 5 s and 330 MB on
 /// a 2-core host).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]

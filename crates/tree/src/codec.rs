@@ -21,12 +21,22 @@
 //! ```
 //!
 //! Payload: node count (varint), source x/y (raw f64 LE), then every
-//! non-root node in topological order — compact ids are implicit, parents
-//! are backward varint deltas. Round-trips are bit-exact with the v1 text
-//! form: `text → tree → binary → tree → text` reproduces the input
+//! non-root node — compact ids are implicit, parents are backward varint
+//! deltas. [`encode_tree`] lists the nodes in depth-first preorder
+//! (children in insertion order); the reader accepts any order that puts
+//! parents first. Round-trips are bit-exact with the v1 text form:
+//! `text → tree → binary → tree → text` reproduces the input
 //! byte-for-byte.
+//!
+//! [`visit_frame`] walks a frame node by node without building a tree,
+//! which is how the hierarchical flow streams routed clusters into its
+//! final tree; [`decode_tree_prefix`] is the same walk building a
+//! [`ClockTree`]. The byte helpers ([`put_varint`], [`put_zigzag`],
+//! [`put_f64`], [`as_exact_int`] and the [`Reader`] cursor) are shared
+//! with the level checkpoints that carry these frames.
 
-use crate::{ClockTree, NodeKind};
+use crate::{ClockTree, NodeId, NodeKind};
+use sllt_geom::Point;
 use std::error::Error;
 use std::fmt;
 
@@ -34,6 +44,11 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"SLTB";
 /// Current format version.
 pub const VERSION: u8 = 2;
+
+/// Bytes before the payload: magic, version, payload length.
+const HEADER_LEN: usize = MAGIC.len() + 5;
+/// Bytes after the payload: the checksum.
+const TRAILER_LEN: usize = 8;
 
 const KIND_STEINER: u8 = 0;
 const KIND_SINK: u8 = 1;
@@ -95,6 +110,15 @@ impl fmt::Display for BinaryTreeError {
 
 impl Error for BinaryTreeError {}
 
+impl From<ReadError> for BinaryTreeError {
+    fn from(e: ReadError) -> Self {
+        BinaryTreeError::Corrupt {
+            offset: e.offset,
+            message: e.message,
+        }
+    }
+}
+
 /// FNV-1a 64 — the same sealing hash the observation journal uses, inlined
 /// so the tree crate stays dependency-free.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -106,31 +130,251 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
+/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first,
+/// the high bit set on every byte but the last.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
         v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
     }
+    out.push(v as u8);
 }
 
-fn put_zigzag(out: &mut Vec<u8>, v: i64) {
+/// Appends `v` zigzag-mapped (0, -1, 1, -2, … → 0, 1, 2, 3, …) as a
+/// varint, so small magnitudes of either sign take one byte.
+pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
     put_varint(out, (v.wrapping_shl(1) ^ (v >> 63)) as u64);
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
+/// Appends the raw bits of `v`, little-endian.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Whether `v` survives an i64 round trip bit-exactly (rules out NaN,
-/// -0.0, fractions, and magnitudes beyond 2⁶³).
-fn as_exact_int(v: f64) -> Option<i64> {
+/// `Some(i)` when `v` survives an i64 round trip bit-exactly, so a
+/// zigzag varint can stand in for its raw bits (rules out NaN, the
+/// infinities, -0.0, fractions, and magnitudes beyond 2⁶³).
+pub fn as_exact_int(v: f64) -> Option<i64> {
     let i = v as i64;
     ((i as f64).to_bits() == v.to_bits()).then_some(i)
+}
+
+/// A defect [`Reader`] found: what was wrong and at which byte.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReadError {
+    /// Offset of the defect, bytes from the start of the reader's input.
+    pub offset: usize,
+    /// What was wrong.
+    pub message: String,
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} (at byte {})", self.message, self.offset)
+    }
+}
+
+impl Error for ReadError {}
+
+/// Bounds-checked cursor over encoded bytes: every read names what it
+/// reads, and running out of bytes, an overlong varint, or an oversized
+/// count is a [`ReadError`] instead of a panic or a huge allocation.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Offset of `bytes[0]` in the enclosing input, so errors report
+    /// absolute positions.
+    base: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader {
+            bytes,
+            pos: 0,
+            base: 0,
+        }
+    }
+
+    /// Bytes read so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The unread bytes.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
+    /// An error at the current position.
+    pub fn error(&self, message: impl Into<String>) -> ReadError {
+        ReadError {
+            offset: self.base + self.pos,
+            message: message.into(),
+        }
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// When fewer than `n` bytes remain.
+    #[inline]
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ReadError> {
+        if self.bytes.len() - self.pos < n {
+            return Err(self.truncated(n, what));
+        }
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// One byte.
+    ///
+    /// # Errors
+    ///
+    /// At the end of the input.
+    #[inline]
+    pub fn u8(&mut self, what: &str) -> Result<u8, ReadError> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    /// A [`put_varint`] value.
+    ///
+    /// # Errors
+    ///
+    /// When the input ends inside it, or it carries bits past 2⁶⁴.
+    #[inline]
+    pub fn varint(&mut self, what: &str) -> Result<u64, ReadError> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.u8(what)?;
+            if shift >= 63 && b > 1 {
+                return Err(self.overlong(what));
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A [`put_zigzag`] value.
+    ///
+    /// # Errors
+    ///
+    /// As [`varint`](Self::varint).
+    #[inline]
+    pub fn zigzag(&mut self, what: &str) -> Result<i64, ReadError> {
+        let u = self.varint(what)?;
+        Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
+    }
+
+    /// A [`put_f64`] value.
+    ///
+    /// # Errors
+    ///
+    /// When fewer than 8 bytes remain.
+    #[inline]
+    pub fn f64(&mut self, what: &str) -> Result<f64, ReadError> {
+        let s = self.take(8, what)?;
+        Ok(f64::from_bits(u64::from_le_bytes(
+            s.try_into().expect("8 bytes"),
+        )))
+    }
+
+    // The error paths stay out of line, so the reads inline small into
+    // the node loops that call them millions of times.
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize, what: &str) -> ReadError {
+        let left = self.bytes.len() - self.pos;
+        self.error(format!("truncated {what}: need {n} bytes, have {left}"))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn overlong(&self, what: &str) -> ReadError {
+        self.error(format!("overlong varint in {what}"))
+    }
+
+    /// An element count: a varint that must leave room for that many
+    /// elements of at least `min_bytes` each in the unread input, so a
+    /// corrupt count is an error, not an allocation request.
+    ///
+    /// # Errors
+    ///
+    /// As [`varint`](Self::varint), or when the count cannot fit.
+    pub fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize, ReadError> {
+        let n = self.varint(what)? as usize;
+        let left = self.bytes.len() - self.pos;
+        if n.saturating_mul(min_bytes) > left {
+            return Err(self.error(format!(
+                "{what} count {n} exceeds remaining input ({left} bytes)"
+            )));
+        }
+        Ok(n)
+    }
+
+    #[inline]
+    fn coord(&mut self, tag: u8, parent: f64) -> Result<f64, ReadError> {
+        match tag {
+            COORD_PARENT => Ok(parent),
+            COORD_INT => Ok(self.zigzag("integer coordinate")? as f64),
+            COORD_RAW => self.f64("raw coordinate"),
+            other => Err(self.error(format!("bad coordinate tag {other}"))),
+        }
+    }
+}
+
+/// The most-recently-used dictionary of sink caps (as f64 bits) that the
+/// encoder and the reader keep in step: a cap moves to the front when it
+/// is used, and a new cap pushes the oldest out of a full dictionary.
+struct CapDict {
+    slots: [u64; CAP_DICT],
+    len: usize,
+}
+
+impl CapDict {
+    fn new() -> Self {
+        CapDict {
+            slots: [0; CAP_DICT],
+            len: 0,
+        }
+    }
+
+    fn position(&self, bits: u64) -> Option<usize> {
+        self.slots[..self.len].iter().position(|&c| c == bits)
+    }
+
+    /// The cap in slot `i`, moved to the front; `None` past the last
+    /// slot.
+    fn take(&mut self, i: usize) -> Option<u64> {
+        (i < self.len).then(|| {
+            let bits = self.slots[i];
+            self.push_front(i, bits);
+            bits
+        })
+    }
+
+    /// Puts a new cap in front, dropping the oldest when full.
+    fn insert(&mut self, bits: u64) {
+        let keep = self.len.min(CAP_DICT - 1);
+        self.push_front(keep, bits);
+        self.len = keep + 1;
+    }
+
+    /// Shifts slots `0..n` back one place and puts `bits` in front.
+    fn push_front(&mut self, n: usize, bits: u64) {
+        for j in (0..n).rev() {
+            self.slots[j + 1] = self.slots[j];
+        }
+        self.slots[0] = bits;
+    }
 }
 
 fn coord_tag(v: f64, parent: f64) -> u8 {
@@ -151,9 +395,30 @@ fn put_coord(out: &mut Vec<u8>, tag: u8, v: f64) {
     }
 }
 
-/// Encodes the tree into one self-contained binary frame.
+/// Live nodes in depth-first preorder, children in insertion order: the
+/// order in which copying the tree node by node under another tree's
+/// node lays it out.
+fn preorder(tree: &ClockTree) -> Vec<NodeId> {
+    let mut order = Vec::with_capacity(tree.len());
+    let mut stack = vec![tree.root()];
+    while let Some(v) = stack.pop() {
+        order.push(v);
+        let top = stack.len();
+        stack.extend(tree.children(v));
+        stack[top..].reverse();
+    }
+    order
+}
+
+/// Encodes the tree into one self-contained binary frame, its nodes in
+/// depth-first preorder.
 pub fn encode_tree(tree: &ClockTree) -> Vec<u8> {
-    let order = tree.topo_order();
+    encode_in_order(tree, &preorder(tree))
+}
+
+/// Encodes the tree with its nodes listed in `order`, which must start
+/// at the root and put every parent before its children.
+fn encode_in_order(tree: &ClockTree, order: &[NodeId]) -> Vec<u8> {
     let mut compact = vec![u32::MAX; tree.arena_len()];
     for (i, id) in order.iter().enumerate() {
         compact[id.index()] = i as u32;
@@ -165,7 +430,7 @@ pub fn encode_tree(tree: &ClockTree) -> Vec<u8> {
     put_f64(&mut payload, src.x);
     put_f64(&mut payload, src.y);
 
-    let mut caps: Vec<u64> = Vec::with_capacity(CAP_DICT);
+    let mut caps = CapDict::new();
     for (me, id) in order.iter().enumerate().skip(1) {
         let n = tree.node(*id);
         let parent_id = n.parent().expect("non-root has parent");
@@ -192,18 +457,17 @@ pub fn encode_tree(tree: &ClockTree) -> Vec<u8> {
         match n.kind {
             NodeKind::Sink { cap_ff, sink_index } => {
                 let bits = cap_ff.to_bits();
-                match caps.iter().position(|&c| c == bits) {
+                match caps.position(bits) {
                     Some(i) => {
                         payload.push(i as u8);
-                        caps.remove(i);
+                        caps.take(i);
                     }
                     None => {
                         payload.push(CAP_RAW);
                         put_f64(&mut payload, cap_ff);
-                        caps.truncate(CAP_DICT - 1);
+                        caps.insert(bits);
                     }
                 }
-                caps.insert(0, bits);
                 put_varint(&mut payload, sink_index as u64);
             }
             NodeKind::Buffer { cell } => put_varint(&mut payload, cell as u64),
@@ -211,7 +475,7 @@ pub fn encode_tree(tree: &ClockTree) -> Vec<u8> {
         }
     }
 
-    let mut frame = Vec::with_capacity(MAGIC.len() + 5 + payload.len() + 8);
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     frame.extend_from_slice(&MAGIC);
     frame.push(VERSION);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -220,81 +484,31 @@ pub fn encode_tree(tree: &ClockTree) -> Vec<u8> {
     frame
 }
 
-/// Cursor over a payload slice with frame-offset error reporting.
-struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Frame offset of `bytes[0]`, so errors report absolute positions.
-    base: usize,
+/// What a frame's header says.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameHeader {
+    /// Bytes the whole frame occupies: header, payload and checksum.
+    pub len: usize,
+    /// Nodes in the tree, the root included.
+    pub nodes: usize,
+    /// Position of the root (the clock source).
+    pub source: Point,
 }
 
-impl<'a> Cur<'a> {
-    fn err(&self, message: impl Into<String>) -> BinaryTreeError {
-        BinaryTreeError::Corrupt {
-            offset: self.base + self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BinaryTreeError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(self.err("payload truncated"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, BinaryTreeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn varint(&mut self) -> Result<u64, BinaryTreeError> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(self.err("varint overlong"))
-    }
-
-    fn zigzag(&mut self) -> Result<i64, BinaryTreeError> {
-        let v = self.varint()?;
-        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
-    }
-
-    fn f64(&mut self) -> Result<f64, BinaryTreeError> {
-        let b = self.take(8)?;
-        Ok(f64::from_bits(u64::from_le_bytes(
-            b.try_into().expect("8 bytes"),
-        )))
-    }
-
-    fn coord(&mut self, tag: u8, parent: f64) -> Result<f64, BinaryTreeError> {
-        match tag {
-            COORD_PARENT => Ok(parent),
-            COORD_INT => Ok(self.zigzag()? as f64),
-            COORD_RAW => self.f64(),
-            other => Err(self.err(format!("bad coordinate tag {other}"))),
-        }
-    }
-}
-
-/// Decodes one frame, returning the tree and the number of bytes consumed.
+/// Reads the header of the frame at the start of `bytes`, in O(1): it
+/// neither checks the checksum nor walks the nodes ([`visit_frame`]
+/// does both). Bytes after the frame are left alone.
 ///
 /// # Errors
 ///
-/// See [`BinaryTreeError`]; trailing bytes after the frame are left for
-/// the caller (use [`decode_tree`] to require an exact fit).
-pub fn decode_tree_prefix(bytes: &[u8]) -> Result<(ClockTree, usize), BinaryTreeError> {
+/// A bad magic or version, a truncated frame, or a node count the
+/// payload cannot hold.
+pub fn read_header(bytes: &[u8]) -> Result<FrameHeader, BinaryTreeError> {
     let corrupt = |offset: usize, message: &str| BinaryTreeError::Corrupt {
         offset,
         message: message.into(),
     };
-    if bytes.len() < MAGIC.len() + 5 {
+    if bytes.len() < HEADER_LEN {
         return Err(corrupt(bytes.len(), "frame header truncated"));
     }
     if bytes[..4] != MAGIC {
@@ -304,13 +518,69 @@ pub fn decode_tree_prefix(bytes: &[u8]) -> Result<(ClockTree, usize), BinaryTree
         return Err(BinaryTreeError::UnsupportedVersion(bytes[4]));
     }
     let payload_len = u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes")) as usize;
-    let frame_len = 9 + payload_len + 8;
-    if bytes.len() < frame_len {
+    let len = HEADER_LEN + payload_len + TRAILER_LEN;
+    if bytes.len() < len {
         return Err(corrupt(bytes.len(), "frame body truncated"));
     }
-    let payload = &bytes[9..9 + payload_len];
+    let mut cur = payload_reader(bytes, payload_len);
+    let nodes = cur.varint("node count")? as usize;
+    if nodes == 0 {
+        return Err(cur.error("node count must include the root").into());
+    }
+    // Every non-root node costs at least 2 payload bytes, so a sane count
+    // can never exceed the payload size — reject before allocating.
+    if nodes > payload_len {
+        return Err(cur
+            .error(format!("node count {nodes} exceeds payload size"))
+            .into());
+    }
+    let source = Point::new(cur.f64("source x")?, cur.f64("source y")?);
+    Ok(FrameHeader { len, nodes, source })
+}
+
+/// A reader over the payload of a frame whose header was checked,
+/// reporting frame offsets.
+fn payload_reader(frame: &[u8], payload_len: usize) -> Reader<'_> {
+    Reader {
+        bytes: &frame[HEADER_LEN..HEADER_LEN + payload_len],
+        pos: 0,
+        base: HEADER_LEN,
+    }
+}
+
+/// One non-root node of a frame, as [`visit_frame`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameNode {
+    /// Position.
+    pub pos: Point,
+    /// What the node is (never [`NodeKind::Source`]).
+    pub kind: NodeKind,
+    /// Routed length of the edge into the node: the stored length (at
+    /// least the Manhattan distance), or that distance when none is
+    /// stored.
+    pub edge_len: f64,
+}
+
+/// Walks the frame at the start of `bytes` node by node, in frame order
+/// (parents first), after checking its checksum. `root` is the caller's
+/// handle for the source; `add(parent, node)` runs once per non-root
+/// node with the handle `add` returned for that node's parent, and
+/// returns the node's own handle. Bytes after the frame are left alone.
+///
+/// # Errors
+///
+/// See [`BinaryTreeError`]. `add` may already have run for the nodes
+/// before a defect.
+pub fn visit_frame<H: Copy>(
+    bytes: &[u8],
+    root: H,
+    mut add: impl FnMut(H, FrameNode) -> H,
+) -> Result<FrameHeader, BinaryTreeError> {
+    let header = read_header(bytes)?;
+    let payload_len = header.len - HEADER_LEN - TRAILER_LEN;
+    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
     let expected = u64::from_le_bytes(
-        bytes[9 + payload_len..frame_len]
+        bytes[HEADER_LEN + payload_len..header.len]
             .try_into()
             .expect("8 bytes"),
     );
@@ -319,95 +589,106 @@ pub fn decode_tree_prefix(bytes: &[u8]) -> Result<(ClockTree, usize), BinaryTree
         return Err(BinaryTreeError::ChecksumMismatch { expected, actual });
     }
 
-    let mut cur = Cur {
-        bytes: payload,
-        pos: 0,
-        base: 9,
-    };
-    let count = cur.varint()? as usize;
-    if count == 0 {
-        return Err(cur.err("node count must include the root"));
-    }
-    // Every non-root node costs at least 2 payload bytes, so a sane count
-    // can never exceed the payload size — reject before allocating.
-    if count > payload_len.max(1) {
-        return Err(cur.err(format!("node count {count} exceeds payload size")));
-    }
-    let src = sllt_geom::Point::new(cur.f64()?, cur.f64()?);
-    let mut tree = ClockTree::with_capacity(src, count);
-    let mut ids = Vec::with_capacity(count);
-    ids.push(tree.root());
-
-    let mut caps: Vec<u64> = Vec::with_capacity(CAP_DICT);
-    for me in 1..count {
-        let head = cur.u8()?;
+    let mut cur = payload_reader(bytes, payload_len);
+    cur.varint("node count")?;
+    cur.take(16, "source")?;
+    // Position and handle of every node visited so far, by frame index.
+    let mut seen: Vec<(Point, H)> = Vec::with_capacity(header.nodes);
+    seen.push((header.source, root));
+    let mut caps = CapDict::new();
+    for me in 1..header.nodes {
+        let head = cur.u8("node head")?;
         if head & 0x80 != 0 {
-            return Err(cur.err("reserved head bit set"));
+            return Err(cur.error("reserved head bit set").into());
         }
         let kind = head & 0x03;
         let xt = (head >> 2) & 0x03;
         let yt = (head >> 4) & 0x03;
-        let delta = cur.varint()? as usize;
+        let delta = cur.varint("parent delta")? as usize;
         if delta == 0 || delta > me {
-            return Err(cur.err(format!("parent delta {delta} out of range at node {me}")));
+            return Err(cur
+                .error(format!("parent delta {delta} out of range at node {me}"))
+                .into());
         }
-        let parent_id = ids[me - delta];
-        let ppos = tree.node(parent_id).pos;
+        let (ppos, parent) = seen[me - delta];
         let x = cur.coord(xt, ppos.x)?;
         let y = cur.coord(yt, ppos.y)?;
-        let pos = sllt_geom::Point::new(x, y);
+        let pos = Point::new(x, y);
         let dist = ppos.dist(pos);
-        let edge = if head & FLAG_EDGE != 0 {
-            let e = cur.f64()?;
+        let edge_len = if head & FLAG_EDGE != 0 {
+            let e = cur.f64("edge length")?;
             if e < dist - 1e-6 {
-                return Err(cur.err(format!(
-                    "edge length {e} cannot cover manhattan distance {dist}"
-                )));
+                return Err(cur
+                    .error(format!(
+                        "edge length {e} cannot cover manhattan distance {dist}"
+                    ))
+                    .into());
             }
-            Some(e.max(dist))
+            e.max(dist)
         } else {
-            None
+            dist
         };
-        let id = match kind {
-            KIND_STEINER => tree.add_steiner(parent_id, pos),
+        let kind = match kind {
+            KIND_STEINER => NodeKind::Steiner,
             KIND_SINK => {
-                // MRU dictionary mirror of the encoder: hits move to the
-                // front, misses evict the oldest slot.
-                let tag = cur.u8()?;
+                let tag = cur.u8("cap tag")?;
                 let bits = if tag == CAP_RAW {
-                    let v = cur.f64()?.to_bits();
-                    caps.truncate(CAP_DICT - 1);
-                    v
+                    let bits = cur.f64("sink cap")?.to_bits();
+                    caps.insert(bits);
+                    bits
                 } else {
-                    let i = tag as usize;
-                    if i >= caps.len() {
-                        return Err(cur.err(format!("cap dictionary index {i} out of range")));
-                    }
-                    caps.remove(i)
+                    caps.take(tag as usize).ok_or_else(|| {
+                        cur.error(format!("cap dictionary index {tag} out of range"))
+                    })?
                 };
-                caps.insert(0, bits);
-                let sink_index = cur.varint()? as usize;
-                tree.add_sink_indexed(parent_id, pos, f64::from_bits(bits), sink_index)
+                NodeKind::Sink {
+                    cap_ff: f64::from_bits(bits),
+                    sink_index: cur.varint("sink index")? as usize,
+                }
             }
-            KIND_BUFFER => {
-                let cell = cur.varint()? as usize;
-                tree.add_buffer(parent_id, pos, cell)
-            }
-            other => return Err(cur.err(format!("bad node kind {other}"))),
+            KIND_BUFFER => NodeKind::Buffer {
+                cell: cur.varint("buffer cell")? as usize,
+            },
+            other => return Err(cur.error(format!("bad node kind {other}")).into()),
         };
-        if let Some(e) = edge {
-            tree.set_edge_len_raw(id, e);
-        }
-        ids.push(id);
+        let handle = add(
+            parent,
+            FrameNode {
+                pos,
+                kind,
+                edge_len,
+            },
+        );
+        seen.push((pos, handle));
     }
-    if cur.pos != payload_len {
-        return Err(cur.err(format!(
-            "{} unread bytes inside payload",
-            payload_len - cur.pos
-        )));
+    if cur.pos() != payload_len {
+        return Err(cur
+            .error(format!(
+                "{} unread bytes inside payload",
+                payload_len - cur.pos()
+            ))
+            .into());
     }
+    Ok(header)
+}
 
-    Ok((tree, frame_len))
+/// Decodes one frame, returning the tree and the number of bytes consumed.
+/// The tree's arena holds the nodes in frame order.
+///
+/// # Errors
+///
+/// See [`BinaryTreeError`]; trailing bytes after the frame are left for
+/// the caller (use [`decode_tree`] to require an exact fit).
+pub fn decode_tree_prefix(bytes: &[u8]) -> Result<(ClockTree, usize), BinaryTreeError> {
+    let header = read_header(bytes)?;
+    let mut tree = ClockTree::with_capacity(header.source, header.nodes);
+    let root = tree.root();
+    visit_frame(bytes, root, |parent, n| {
+        let id = tree.attach(parent, n.pos, n.kind);
+        tree.set_edge_len_raw(id, n.edge_len);
+        id
+    })?;
+    Ok((tree, header.len))
 }
 
 /// Decodes a tree from exactly one binary frame.
@@ -611,6 +892,105 @@ mod tests {
             framed.append(&mut bytes);
             framed.extend_from_slice(&[0u8; 8]);
             let _ = decode_tree(&framed);
+        }
+    }
+
+    /// The children of every node, in insertion order, read through
+    /// the public API: the reference the encoder's order is checked
+    /// against.
+    fn dfs_preorder(t: &ClockTree, v: NodeId, out: &mut Vec<NodeId>) {
+        out.push(v);
+        for c in t.children(v) {
+            dfs_preorder(t, c, out);
+        }
+    }
+
+    #[test]
+    fn frames_list_nodes_in_depth_first_preorder() {
+        for seed in 0..10 {
+            let t = random_tree(seed);
+            let mut want = Vec::new();
+            dfs_preorder(&t, t.root(), &mut want);
+            let mut visited = Vec::new();
+            visit_frame(&encode_tree(&t), 0usize, |parent, n| {
+                visited.push((parent, n.pos, n.kind));
+                visited.len()
+            })
+            .unwrap();
+            // Handles are frame indices, so each parent handle names the
+            // frame index of the parent in the same preorder.
+            let frame_index: std::collections::HashMap<NodeId, usize> =
+                want.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+            assert_eq!(visited.len() + 1, want.len(), "seed {seed}");
+            for ((parent, pos, kind), id) in visited.iter().zip(&want[1..]) {
+                let n = t.node(*id);
+                assert_eq!(*parent, frame_index[&n.parent().unwrap()]);
+                assert_eq!(pos.x.to_bits(), n.pos.x.to_bits());
+                assert_eq!(pos.y.to_bits(), n.pos.y.to_bits());
+                assert_eq!(*kind, n.kind);
+            }
+            // The decoded arena holds the nodes in that order too.
+            let back = decode_tree(&encode_tree(&t)).unwrap();
+            let mut back_order = Vec::new();
+            dfs_preorder(&back, back.root(), &mut back_order);
+            assert_eq!(back_order, back.node_ids().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn breadth_first_frames_still_decode_to_an_equal_tree() {
+        for seed in 0..10 {
+            let t = random_tree(seed);
+            let bfs = encode_in_order(&t, &t.topo_order());
+            let dfs = encode_tree(&t);
+            assert_ne!(bfs, dfs, "seed {seed}: the two orders must differ");
+            let back = decode_tree(&bfs).unwrap();
+            back.validate().unwrap();
+            assert_eq!(text_of(&back), text_of(&t), "seed {seed}");
+            assert_eq!(text_of(&back), text_of(&decode_tree(&dfs).unwrap()));
+            // Reading the header alone agrees with the full walk.
+            let header = read_header(&bfs).unwrap();
+            assert_eq!(header.len, bfs.len());
+            assert_eq!(header.nodes, t.len());
+            assert_eq!(header.source.x.to_bits(), t.source_pos().x.to_bits());
+        }
+    }
+
+    #[test]
+    fn reader_rejects_overlong_varints_and_oversized_counts() {
+        let mut buf = Vec::new();
+        for v in [0, 1, 127, 128, 300, u64::MAX] {
+            put_varint(&mut buf, v);
+        }
+        put_zigzag(&mut buf, -3);
+        put_f64(&mut buf, -0.5);
+        let mut r = Reader::new(&buf);
+        for v in [0, 1, 127, 128, 300, u64::MAX] {
+            assert_eq!(r.varint("value").unwrap(), v);
+        }
+        assert_eq!(r.zigzag("value").unwrap(), -3);
+        assert_eq!(r.f64("value").unwrap(), -0.5);
+        assert!(r.rest().is_empty());
+        let e = r.u8("tail").unwrap_err();
+        assert_eq!(e.offset, buf.len());
+        assert!(e.message.contains("truncated tail"), "{e}");
+
+        // A tenth byte carrying more than the 64th bit is overlong.
+        let mut overlong = vec![0xFF; 9];
+        overlong.push(0x02);
+        let e = Reader::new(&overlong).varint("value").unwrap_err();
+        assert!(e.message.contains("overlong"), "{e}");
+
+        // A count needs room for its elements.
+        let mut counted = Vec::new();
+        put_varint(&mut counted, 3);
+        counted.extend_from_slice(&[0; 5]);
+        assert!(Reader::new(&counted).count("things", 2).is_err());
+        assert_eq!(Reader::new(&counted).count("things", 1).unwrap(), 3);
+
+        assert_eq!(as_exact_int(-7.0), Some(-7));
+        for v in [0.5, -0.0, f64::NAN, f64::INFINITY, 1e300] {
+            assert_eq!(as_exact_int(v), None, "{v}");
         }
     }
 

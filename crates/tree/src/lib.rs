@@ -13,6 +13,8 @@
 //!   generators build and CBS extracts from a tree, handed to DME for
 //!   embedding,
 //! * [`io`] — a diff-friendly text serialization of routed trees,
+//! * [`codec`] — the compact binary frame of one tree, its node visitor,
+//!   and the byte helpers the level checkpoints share,
 //! * [`svg`] — plotting for the Fig. 1 topology gallery.
 //!
 //! # Example

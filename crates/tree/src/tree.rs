@@ -250,23 +250,6 @@ impl ClockTree {
         self.alive.len()
     }
 
-    /// Bytes the arena's per-node columns occupy (capacity, not just
-    /// live slots) — the memory-footprint gauge the flow engine samples
-    /// per level. Excludes the struct header.
-    pub fn arena_bytes(&self) -> usize {
-        self.pos.capacity() * std::mem::size_of::<Point>()
-            + self.kind.capacity() * std::mem::size_of::<NodeKind>()
-            + self.parent.capacity() * 4
-            + self.edge_len.capacity() * 8
-            + (self.first_child.capacity()
-                + self.last_child.capacity()
-                + self.prev_sib.capacity()
-                + self.next_sib.capacity()
-                + self.degree.capacity())
-                * 4
-            + self.alive.capacity()
-    }
-
     /// Number of dead arena slots awaiting [`ClockTree::compact`], O(1).
     #[inline]
     pub fn dead_len(&self) -> usize {

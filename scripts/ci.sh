@@ -71,8 +71,10 @@ echo "== golden trees: square 10^4 and 10^5 grids byte-identical at 1, 2 and 4 w
 # The level-0 kernels must reproduce every float of the tree, at any
 # worker count; the 10^5 and 10^6 cases and the 1/4-worker runs are
 # ignored in debug builds and run here. The 10^6 tree is the benchmark's
-# grid_1m workload (about 7 s and 600 MB).
-cargo test -q --release -p sllt-cts --test golden
+# grid_1m workload (about 5 s and 330 MB). The heap budget pins the live
+# heap bytes of a one-worker square-10^5 run at level 0's LevelDone and
+# at Assembled, so routed clusters stay held in their compact form.
+cargo test -q --release -p sllt-cts --test golden --test memory_budget
 
 echo "== results record: deterministic bins print the committed results/<bin>.txt byte for byte"
 # table6 and table7 print wall times, so they stay out of this step.
