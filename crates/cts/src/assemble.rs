@@ -7,15 +7,19 @@ use crate::route::NodeSource;
 use sllt_buffer::{insert_repeaters, RepeaterPolicy};
 use sllt_design::Design;
 use sllt_geom::Point;
-use sllt_tree::codec::{read_header, visit_frame};
+use sllt_timing::BufferLibrary;
+use sllt_tree::codec::{read_header, visit_frame, FrameHeader};
 use sllt_tree::{ClockTree, NodeId, NodeKind};
 use std::time::Instant;
 
-/// A routed, buffered cluster awaiting assembly.
+/// A routed, buffered cluster: the one record of it the flow keeps, from
+/// the level that built it (where it is the node the level above sees)
+/// to assembly.
 #[derive(Debug)]
 pub(crate) struct BuiltCluster {
     /// Tree rooted at the cluster tap, as one `sllt_tree::codec` frame in
-    /// depth-first preorder; its sink indices refer to `members`.
+    /// depth-first preorder; its sink indices refer to `members`. The
+    /// frame's source is the cluster's position ([`Self::pos`]).
     pub frame: Vec<u8>,
     /// Where each member came from, in the order the cluster net's sinks
     /// were listed.
@@ -28,16 +32,37 @@ pub(crate) struct BuiltCluster {
     /// a few µm² of area; closing it with detour wire at the next level
     /// costs hundreds of µm of snaking per cluster.
     pub pads: usize,
-    /// Driver location (the net tap).
-    pub driver_pos: Point,
+    /// Delay interval (fastest, slowest) from the cluster's input down to
+    /// its design sinks, ps: the tree's, its members', the driver's
+    /// provisional delay and the pads'.
+    pub interval_ps: (f64, f64),
 }
 
+// The arena holds one per cluster from its level to assembly, where a
+// square-10⁶ run peaks.
+const _: () = assert!(std::mem::size_of::<BuiltCluster>() <= 80);
+
 impl BuiltCluster {
+    fn header(&self) -> FrameHeader {
+        read_header(&self.frame).expect("cluster frames are well-formed")
+    }
+
     /// Nodes in the cluster's routed tree, its root included.
     pub(crate) fn tree_nodes(&self) -> usize {
-        read_header(&self.frame)
-            .expect("cluster frames are well-formed")
-            .nodes
+        self.header().nodes
+    }
+
+    /// Where the driver and its pads sit: the source of the routed tree
+    /// (the net tap).
+    pub(crate) fn pos(&self) -> Point {
+        self.header().source
+    }
+
+    /// The input cap the cluster presents to the net above it: its first
+    /// pad's (the library's smallest cell), or its driver's when it has
+    /// none.
+    pub(crate) fn input_cap_ff(&self, lib: &BufferLibrary) -> f64 {
+        lib.cells()[if self.pads > 0 { 0 } else { self.cell }].input_cap_ff
     }
 }
 
@@ -116,18 +141,19 @@ fn attach(
         }
         NodeSource::Cluster(ci) => {
             let bc = &clusters[ci];
+            let pos = bc.pos();
             // Pad chain (if any) sits above the driver, co-located.
             let mut upper = parent;
             let mut first = None;
             for _ in 0..bc.pads {
-                let pad = tree.add_buffer(upper, bc.driver_pos, 0);
+                let pad = tree.add_buffer(upper, pos, 0);
                 if first.is_none() {
                     first = Some(pad);
                     set_edge(tree, pad);
                 }
                 upper = pad;
             }
-            let buf = tree.add_buffer(upper, bc.driver_pos, bc.cell);
+            let buf = tree.add_buffer(upper, pos, bc.cell);
             if first.is_none() {
                 set_edge(tree, buf);
             }

@@ -2,20 +2,21 @@
 //!
 //! After each hierarchical level commits, the flow appends one sealed
 //! record to an append-only journal (`sllt-obs`): the level's
-//! [`LevelReport`], the next level's nodes, and the clusters built at
-//! that level. Because the per-level RNG streams are derived statelessly
-//! from the flow seed and the level index, this is the *complete*
-//! inter-level state: a resumed run re-derives everything else and
-//! continues bit-identically.
+//! [`LevelReport`] and the clusters built at that level, which are also
+//! the nodes the next level partitions. Because the per-level RNG
+//! streams are derived statelessly from the flow seed and the level
+//! index, this is the *complete* inter-level state: a resumed run
+//! re-derives everything else and continues bit-identically.
 //!
-//! On disk (schema 3, the only format), each level is one binary
-//! journal frame: a `CKL2` payload holding the report (JSON bytes), the
-//! level nodes as tagged varint/`f64` records, and every cluster as its
-//! member references plus its routed tree's `sllt_tree::codec` frame —
-//! the form the flow already holds it in, copied verbatim. A journal
-//! whose meta record names any other schema is refused: schema-2
-//! journals hold the same records with breadth-first tree frames, which
-//! would lay the assembled tree's arena out in another order.
+//! On disk (schema 4, the only format), each level is one binary
+//! journal frame: a `CKL4` payload holding the report (JSON bytes) and
+//! every cluster as its driver cell, pad count, delay interval, member
+//! references and routed tree's `sllt_tree::codec` frame — the form the
+//! flow already holds it in, copied verbatim. A journal whose meta
+//! record names any other schema is refused: schema-3 journals store a
+//! node list beside each level's clusters, and schema-2 journals also
+//! hold breadth-first tree frames, which would lay the assembled tree's
+//! arena out in another order.
 //!
 //! Durability contract:
 //!
@@ -32,23 +33,20 @@ use crate::assemble::BuiltCluster;
 use crate::error::CtsError;
 use crate::flow::HierarchicalCts;
 use crate::report::LevelReport;
-use crate::route::{LevelNode, NodeSource};
+use crate::route::{Entering, NodeSource};
 use crate::telemetry::{level_report_from_value, level_value};
 use sllt_design::Design;
-use sllt_geom::Point;
 use sllt_obs::journal::read_journal_bytes;
 use sllt_obs::vfs::Vfs;
 use sllt_obs::{DurableAppender, Value};
-use sllt_tree::codec::{
-    as_exact_int, put_f64, put_varint, put_zigzag, read_header, visit_frame, ReadError, Reader,
-};
+use sllt_tree::codec::{put_f64, put_varint, visit_frame, ReadError, Reader};
 use sllt_tree::NodeKind;
-use std::ops::Range;
 use std::path::Path;
 
 /// Journal schema version; bump on any incompatible record change.
-/// Schema 3 lists each cluster tree's nodes in depth-first preorder.
-pub const CHECKPOINT_SCHEMA: u64 = 3;
+/// Schema 4 stores a level as its clusters alone: the nodes the next
+/// level sees are read from them.
+pub const CHECKPOINT_SCHEMA: u64 = 4;
 
 fn ckpt_err(detail: impl Into<String>) -> CtsError {
     CtsError::Checkpoint {
@@ -88,136 +86,40 @@ fn fingerprint(cts: &HierarchicalCts, design: &Design) -> u64 {
 // Level record encoding
 // ---------------------------------------------------------------------
 
-/// Magic prefix of a level payload inside its journal frame. The record
-/// layout has not changed since schema 2; schema 3 changed only the node
-/// order inside each cluster's tree frame.
-const LEVEL_MAGIC: &[u8; 4] = b"CKL2";
+/// Magic prefix of a level payload inside its journal frame.
+const LEVEL_MAGIC: &[u8; 4] = b"CKL4";
 
-/// Node head byte: bits 0–4 flag which of the five floats (x, y, cap,
-/// lo, hi) is an exact integer stored as a zigzag varint instead of raw
-/// bits; bit 5 is the source kind (set = cluster); bit 6 flags that the
-/// position is elided because it bit-equals the driver position of the
-/// same-record cluster the node came from (verified at encode time).
-const NODE_KIND_CLUSTER: u8 = 1 << 5;
-const NODE_POS_FROM_CLUSTER: u8 = 1 << 6;
-const NODE_HEAD_RESERVED: u8 = 0b1000_0000;
-
-/// Member tag bytes: a member is a reference to a node of the level's
-/// entering node list — a design sink at level 0, a cluster the level
-/// below built after that. Any other tag is refused.
+/// Member tag bytes: a member is a reference to a node that entered the
+/// level — a design sink at level 0, a cluster the level below built
+/// after that. Any other tag is refused.
 const MEMBER_REF_SINK: u8 = 0;
 const MEMBER_REF_CLUSTER: u8 = 1;
 
-/// Cluster flags byte: bit 0 flags that the driver position is elided
-/// because it bit-equals the tree's source position (verified at
-/// encode time — it always does for trees routed by this flow).
-const CLUSTER_POS_FROM_TREE: u8 = 1;
-
-/// Minimum encoded size of one node: head byte, up to five 1-byte
-/// zigzag varints (two elidable), 1-byte index.
-const NODE_MIN_BYTES: usize = 5;
+/// Minimum encoded size of one cluster: 1-byte cell, pad count and
+/// member count, and the two raw interval floats.
+const CLUSTER_MIN_BYTES: usize = 19;
 
 /// Minimum encoded size of one member: tag byte + 1-byte index.
 const MEMBER_MIN_BYTES: usize = 2;
 
-/// The node list that entered a level, as what its members may
-/// reference: a member tag and the index range under it.
-type Entering = (u8, Range<usize>);
-
-/// The level-0 node list is derived, not stored: one node per design
-/// sink with zero accumulated delay (mirrors the flow's seeding).
-pub(crate) fn seed_nodes(design: &Design) -> Vec<LevelNode> {
-    design
-        .sinks
-        .iter()
-        .enumerate()
-        .map(|(i, s)| LevelNode {
-            pos: s.pos,
-            cap_ff: s.cap_ff,
-            interval_ps: (0.0, 0.0),
-            source: NodeSource::DesignSink(i),
-        })
-        .collect()
-}
-
-/// The source position a cluster frame records.
-fn frame_source(frame: &[u8]) -> Point {
-    read_header(frame)
-        .expect("cluster frames are well-formed")
-        .source
-}
-
-/// Encodes one node. `clusters` are the clusters built in the *same*
-/// record: a cluster-sourced node whose position bit-equals its
-/// cluster's driver position elides the 16 position bytes (flagged via
-/// [`NODE_POS_FROM_CLUSTER`]).
-fn put_node(buf: &mut Vec<u8>, n: &LevelNode, clusters: &[BuiltCluster]) {
-    let floats = [n.pos.x, n.pos.y, n.cap_ff, n.interval_ps.0, n.interval_ps.1];
-    let (kind, idx) = match n.source {
-        NodeSource::DesignSink(i) => (0u8, i as u64),
-        NodeSource::Cluster(i) => (NODE_KIND_CLUSTER, i as u64),
-    };
-    let pos_from_cluster = kind == NODE_KIND_CLUSTER
-        && clusters.get(idx as usize).is_some_and(|c| {
-            c.driver_pos.x.to_bits() == n.pos.x.to_bits()
-                && c.driver_pos.y.to_bits() == n.pos.y.to_bits()
-        });
-    let skip = if pos_from_cluster { 2 } else { 0 };
-    let mut head = if pos_from_cluster {
-        NODE_POS_FROM_CLUSTER
-    } else {
-        0
-    };
-    for (i, f) in floats.iter().enumerate().skip(skip) {
-        if as_exact_int(*f).is_some() {
-            head |= 1 << i;
-        }
-    }
-    buf.push(head | kind);
-    for (i, f) in floats.iter().enumerate().skip(skip) {
-        match (head >> i) & 1 {
-            1 => put_zigzag(buf, as_exact_int(*f).unwrap()),
-            _ => put_f64(buf, *f),
-        }
-    }
-    put_varint(buf, idx);
-}
-
 /// Encodes one committed level as a frame payload: report JSON bytes
-/// (small, once per level), the output nodes as tagged varint/f64
-/// records, and every cluster with its member references and its routed
-/// tree's codec frame, copied verbatim.
-fn encode_level(
-    report: &LevelReport,
-    nodes: &[LevelNode],
-    new_clusters: &[BuiltCluster],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + nodes.len() * 48 + new_clusters.len() * 160);
+/// (small, once per level) and every cluster with its cell, pads, delay
+/// interval, member references and routed tree's codec frame, copied
+/// verbatim.
+fn encode_level(report: &LevelReport, clusters: &[BuiltCluster]) -> Vec<u8> {
+    let frames: usize = clusters.iter().map(|c| c.frame.len()).sum();
+    let mut out = Vec::with_capacity(64 + frames + clusters.len() * 64);
     out.extend_from_slice(LEVEL_MAGIC);
     put_varint(&mut out, report.level as u64);
     let rep = level_value(report).encode();
     put_varint(&mut out, rep.len() as u64);
     out.extend_from_slice(rep.as_bytes());
-    put_varint(&mut out, nodes.len() as u64);
-    for n in nodes {
-        put_node(&mut out, n, new_clusters);
-    }
-    put_varint(&mut out, new_clusters.len() as u64);
-    for c in new_clusters {
-        let src = frame_source(&c.frame);
-        let pos_from_tree = src.x.to_bits() == c.driver_pos.x.to_bits()
-            && src.y.to_bits() == c.driver_pos.y.to_bits();
-        out.push(if pos_from_tree {
-            CLUSTER_POS_FROM_TREE
-        } else {
-            0
-        });
+    put_varint(&mut out, clusters.len() as u64);
+    for c in clusters {
         put_varint(&mut out, c.cell as u64);
         put_varint(&mut out, c.pads as u64);
-        if !pos_from_tree {
-            put_f64(&mut out, c.driver_pos.x);
-            put_f64(&mut out, c.driver_pos.y);
-        }
+        put_f64(&mut out, c.interval_ps.0);
+        put_f64(&mut out, c.interval_ps.1);
         put_varint(&mut out, c.members.len() as u64);
         for m in &c.members {
             let (tag, idx) = match *m {
@@ -232,47 +134,8 @@ fn encode_level(
     out
 }
 
-/// Decodes one node. When [`NODE_POS_FROM_CLUSTER`] is flagged the
-/// position bytes are absent — the returned `bool` asks the caller to
-/// copy the position from the node's same-record cluster once clusters
-/// are decoded.
-fn read_node(cur: &mut Reader<'_>) -> Result<(LevelNode, bool), ReadError> {
-    let head = cur.u8("node head")?;
-    if head & NODE_HEAD_RESERVED != 0 {
-        return Err(cur.error(format!("reserved node head bits set ({head:#04x})")));
-    }
-    let pos_pending = head & NODE_POS_FROM_CLUSTER != 0;
-    if pos_pending && (head & NODE_KIND_CLUSTER == 0 || head & 0b11 != 0) {
-        return Err(cur.error(format!(
-            "node head {head:#04x} elides the position but is not a plain cluster node"
-        )));
-    }
-    let skip = if pos_pending { 2 } else { 0 };
-    let mut floats = [0.0f64; 5];
-    for (i, f) in floats.iter_mut().enumerate().skip(skip) {
-        *f = if (head >> i) & 1 == 1 {
-            cur.zigzag("node int value")? as f64
-        } else {
-            cur.f64("node value")?
-        };
-    }
-    let idx = cur.varint("node index")? as usize;
-    let source = if head & NODE_KIND_CLUSTER != 0 {
-        NodeSource::Cluster(idx)
-    } else {
-        NodeSource::DesignSink(idx)
-    };
-    let node = LevelNode {
-        pos: Point::new(floats[0], floats[1]),
-        cap_ff: floats[2],
-        interval_ps: (floats[3], floats[4]),
-        source,
-    };
-    Ok((node, pos_pending))
-}
-
-/// Decodes one member reference, which must name a node of the level's
-/// entering node list.
+/// Decodes one member reference, which must name a node that entered
+/// the level.
 fn read_member(cur: &mut Reader<'_>, entering: &Entering) -> Result<NodeSource, ReadError> {
     let tag = cur.u8("member tag")?;
     let idx = cur.varint("member index")? as usize;
@@ -281,15 +144,9 @@ fn read_member(cur: &mut Reader<'_>, entering: &Entering) -> Result<NodeSource, 
         MEMBER_REF_CLUSTER => NodeSource::Cluster(idx),
         other => return Err(cur.error(format!("unknown member tag {other}"))),
     };
-    if tag != entering.0 || !entering.1.contains(&idx) {
-        let entered = if entering.0 == MEMBER_REF_SINK {
-            "design sinks"
-        } else {
-            "clusters"
-        };
+    if !entering.contains(source) {
         return Err(cur.error(format!(
-            "member {source:?} is not among the {entered} {:?} that entered the level",
-            entering.1
+            "member {source:?} is not among the {entering} that entered the level"
         )));
     }
     Ok(source)
@@ -316,15 +173,17 @@ fn read_frame<'a>(cur: &mut Reader<'a>, members: usize) -> Result<&'a [u8], Read
     cur.take(header.len, "cluster tree")
 }
 
-type DecodedLevel = (usize, LevelReport, Vec<LevelNode>, Vec<BuiltCluster>);
-
-/// Decodes one level payload back to the flow state it sealed. Member
-/// references must name a node of `entering`, the node list that
-/// entered this level.
-fn decode_level(payload: &[u8], entering: &Entering) -> Result<DecodedLevel, ReadError> {
+/// Decodes one level payload back to the level index, report and
+/// clusters it sealed. Member references must name a node of
+/// `entering`, the nodes that entered this level; the record must hold
+/// the (non-zero) number of clusters its report names.
+fn decode_level(
+    payload: &[u8],
+    entering: &Entering,
+) -> Result<(usize, LevelReport, Vec<BuiltCluster>), ReadError> {
     let mut cur = Reader::new(payload);
     if cur.take(4, "level magic")? != LEVEL_MAGIC {
-        return Err(cur.error("frame payload is not a CKL2 level record"));
+        return Err(cur.error("frame payload is not a CKL4 level record"));
     }
     let level = cur.varint("level index")? as usize;
     let rep_len = cur.count("report", 1)?;
@@ -334,44 +193,32 @@ fn decode_level(payload: &[u8], entering: &Entering) -> Result<DecodedLevel, Rea
     let rep_value =
         sllt_obs::json::parse(rep_str).map_err(|e| cur.error(format!("report JSON: {e}")))?;
     let report = level_report_from_value(&rep_value).map_err(|e| cur.error(e))?;
-    let n_nodes = cur.count("nodes", NODE_MIN_BYTES)?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    let mut pos_pending = Vec::new();
-    for i in 0..n_nodes {
-        let (node, pending) = read_node(&mut cur)?;
-        if pending {
-            pos_pending.push(i);
-        }
-        nodes.push(node);
+    let n_clusters = cur.count("clusters", CLUSTER_MIN_BYTES)?;
+    if n_clusters == 0 {
+        return Err(cur.error("level record holds no clusters"));
     }
-    let n_clusters = cur.count("clusters", NODE_MIN_BYTES)?;
+    if n_clusters != report.num_clusters {
+        return Err(cur.error(format!(
+            "level record holds {n_clusters} clusters but its report names {}",
+            report.num_clusters
+        )));
+    }
     let mut clusters = Vec::with_capacity(n_clusters);
     for _ in 0..n_clusters {
-        let flags = cur.u8("cluster flags")?;
-        if flags & !CLUSTER_POS_FROM_TREE != 0 {
-            return Err(cur.error(format!("reserved cluster flag bits set ({flags:#04x})")));
-        }
         let cell = cur.varint("cluster cell")? as usize;
         let pads = cur.varint("cluster pads")? as usize;
-        let explicit_pos = if flags & CLUSTER_POS_FROM_TREE == 0 {
-            let x = cur.f64("cluster driver x")?;
-            let y = cur.f64("cluster driver y")?;
-            Some(Point::new(x, y))
-        } else {
-            None
-        };
+        let interval_ps = (cur.f64("cluster fastest")?, cur.f64("cluster slowest")?);
         let n_members = cur.count("members", MEMBER_MIN_BYTES)?;
         let members = (0..n_members)
             .map(|_| read_member(&mut cur, entering))
             .collect::<Result<Vec<_>, _>>()?;
         let frame = read_frame(&mut cur, members.len())?.to_vec();
-        let driver_pos = explicit_pos.unwrap_or_else(|| frame_source(&frame));
         clusters.push(BuiltCluster {
             frame,
             members,
             cell,
             pads,
-            driver_pos,
+            interval_ps,
         });
     }
     if cur.pos() != payload.len() {
@@ -380,19 +227,7 @@ fn decode_level(payload: &[u8], entering: &Entering) -> Result<DecodedLevel, Rea
             payload.len() - cur.pos()
         )));
     }
-    for i in pos_pending {
-        let idx = match nodes[i].source {
-            NodeSource::Cluster(idx) => idx,
-            NodeSource::DesignSink(_) => unreachable!("validated during node decode"),
-        };
-        let cluster = clusters.get(idx).ok_or_else(|| {
-            cur.error(format!(
-                "node {i} elides its position via absent cluster {idx}"
-            ))
-        })?;
-        nodes[i].pos = cluster.driver_pos;
-    }
-    Ok((level, report, nodes, clusters))
+    Ok((level, report, clusters))
 }
 
 // ---------------------------------------------------------------------
@@ -440,16 +275,15 @@ impl CheckpointWriter {
         Ok(CheckpointWriter { app })
     }
 
-    /// Seals one committed level: its report, the next level's nodes,
-    /// and the clusters built at this level (appended to the arena by
-    /// the caller just before this call).
+    /// Seals one committed level: its report and the clusters built at
+    /// this level (appended to the arena by the caller just before this
+    /// call).
     pub(crate) fn append_level(
         &mut self,
         report: &LevelReport,
-        nodes: &[LevelNode],
         new_clusters: &[BuiltCluster],
     ) -> Result<(), CtsError> {
-        let payload = encode_level(report, nodes, new_clusters);
+        let payload = encode_level(report, new_clusters);
         self.app
             .append_binary(&payload)
             .map_err(|e| io_err("appending level checkpoint frame", e))
@@ -465,7 +299,8 @@ impl CheckpointWriter {
 pub struct Checkpoint {
     pub(crate) reports: Vec<LevelReport>,
     pub(crate) clusters: Vec<BuiltCluster>,
-    pub(crate) nodes: Vec<LevelNode>,
+    /// The nodes entering the next level to build.
+    pub(crate) entering: Entering,
     pub(crate) valid_len: u64,
     torn: Option<String>,
 }
@@ -478,8 +313,10 @@ impl Checkpoint {
     /// Tolerates (and reports through [`torn`](Self::torn)) a torn
     /// final record — the shape a kill mid-append leaves. Everything
     /// else is strict: a checksum failure on an interior record, a
-    /// schema or fingerprint mismatch, or a gap in the level sequence
-    /// is [`CtsError::Checkpoint`].
+    /// schema or fingerprint mismatch, a gap in the level sequence, a
+    /// level record without exactly its report's (non-zero) cluster
+    /// count, or a member naming a node that did not enter its level is
+    /// [`CtsError::Checkpoint`].
     pub fn load(
         vfs: &dyn Vfs,
         path: &Path,
@@ -520,77 +357,34 @@ impl Checkpoint {
             )));
         }
 
-        let mut out = Checkpoint {
-            reports: Vec::new(),
-            clusters: Vec::new(),
-            nodes: Vec::new(),
-            valid_len: journal.valid_len,
-            torn: journal.torn_tail.map(|t| t.reason),
-        };
-
         if records.next().is_some() {
             return Err(ckpt_err(
                 "binary checkpoint contains extra JSON records after the meta",
             ));
         }
-        // Level 0's members are the design's sinks; every later level's
-        // are the clusters the level below it built.
-        let mut entering: Entering = (MEMBER_REF_SINK, 0..design.sinks.len());
-        for (i, frame) in journal.frames.iter().enumerate() {
-            let (level, report, nodes, new_clusters) = decode_level(&frame.payload, &entering)
-                .map_err(|e| ckpt_err(format!("level frame {i}: {e}")))?;
-            let base = out.clusters.len();
-            entering = (MEMBER_REF_CLUSTER, base..base + new_clusters.len());
-            out.push_level(i, level, report, nodes, new_clusters)?;
-        }
-
-        // Arena integrity: every node the next level would consume must
-        // resolve (members were checked against their level above).
-        let arena = out.clusters.len();
-        let check = |n: &LevelNode| match n.source {
-            NodeSource::Cluster(i) if i >= arena => Err(ckpt_err(format!(
-                "node references cluster {i} outside the arena of {arena}"
-            ))),
-            NodeSource::DesignSink(i) if i >= design.sinks.len() => Err(ckpt_err(format!(
-                "node references design sink {i} outside the design's {}",
-                design.sinks.len()
-            ))),
-            _ => Ok(()),
+        let mut out = Checkpoint {
+            reports: Vec::new(),
+            clusters: Vec::new(),
+            // Level 0's members are the design's sinks; every later
+            // level's are the clusters the level below it built.
+            entering: Entering::Sinks(design.sinks.len()),
+            valid_len: journal.valid_len,
+            torn: journal.torn_tail.map(|t| t.reason),
         };
-        for n in &out.nodes {
-            check(n)?;
+        for (i, frame) in journal.frames.iter().enumerate() {
+            let (level, report, new_clusters) = decode_level(&frame.payload, &out.entering)
+                .map_err(|e| ckpt_err(format!("level frame {i}: {e}")))?;
+            if level != i {
+                return Err(ckpt_err(format!(
+                    "level record {i}: level {level} out of sequence (expected {i})"
+                )));
+            }
+            let base = out.clusters.len();
+            out.entering = Entering::Clusters(base..base + new_clusters.len());
+            out.reports.push(report);
+            out.clusters.extend(new_clusters);
         }
         Ok(out)
-    }
-
-    /// Appends one decoded level, enforcing the dense level sequence and
-    /// non-empty shape.
-    fn push_level(
-        &mut self,
-        i: usize,
-        level: usize,
-        report: LevelReport,
-        nodes: Vec<LevelNode>,
-        new_clusters: Vec<BuiltCluster>,
-    ) -> Result<(), CtsError> {
-        let at = |msg: String| ckpt_err(format!("level record {i}: {msg}"));
-        if level != i {
-            return Err(at(format!("level {level} out of sequence (expected {i})")));
-        }
-        if nodes.is_empty() {
-            return Err(at("level has no output nodes".into()));
-        }
-        if new_clusters.len() != nodes.len() {
-            return Err(at(format!(
-                "{} clusters but {} output nodes",
-                new_clusters.len(),
-                nodes.len()
-            )));
-        }
-        self.reports.push(report);
-        self.clusters.extend(new_clusters);
-        self.nodes = nodes;
-        Ok(())
     }
 
     /// Number of committed levels in the journal (0 = only the meta
@@ -614,50 +408,15 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sllt_geom::Point;
     use sllt_tree::ClockTree;
-
-    fn node(x: f64, kind_cluster: bool, idx: usize) -> LevelNode {
-        LevelNode {
-            pos: Point::new(x, 0.1 + x / 3.0),
-            cap_ff: 1.5 + x,
-            interval_ps: (x * 0.25, x * 0.5 + 1e-7),
-            source: if kind_cluster {
-                NodeSource::Cluster(idx)
-            } else {
-                NodeSource::DesignSink(idx)
-            },
-        }
-    }
-
-    #[test]
-    fn binary_node_encoding_round_trips_bit_exactly() {
-        for n in [
-            node(0.0, false, 0),
-            node(17.3, true, 5),
-            node(1e-9, false, usize::MAX >> 1),
-            node(-3.25, true, 127),
-        ] {
-            let mut buf = Vec::new();
-            put_node(&mut buf, &n, &[]);
-            let mut cur = Reader::new(&buf);
-            let (back, pos_pending) = read_node(&mut cur).unwrap();
-            assert!(!pos_pending);
-            assert_eq!(cur.pos(), buf.len());
-            assert_eq!(back.pos.x.to_bits(), n.pos.x.to_bits());
-            assert_eq!(back.pos.y.to_bits(), n.pos.y.to_bits());
-            assert_eq!(back.cap_ff.to_bits(), n.cap_ff.to_bits());
-            assert_eq!(back.interval_ps.0.to_bits(), n.interval_ps.0.to_bits());
-            assert_eq!(back.interval_ps.1.to_bits(), n.interval_ps.1.to_bits());
-        }
-    }
 
     /// One level-0 record: `n_clusters` clusters of two design sinks
     /// each, so its members reference design sinks `0..2 * n_clusters`.
-    fn sample_level(n_clusters: usize) -> (LevelReport, Vec<LevelNode>, Vec<BuiltCluster>) {
-        let mut nodes = Vec::new();
+    fn sample_level(n_clusters: usize) -> (LevelReport, Vec<BuiltCluster>) {
         let mut clusters = Vec::new();
         for i in 0..n_clusters {
-            nodes.push(node(i as f64 * 1.7, true, i));
+            let x = i as f64 * 1.7;
             let mut tree = ClockTree::new(Point::new(i as f64, 5.0));
             let root = tree.root();
             let s = tree.add_steiner(root, Point::new(i as f64 + 1.0, 5.5));
@@ -671,7 +430,7 @@ mod tests {
                 ],
                 cell: i % 4,
                 pads: i % 3,
-                driver_pos: Point::new(i as f64, 5.0),
+                interval_ps: (x * 0.25, x * 0.5 + 1e-7),
             });
         }
         let report = LevelReport {
@@ -689,29 +448,22 @@ mod tests {
             attempts: 1,
             downgrades: Vec::new(),
         };
-        (report, nodes, clusters)
-    }
-
-    fn sinks(n: usize) -> Entering {
-        (MEMBER_REF_SINK, 0..n)
+        (report, clusters)
     }
 
     #[test]
     fn binary_level_record_round_trips_bit_exactly() {
-        let (report, nodes, clusters) = sample_level(5);
-        let payload = encode_level(&report, &nodes, &clusters);
-        let (level, rep, back_nodes, back_clusters) = decode_level(&payload, &sinks(10)).unwrap();
+        let (report, clusters) = sample_level(5);
+        let payload = encode_level(&report, &clusters);
+        let (level, rep, back) = decode_level(&payload, &Entering::Sinks(10)).unwrap();
         assert_eq!(level, 0);
         assert_eq!(rep.level, report.level);
-        assert_eq!(back_nodes.len(), nodes.len());
-        for (a, b) in back_nodes.iter().zip(&nodes) {
-            assert_eq!(a.pos.x.to_bits(), b.pos.x.to_bits());
-            assert_eq!(a.interval_ps.1.to_bits(), b.interval_ps.1.to_bits());
-        }
-        for (a, b) in back_clusters.iter().zip(&clusters) {
+        assert_eq!(back.len(), clusters.len());
+        for (a, b) in back.iter().zip(&clusters) {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.pads, b.pads);
-            assert_eq!(a.driver_pos.x.to_bits(), b.driver_pos.x.to_bits());
+            assert_eq!(a.interval_ps.0.to_bits(), b.interval_ps.0.to_bits());
+            assert_eq!(a.interval_ps.1.to_bits(), b.interval_ps.1.to_bits());
             assert_eq!(a.members, b.members);
             // Frames travel verbatim.
             assert_eq!(a.frame, b.frame);
@@ -720,14 +472,14 @@ mod tests {
 
     #[test]
     fn member_references_outside_the_entering_level_are_refused() {
-        let (report, nodes, clusters) = sample_level(4);
-        let payload = encode_level(&report, &nodes, &clusters);
+        let (report, clusters) = sample_level(4);
+        let payload = encode_level(&report, &clusters);
         // Members are design sinks 0..8: a shorter sink range or a
         // cluster range cannot hold them.
-        assert!(decode_level(&payload, &sinks(8)).is_ok());
-        let short = decode_level(&payload, &sinks(7)).unwrap_err();
+        assert!(decode_level(&payload, &Entering::Sinks(8)).is_ok());
+        let short = decode_level(&payload, &Entering::Sinks(7)).unwrap_err();
         assert!(short.message.contains("DesignSink(7)"), "{short}");
-        let clusters_entered = decode_level(&payload, &(MEMBER_REF_CLUSTER, 0..8)).unwrap_err();
+        let clusters_entered = decode_level(&payload, &Entering::Clusters(0..8)).unwrap_err();
         assert!(
             clusters_entered
                 .message
@@ -738,49 +490,38 @@ mod tests {
 
     #[test]
     fn cluster_trees_naming_absent_members_are_refused() {
-        let (report, nodes, mut clusters) = sample_level(2);
+        let (report, mut clusters) = sample_level(2);
         clusters[1].members.pop();
-        let payload = encode_level(&report, &nodes, &clusters);
-        let e = decode_level(&payload, &sinks(4)).unwrap_err();
+        let payload = encode_level(&report, &clusters);
+        let e = decode_level(&payload, &Entering::Sinks(4)).unwrap_err();
         assert!(
             e.message.contains("names none of the cluster's 1 members"),
             "{e}"
         );
     }
 
-    /// Past the report JSON (whose timings go through fractional
-    /// milliseconds), the level records of the schema-2 fixture decode
-    /// and re-encode to the same bytes: the shared byte helpers write
-    /// what the checkpoint's own copies wrote, and frames travel
-    /// verbatim.
+    /// A record must hold exactly the clusters its report names, and at
+    /// least one.
     #[test]
-    fn fixture_level_records_re_encode_byte_for_byte() {
-        let past_report = |payload: &[u8]| {
-            let mut cur = Reader::new(payload);
-            cur.take(4, "magic").unwrap();
-            cur.varint("level").unwrap();
-            let len = cur.count("report", 1).unwrap();
-            cur.take(len, "report").unwrap();
-            cur.rest().to_vec()
-        };
-        let bytes = include_bytes!("../tests/fixtures/schema2_grid36.ckpt");
-        let journal = read_journal_bytes(bytes).unwrap();
-        assert!(journal.frames.len() >= 2);
-        let (mut entering, mut built) = (sinks(36), 0);
-        for frame in &journal.frames {
-            let (_, report, nodes, clusters) = decode_level(&frame.payload, &entering).unwrap();
-            let again = encode_level(&report, &nodes, &clusters);
-            assert_eq!(past_report(&again), past_report(&frame.payload));
-            entering = (MEMBER_REF_CLUSTER, built..built + clusters.len());
-            built += clusters.len();
-        }
+    fn cluster_counts_other_than_the_reports_are_refused() {
+        let (mut report, clusters) = sample_level(2);
+        report.num_clusters = 3;
+        let e = decode_level(&encode_level(&report, &clusters), &Entering::Sinks(4)).unwrap_err();
+        assert!(
+            e.message
+                .contains("holds 2 clusters but its report names 3"),
+            "{e}"
+        );
+        let (empty_report, none) = sample_level(0);
+        let e = decode_level(&encode_level(&empty_report, &none), &Entering::Sinks(4)).unwrap_err();
+        assert!(e.message.contains("holds no clusters"), "{e}");
     }
 
     #[test]
     fn corrupt_binary_level_records_error_not_panic() {
-        let (report, nodes, clusters) = sample_level(2);
-        let entering = sinks(4);
-        let payload = encode_level(&report, &nodes, &clusters);
+        let (report, clusters) = sample_level(2);
+        let entering = Entering::Sinks(4);
+        let payload = encode_level(&report, &clusters);
         assert!(decode_level(b"nope", &entering).is_err());
         assert!(decode_level(&payload[..payload.len() - 1], &entering).is_err());
         let mut trailing = payload.clone();
@@ -790,8 +531,8 @@ mod tests {
             let _ = decode_level(&payload[..cut], &entering);
         }
         // Flipped bytes must error or decode, never panic. (Most flips
-        // land in raw f64 coordinates and still decode — fine; the
-        // journal frame checksum guards integrity above this layer.)
+        // land in raw f64 values and still decode — fine; the journal
+        // frame checksum guards integrity above this layer.)
         for i in (0..payload.len()).step_by(3) {
             let mut bad = payload.clone();
             bad[i] ^= 0xA5;

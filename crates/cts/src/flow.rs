@@ -12,9 +12,10 @@
 //!    are independent, so this stage fans out across worker threads,
 //! 3. **size** (`crate::sizing`) each cluster's driver jointly: the
 //!    cheapest library cell that can drive the net load becomes the
-//!    cluster driver at the net source (tap), and the node reported to
-//!    the next level carries the driver's input capacitance and the
-//!    cluster's delay plus the insertion-delay estimate (paper Eq. (7)).
+//!    cluster driver at the net source (tap), and the built cluster is
+//!    itself the node the next level sees: at its tap, with its top
+//!    cell's input capacitance and the cluster's delay plus the
+//!    driver-delay estimate.
 //!
 //! When one node remains, the tree is assembled (`crate::assemble`)
 //! under the design's clock root and long wires get critical-wirelength
@@ -36,7 +37,7 @@ use crate::fault::FaultPlan;
 use crate::partition::partition_level;
 use crate::recovery::{ladder, Downgrade};
 use crate::report::{FlowEvent, FlowObserver, LevelReport, NullObserver, StageTimings};
-use crate::route::{route_clusters, LevelNode, NodeSource};
+use crate::route::{route_clusters, Entering, NodeSource, Nodes};
 use crate::sizing::size_drivers;
 use sllt_buffer::DelayEstimator;
 use sllt_design::Design;
@@ -123,8 +124,14 @@ pub struct HierarchicalCts {
 }
 
 impl Default for HierarchicalCts {
-    /// The paper's configuration: CBS topologies (Greedy-Dist, ε = 0.2),
-    /// SA refinement on, insertion-delay lower bound on.
+    /// The paper's configuration — CBS topologies (Greedy-Dist, ε = 0.2),
+    /// SA refinement on — with one departure: each cluster's driver
+    /// delay is priced by [`DelayEstimator::ChosenCell`], the cell driver
+    /// sizing already chose, not by the paper's Eq. (7) insertion-delay
+    /// lower bound ([`DelayEstimator::LowerBound`]). Inside this flow
+    /// Eq. (7) gives more skew than no estimate at all on six of the ten
+    /// suite designs and at square 10⁴ (`ROADMAP.md` item 13's measured
+    /// table).
     fn default() -> Self {
         HierarchicalCts {
             constraints: CtsConstraints::paper(),
@@ -217,10 +224,10 @@ impl Default for RunContext<'_> {
 }
 
 /// Per-run state threaded through the stages: the built-cluster arena,
-/// the current level's nodes, and the level counter.
+/// which nodes enter the current level, and the level counter.
 struct FlowState {
     clusters: Vec<BuiltCluster>,
-    nodes: Vec<LevelNode>,
+    entering: Entering,
     level: usize,
 }
 
@@ -318,7 +325,7 @@ impl HierarchicalCts {
 
         let mut cx = FlowState {
             clusters: Vec::new(),
-            nodes: crate::checkpoint::seed_nodes(design),
+            entering: Entering::Sinks(design.sinks.len()),
             level: 0,
         };
         let mut writer = match ctx.checkpoint {
@@ -334,13 +341,11 @@ impl HierarchicalCts {
                 // Continue from the restored state. An empty journal
                 // (meta only) resumes from the design sinks — identical
                 // to a fresh run.
-                if !ckpt.reports.is_empty() {
-                    cx = FlowState {
-                        level: ckpt.reports.len(),
-                        clusters: ckpt.clusters,
-                        nodes: ckpt.nodes,
-                    };
-                }
+                cx = FlowState {
+                    level: ckpt.reports.len(),
+                    clusters: ckpt.clusters,
+                    entering: ckpt.entering,
+                };
                 // Replay the committed history before any live level.
                 for report in ckpt.reports {
                     budget.start_level(report.num_nodes as u64);
@@ -359,30 +364,29 @@ impl HierarchicalCts {
                 )?)
             }
         };
-        while cx.nodes.len() > 1 {
+        while cx.entering.len() > 1 {
             if ctx.cancel.poll() {
                 return Err(CtsError::Cancelled);
             }
             if cx.level >= MAX_LEVELS {
                 return Err(CtsError::LevelRunaway {
                     level: cx.level,
-                    nodes: cx.nodes.len(),
+                    nodes: cx.entering.len(),
                 });
             }
-            budget.start_level(cx.nodes.len() as u64);
+            budget.start_level(cx.entering.len() as u64);
             ctx.observer.on_event(&FlowEvent::LevelStart {
                 level: cx.level,
-                nodes: cx.nodes.len(),
+                nodes: cx.entering.len(),
                 fraction: budget.fraction_at(0),
             });
-            let report = self.build_level(&mut cx, &mut ctx, &budget)?;
+            let report = self.build_level(design, &mut cx, &mut ctx, &budget)?;
             let write_err = match writer.as_mut() {
                 Some(w) => {
                     // The level just committed: the clusters it appended
-                    // are the arena's last `num_clusters` entries and
-                    // `cx.nodes` is the next level's node list.
+                    // are the arena's last `num_clusters` entries.
                     let new = &cx.clusters[cx.clusters.len() - report.num_clusters..];
-                    w.append_level(&report, &cx.nodes, new).err()
+                    w.append_level(&report, new).err()
                 }
                 None => None,
             };
@@ -434,14 +438,14 @@ impl HierarchicalCts {
         }
 
         let assemble_span = sllt_obs::span("cts.assemble");
-        let (tree, report) = assemble(self, design, &cx.clusters, cx.nodes[0].source);
+        let (tree, report) = assemble(self, design, &cx.clusters, cx.entering.source(0));
         drop(assemble_span);
         ctx.observer.on_event(&FlowEvent::Assembled { report });
         Ok(tree)
     }
 
-    /// Partitions, routes, and sizes one level, advancing `cx.nodes` to
-    /// the next level's nodes.
+    /// Partitions, routes, and sizes one level, appending its clusters to
+    /// the arena as the next level's entering nodes.
     ///
     /// This is where the degradation ladder lives: each rung of
     /// `recovery::ladder` is tried in order against an
@@ -452,6 +456,7 @@ impl HierarchicalCts {
     /// [`CtsError::LadderExhausted`] wrapping the final attempt's error.
     fn build_level(
         &self,
+        design: &Design,
         cx: &mut FlowState,
         ctx: &mut RunContext<'_>,
         budget: &WorkBudget,
@@ -475,16 +480,17 @@ impl HierarchicalCts {
                 owned = relaxed;
                 &owned
             };
-            match Self::try_level(eff, cx, ctx, attempt, budget) {
-                Ok((mut report, next, built)) => {
+            match Self::try_level(eff, design, cx, ctx, attempt, budget) {
+                Ok((mut report, built)) => {
                     report.attempts = attempt + 1;
                     report.downgrades = downgrades;
                     if report.attempts > 1 && sllt_obs::enabled() {
                         sllt_obs::count("cts.recovery.levels_recovered", 1);
                         sllt_obs::count("cts.recovery.retries", attempt as u64);
                     }
+                    let base = cx.clusters.len();
                     cx.clusters.extend(built);
-                    cx.nodes = next;
+                    cx.entering = Entering::Clusters(base..cx.clusters.len());
                     return Ok(report);
                 }
                 Err(e) if e.is_recoverable() && attempt + 1 < steps.len() => {
@@ -515,29 +521,47 @@ impl HierarchicalCts {
     }
 
     /// One attempt at one level under configuration `eff`. Reads `cx`
-    /// but never mutates it: the caller commits the returned nodes and
-    /// clusters only on success, so a failed attempt leaves the run
-    /// exactly where it was.
-    #[allow(clippy::type_complexity)]
+    /// but never mutates it: the caller commits the returned clusters
+    /// only on success, so a failed attempt leaves the run exactly where
+    /// it was.
     fn try_level(
         eff: &HierarchicalCts,
+        design: &Design,
         cx: &FlowState,
         ctx: &mut RunContext<'_>,
         attempt: usize,
         budget: &WorkBudget,
-    ) -> Result<(LevelReport, Vec<LevelNode>, Vec<BuiltCluster>), CtsError> {
-        let num_nodes = cx.nodes.len();
+    ) -> Result<(LevelReport, Vec<BuiltCluster>), CtsError> {
+        let num_nodes = cx.entering.len();
+        let nodes = Nodes {
+            design,
+            lib: &eff.lib,
+            clusters: &cx.clusters,
+        };
         let t0 = Instant::now();
         let part = {
             let _s = sllt_obs::span("cts.partition");
-            let positions: Vec<Point> = cx.nodes.iter().map(|n| n.pos).collect();
-            let caps: Vec<f64> = cx.nodes.iter().map(|n| n.cap_ff).collect();
+            let (positions, caps): (Vec<Point>, Vec<f64>) = (0..num_nodes)
+                .map(|i| {
+                    let node = nodes.get(cx.entering.source(i));
+                    (node.pos, node.cap_ff)
+                })
+                .unzip();
             partition_level(eff, ctx, &positions, &caps, cx.level, attempt)?
         };
         let t1 = Instant::now();
         let routed = {
             let _s = sllt_obs::span("cts.route");
-            route_clusters(eff, ctx, &cx.nodes, &part, cx.level, attempt, budget)?
+            route_clusters(
+                eff,
+                ctx,
+                nodes,
+                &cx.entering,
+                &part,
+                cx.level,
+                attempt,
+                budget,
+            )?
         };
         let t2 = Instant::now();
 
@@ -545,21 +569,21 @@ impl HierarchicalCts {
         let load_cap_ff: f64 = routed.iter().map(|r| r.load).sum();
         let workers = eff.effective_workers().min(routed.len()).max(1);
 
-        let (next, built, stats) = {
+        let (built, stats) = {
             let _s = sllt_obs::span("cts.sizing");
-            size_drivers(eff, ctx, routed, cx.clusters.len(), cx.level, attempt)?
+            size_drivers(eff, ctx, routed, cx.level, attempt)?
         };
         let t3 = Instant::now();
 
-        let (lo, hi) = next
+        let (lo, hi) = built
             .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |acc, n| {
-                (acc.0.min(n.interval_ps.0), acc.1.max(n.interval_ps.1))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |acc, c| {
+                (acc.0.min(c.interval_ps.0), acc.1.max(c.interval_ps.1))
             });
         let report = LevelReport {
             level: cx.level,
             num_nodes,
-            num_clusters: next.len(),
+            num_clusters: built.len(),
             workers,
             timings: StageTimings {
                 partition: t1 - t0,
@@ -571,11 +595,11 @@ impl HierarchicalCts {
             driver_input_cap_ff: stats.driver_input_cap_ff,
             driver_area_um2: stats.driver_area_um2,
             pads: stats.pads,
-            delay_spread_ps: if next.is_empty() { 0.0 } else { hi - lo },
+            delay_spread_ps: if built.is_empty() { 0.0 } else { hi - lo },
             attempts: 1,
             downgrades: Vec::new(),
         };
-        Ok((report, next, built))
+        Ok((report, built))
     }
 
     /// Threads each fan-out of a run may use (none uses more than it

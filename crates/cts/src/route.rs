@@ -2,16 +2,17 @@
 //!
 //! Every cluster routes independently (`route_cluster` needs only
 //! `&HierarchicalCts`, the run's cancel token and fault plan, the
-//! level's nodes and the cluster's member indices), so the stage hands
-//! the clusters to [`sllt_obs::fan_out`]. Its contract (`DESIGN.md` §4a,
-//! "Threading and determinism") returns results by cluster index, so the
-//! output is bit-identical no matter how many workers run or how they
-//! interleave.
+//! [`Nodes`] accessor and the cluster's member sources), so the stage
+//! hands the clusters to [`sllt_obs::fan_out`]. Its contract
+//! (`DESIGN.md` §4a, "Threading and determinism") returns results by
+//! cluster index, so the output is bit-identical no matter how many
+//! workers run or how they interleave.
 //!
 //! A routed tree leaves its worker as one `sllt_tree::codec` frame: the
 //! flow holds every cluster in that form until assembly streams the
 //! frames into the final tree (`DESIGN.md` §4d).
 
+use crate::assemble::BuiltCluster;
 use crate::cancel::CancelToken;
 use crate::error::CtsError;
 use crate::fault::{FaultPlan, FaultStage};
@@ -20,17 +21,20 @@ use crate::partition::LevelPartition;
 use crate::report::FlowEvent;
 use sllt_buffer::timing::propagate;
 use sllt_core::cbs::{try_cbs_intervals, CbsConfig};
+use sllt_design::Design;
 use sllt_geom::{centroid, Point};
 use sllt_obs::WorkBudget;
 use sllt_route::{rsmt, try_dme_intervals, DelayModel, DmeOptions, TopologyScheme};
+use sllt_timing::BufferLibrary;
 use sllt_tree::codec::encode_tree;
 use sllt_tree::{ClockNet, NodeKind, Sink};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// One clock node at the current level: a design FF or a built cluster's
-/// driver input.
+/// One clock node as a level reads it: a design FF or a built cluster's
+/// driver input, built by value on each read ([`Nodes::get`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LevelNode {
     pub pos: Point,
@@ -38,9 +42,9 @@ pub(crate) struct LevelNode {
     /// Delay interval (fastest, slowest) already accumulated below this
     /// node, ps.
     pub interval_ps: (f64, f64),
-    pub source: NodeSource,
 }
 
+/// Where a clock node comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NodeSource {
     /// Index into the design's sink list.
@@ -49,16 +53,99 @@ pub(crate) enum NodeSource {
     Cluster(usize),
 }
 
+/// The clock nodes entering one level: the design's sinks at level 0,
+/// after that the clusters the level below appended to the arena, which
+/// form a contiguous index range.
+#[derive(Debug)]
+pub(crate) enum Entering {
+    /// Design sinks `0..n`.
+    Sinks(usize),
+    /// Arena clusters in this range.
+    Clusters(Range<usize>),
+}
+
+impl Entering {
+    /// Number of entering nodes.
+    pub fn len(&self) -> usize {
+        match self {
+            Entering::Sinks(n) => *n,
+            Entering::Clusters(r) => r.len(),
+        }
+    }
+
+    /// The source of the level's `i`-th entering node.
+    pub fn source(&self, i: usize) -> NodeSource {
+        match self {
+            Entering::Sinks(_) => NodeSource::DesignSink(i),
+            Entering::Clusters(r) => NodeSource::Cluster(r.start + i),
+        }
+    }
+
+    /// Whether `source` names one of the entering nodes.
+    pub fn contains(&self, source: NodeSource) -> bool {
+        match (self, source) {
+            (Entering::Sinks(n), NodeSource::DesignSink(i)) => i < *n,
+            (Entering::Clusters(r), NodeSource::Cluster(i)) => r.contains(&i),
+            _ => false,
+        }
+    }
+}
+
+impl std::fmt::Display for Entering {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Entering::Sinks(n) => write!(f, "design sinks 0..{n}"),
+            Entering::Clusters(r) => write!(f, "clusters {r:?}"),
+        }
+    }
+}
+
+/// The one accessor partition and route read clock nodes through, keyed
+/// by [`NodeSource`]: design sinks from the design, clusters from the
+/// built-cluster arena. No node list is stored.
+#[derive(Clone, Copy)]
+pub(crate) struct Nodes<'a> {
+    pub design: &'a Design,
+    pub lib: &'a BufferLibrary,
+    pub clusters: &'a [BuiltCluster],
+}
+
+impl Nodes<'_> {
+    /// A design sink is its pin with zero accumulated delay; a built
+    /// cluster sits at its tree's source with the input cap of its top
+    /// cell and the delay interval sizing gave it.
+    pub fn get(&self, source: NodeSource) -> LevelNode {
+        match source {
+            NodeSource::DesignSink(i) => {
+                let sink = &self.design.sinks[i];
+                LevelNode {
+                    pos: sink.pos,
+                    cap_ff: sink.cap_ff,
+                    interval_ps: (0.0, 0.0),
+                }
+            }
+            NodeSource::Cluster(i) => {
+                let c = &self.clusters[i];
+                LevelNode {
+                    pos: c.pos(),
+                    cap_ff: c.input_cap_ff(self.lib),
+                    interval_ps: c.interval_ps,
+                }
+            }
+        }
+    }
+}
+
 /// A routed cluster awaiting joint driver sizing.
 #[derive(Debug)]
 pub(crate) struct RoutedCluster {
     /// The routed tree as a `sllt_tree::codec` frame (depth-first
-    /// preorder); its sink indices refer to `members`.
+    /// preorder), rooted at the net tap; its sink indices refer to
+    /// `members`.
     pub frame: Vec<u8>,
     /// Where each member came from, in the order the cluster net's sinks
     /// were listed.
     pub members: Vec<NodeSource>,
-    pub tap: Point,
     pub load: f64,
     pub subtree_lo: f64,
     pub subtree_hi: f64,
@@ -66,26 +153,29 @@ pub(crate) struct RoutedCluster {
     pub wirelength_um: f64,
 }
 
-/// Groups `nodes` by the partition and routes every non-empty cluster.
-/// Results are returned in cluster-index order; on error the failure of
-/// the lowest-indexed failing cluster is reported (also independent of
-/// worker interleaving). A panic inside any cluster's routing kernel is
-/// contained at cluster granularity (`catch_unwind` around the job) and
-/// surfaces as [`CtsError::ClusterPanicked`] — one bad cluster cannot
-/// take down the run or poison its siblings.
+/// Groups the `entering` nodes by the partition and routes every
+/// non-empty cluster. Results are returned in cluster-index order; on
+/// error the failure of the lowest-indexed failing cluster is reported
+/// (also independent of worker interleaving). A panic inside any
+/// cluster's routing kernel is contained at cluster granularity
+/// (`catch_unwind` around the job) and surfaces as
+/// [`CtsError::ClusterPanicked`] — one bad cluster cannot take down the
+/// run or poison its siblings.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn route_clusters(
     cts: &HierarchicalCts,
     ctx: &mut RunContext<'_>,
-    nodes: &[LevelNode],
+    nodes: Nodes<'_>,
+    entering: &Entering,
     part: &LevelPartition,
     level: usize,
     attempt: usize,
     budget: &WorkBudget,
 ) -> Result<Vec<RoutedCluster>, CtsError> {
-    // Single-pass bucketing of node indices: a per-cluster scan of
-    // `nodes` is O(k·n), which at a million sinks (k ≈ 5·10⁴) costs
-    // minutes of pure grouping. Buckets preserve node-index order within
-    // each cluster; a job's index in the non-empty list is its cluster
+    // Single-pass bucketing of entering-node indices: a per-cluster scan
+    // of the level is O(k·n), which at a million sinks (k ≈ 5·10⁴) costs
+    // minutes of pure grouping. Buckets preserve level order within each
+    // cluster; a job's index in the non-empty list is its cluster
     // identity.
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); part.k];
     for (i, &a) in part.assignment.iter().enumerate() {
@@ -126,9 +216,12 @@ pub(crate) fn route_clusters(
     let failed = AtomicBool::new(false);
     let stop = || failed.load(Ordering::Relaxed) || cancel.poll();
     let route = |cluster, indices: Vec<u32>| {
-        let members: Vec<&LevelNode> = indices.iter().map(|&i| &nodes[i as usize]).collect();
+        let members = indices
+            .iter()
+            .map(|&i| entering.source(i as usize))
+            .collect();
         let routed = catch_unwind(AssertUnwindSafe(|| {
-            route_cluster(cts, cancel, faults, cluster, &members, level, attempt)
+            route_cluster(cts, cancel, faults, cluster, nodes, members, level, attempt)
         }))
         .unwrap_or(Err(CtsError::ClusterPanicked { level, cluster }));
         match &routed {
@@ -148,12 +241,14 @@ pub(crate) fn route_clusters(
 }
 
 /// Routes one cluster and computes its timing aggregates.
+#[allow(clippy::too_many_arguments)]
 fn route_cluster(
     cts: &HierarchicalCts,
     cancel: &CancelToken,
     faults: &FaultPlan,
     cluster: usize,
-    members: &[&LevelNode],
+    nodes: Nodes<'_>,
+    members: Vec<NodeSource>,
     level: usize,
     attempt: usize,
 ) -> Result<RoutedCluster, CtsError> {
@@ -166,13 +261,16 @@ fn route_cluster(
     // Invariant: the partition stage never emits an empty cluster (the
     // min-cost flow assigns every centre at least one member), so the
     // centroid always exists.
+    let (sinks, intervals): (Vec<Sink>, Vec<(f64, f64)>) = members
+        .iter()
+        .map(|&m| {
+            let node = nodes.get(m);
+            (Sink::new(node.pos, node.cap_ff), node.interval_ps)
+        })
+        .unzip();
     let tap =
-        centroid(&members.iter().map(|m| m.pos).collect::<Vec<_>>()).expect("cluster is non-empty");
-    let net = ClockNet::new(
-        tap,
-        members.iter().map(|m| Sink::new(m.pos, m.cap_ff)).collect(),
-    );
-    let intervals: Vec<(f64, f64)> = members.iter().map(|m| m.interval_ps).collect();
+        centroid(&sinks.iter().map(|s| s.pos).collect::<Vec<_>>()).expect("cluster is non-empty");
+    let net = ClockNet::new(tap, sinks);
 
     // Merge-order generation inside `scheme.build` is nearest-pair
     // accelerated (sllt-route::nnpair), so cluster sizes are not limited
@@ -226,8 +324,7 @@ fn route_cluster(
     }
     Ok(RoutedCluster {
         frame: encode_tree(&tree),
-        members: members.iter().map(|m| m.source).collect(),
-        tap,
+        members,
         load,
         subtree_lo,
         subtree_hi,
@@ -289,7 +386,7 @@ mod tests {
         assert_send_sync::<Technology>();
         assert_send_sync::<BufferLibrary>();
         assert_send_sync::<ClockNet>();
-        assert_send_sync::<LevelNode>();
+        assert_send_sync::<Nodes<'_>>();
         assert_send_sync::<RoutedCluster>();
     }
 
@@ -300,10 +397,17 @@ mod tests {
             k: 4,
             assignment: Vec::new(),
         };
+        let design = sllt_design::design_by_name("grid36").unwrap();
+        let nodes = Nodes {
+            design: &design,
+            lib: &cts.lib,
+            clusters: &[],
+        };
         let routed = route_clusters(
             &cts,
             &mut RunContext::default(),
-            &[],
+            nodes,
+            &Entering::Sinks(0),
             &part,
             0,
             0,

@@ -9,7 +9,7 @@ use crate::assemble::BuiltCluster;
 use crate::error::CtsError;
 use crate::fault::FaultStage;
 use crate::flow::{HierarchicalCts, RunContext};
-use crate::route::{LevelNode, NodeSource, RoutedCluster};
+use crate::route::RoutedCluster;
 
 /// Aggregates the sizing stage reports upward for the level report.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,19 +23,17 @@ pub(crate) struct SizingStats {
 }
 
 /// Sizes every routed cluster's driver, pads fast clusters, and returns
-/// the next level's nodes (in cluster order), the finished
-/// [`BuiltCluster`]s, and the stage stats. The new clusters' arena
-/// indices start at `base` — the caller appends them to the arena *only
-/// on success*, so a failed level attempt (degradation-ladder retry)
-/// leaves the arena untouched.
+/// the finished [`BuiltCluster`]s in cluster order — the next level's
+/// nodes — and the stage stats. The caller appends them to the arena
+/// *only on success*, so a failed level attempt (degradation-ladder
+/// retry) leaves the arena untouched.
 pub(crate) fn size_drivers(
     cts: &HierarchicalCts,
     ctx: &RunContext<'_>,
     routed: Vec<RoutedCluster>,
-    base: usize,
     level: usize,
     attempt: usize,
-) -> Result<(Vec<LevelNode>, Vec<BuiltCluster>, SizingStats), CtsError> {
+) -> Result<(Vec<BuiltCluster>, SizingStats), CtsError> {
     ctx.faults
         .check(FaultStage::Sizing, level, None, attempt, &ctx.cancel)?;
     // Joint sizing: every cluster total (subtree + driver delay) should
@@ -59,8 +57,7 @@ pub(crate) fn size_drivers(
         })
         .fold(0.0f64, f64::max);
 
-    let mut next = Vec::new();
-    let mut built = Vec::new();
+    let mut built = Vec::with_capacity(routed.len());
     let mut stats = SizingStats::default();
     for r in routed {
         if ctx.cancel.poll() {
@@ -124,33 +121,21 @@ pub(crate) fn size_drivers(
             Some(&cts.lib.cells()[cell]),
             slew,
         ) + pads as f64 * pad_delay;
-        let input_cap = if pads > 0 {
-            pad_cell.input_cap_ff
-        } else {
-            cts.lib.cells()[cell].input_cap_ff
-        };
         stats.driver_input_cap_ff +=
             cts.lib.cells()[cell].input_cap_ff + pads as f64 * pad_cell.input_cap_ff;
         stats.driver_area_um2 += cts.lib.cells()[cell].area_um2 + pads as f64 * pad_cell.area_um2;
         stats.pads += pads;
-        let idx = base + built.len();
-        next.push(LevelNode {
-            pos: r.tap,
-            cap_ff: input_cap,
-            interval_ps: (r.subtree_lo + drv, r.subtree_hi + drv),
-            source: NodeSource::Cluster(idx),
-        });
         built.push(BuiltCluster {
             frame: r.frame,
             members: r.members,
             cell,
             pads,
-            driver_pos: r.tap,
+            interval_ps: (r.subtree_lo + drv, r.subtree_hi + drv),
         });
     }
     if sllt_obs::enabled() {
-        sllt_obs::count("cts.sizing.drivers", next.len() as u64);
+        sllt_obs::count("cts.sizing.drivers", built.len() as u64);
         sllt_obs::count("cts.sizing.pads", stats.pads as u64);
     }
-    Ok((next, built, stats))
+    Ok((built, stats))
 }

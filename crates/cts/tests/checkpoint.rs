@@ -274,12 +274,13 @@ fn fingerprint_guards_config_and_design_drift() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A journal written before cluster tree frames went depth-first
-/// (schema 2) is refused by name: its breadth-first frames would lay the
-/// assembled tree out in another arena order. A `slltd` job child meets
-/// the refusal by deleting the journal and running fresh, which builds
-/// the plain run's tree. The fixture is a `grid36` run at default
-/// settings, journaled by the last schema-2 build.
+/// Journals of retired schemas are refused by name: a schema-2 journal's
+/// breadth-first frames would lay the assembled tree out in another
+/// arena order, and a schema-3 journal stores each level's nodes beside
+/// its clusters. A `slltd` job child meets the refusal by deleting the
+/// journal and running fresh, which builds the plain run's tree. Each
+/// fixture is a `grid36` run at default settings, journaled by the last
+/// build that wrote its schema.
 #[test]
 fn schema_2_journals_are_refused_by_name() {
     let design = sllt_design::design_by_name("grid36").unwrap();
@@ -287,47 +288,51 @@ fn schema_2_journals_are_refused_by_name() {
         workers: 1,
         ..HierarchicalCts::default()
     };
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/schema2_grid36.ckpt");
-    let old = sllt_obs::journal::read_journal_bytes(&std::fs::read(&fixture).unwrap()).unwrap();
-    assert!(old.torn_tail.is_none() && !old.frames.is_empty());
-    assert_eq!(
-        old.records[0].get("schema").and_then(|v| v.as_u64()),
-        Some(2)
-    );
-
-    let path = journal_path("schema2");
-    std::fs::copy(&fixture, &path).unwrap();
-    match journaled(&cts, &design, Resume(&path)) {
-        Err(CtsError::Checkpoint { detail }) => {
-            assert!(
-                detail.contains("unsupported checkpoint schema 2 "),
-                "{detail}"
-            )
-        }
-        other => panic!("a schema-2 journal must be refused, got {other:?}"),
-    }
-
-    // Starting over is what the refusal asks for: the fresh run builds
-    // the plain tree, and its journal differs from the old one only in
-    // schema, not in the run it is bound to.
     let reference = cts.run(&design).unwrap();
-    assert_eq!(journaled(&cts, &design, Fresh(&path)).unwrap(), reference);
-    let new = sllt_obs::journal::read_journal_bytes(&std::fs::read(&path).unwrap()).unwrap();
-    let field = |j: &sllt_obs::journal::Journal, k: &str| {
-        j.records[0]
-            .get(k)
-            .and_then(|v| v.as_str())
-            .map(str::to_owned)
-    };
-    assert_eq!(field(&new, "fingerprint"), field(&old, "fingerprint"));
-    assert_eq!(new.frames.len(), old.frames.len());
-    assert_eq!(
-        Checkpoint::load(&RealFs, &path, &cts, &design)
-            .unwrap()
-            .levels(),
-        old.frames.len()
-    );
-    std::fs::remove_file(&path).ok();
+    for (schema, file) in [(2, "schema2_grid36.ckpt"), (3, "schema3_grid36.ckpt")] {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(file);
+        let old = sllt_obs::journal::read_journal_bytes(&std::fs::read(&fixture).unwrap()).unwrap();
+        assert!(old.torn_tail.is_none() && !old.frames.is_empty());
+        assert_eq!(
+            old.records[0].get("schema").and_then(|v| v.as_u64()),
+            Some(schema)
+        );
+
+        let path = journal_path(&format!("schema{schema}"));
+        std::fs::copy(&fixture, &path).unwrap();
+        match journaled(&cts, &design, Resume(&path)) {
+            Err(CtsError::Checkpoint { detail }) => {
+                assert!(
+                    detail.contains(&format!("unsupported checkpoint schema {schema} ")),
+                    "{detail}"
+                )
+            }
+            other => panic!("a schema-{schema} journal must be refused, got {other:?}"),
+        }
+
+        // Starting over is what the refusal asks for: the fresh run
+        // builds the plain tree, and its journal differs from the old one
+        // only in schema, not in the run it is bound to.
+        assert_eq!(journaled(&cts, &design, Fresh(&path)).unwrap(), reference);
+        let new = sllt_obs::journal::read_journal_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        let field = |j: &sllt_obs::journal::Journal, k: &str| {
+            j.records[0]
+                .get(k)
+                .and_then(|v| v.as_str())
+                .map(str::to_owned)
+        };
+        assert_eq!(field(&new, "fingerprint"), field(&old, "fingerprint"));
+        assert_eq!(new.frames.len(), old.frames.len());
+        assert_eq!(
+            Checkpoint::load(&RealFs, &path, &cts, &design)
+                .unwrap()
+                .levels(),
+            old.frames.len()
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]
@@ -436,4 +441,45 @@ fn iscas_resume_after_kill_is_bit_identical_at_1_2_4_workers() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// The scale point of the kill/resume guarantee: a checkpointed
+/// square-10⁵ run, cut at its middle level boundary and inside the
+/// record after it, resumes at 1 and 2 workers to the tree `golden.rs`
+/// pins (9 839 460 bytes written, FNV-1a-64 `025976b70ae35d8e`).
+/// Release-only (driven by `scripts/ci.sh`).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
+fn square_100k_resumes_to_the_golden_tree_at_1_and_2_workers() {
+    let design = sllt_design::GridSpec::square(100_000).instantiate();
+    let writer = HierarchicalCts {
+        workers: 2,
+        ..HierarchicalCts::default()
+    };
+    let path = journal_path("square100k");
+    journaled(&writer, &design, Fresh(&path)).unwrap();
+    let full = std::fs::read(&path).unwrap();
+    let cuts = boundaries(&full);
+    // Meta, then one record per level.
+    assert!(cuts.len() >= 4, "expected a multi-level journal");
+    let middle = cuts.len() / 2;
+    let inside = cuts[middle] + (cuts[middle + 1] - cuts[middle]) / 2;
+    for cut in [cuts[middle], inside] {
+        for workers in [1usize, 2] {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let cts = HierarchicalCts {
+                workers,
+                ..HierarchicalCts::default()
+            };
+            let tree = journaled(&cts, &design, Resume(&path)).unwrap();
+            let mut bytes = Vec::new();
+            sllt_tree::io::write_tree(&tree, &mut bytes).unwrap();
+            assert_eq!(
+                (bytes.len(), sllt_obs::journal::fnv1a64(&bytes)),
+                (9_839_460, 0x025976b70ae35d8e),
+                "resume from byte {cut} at {workers} workers"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }

@@ -4,11 +4,13 @@
 //! allocation adds its size, every free subtracts it. The flow runs
 //! square 10⁵ at one worker, so every allocation happens on the calling
 //! thread in program order and the counts are deterministic; the budgets
-//! are the measured values plus 2 %. Two points are pinned, relative to
-//! the heap before the run (the design itself excluded):
+//! are the measured values plus 2 %. Three points are pinned, relative
+//! to the heap before the run (the design itself excluded):
 //!
+//! * level 0's `LevelStart`: nothing yet, because level 0 reads its
+//!   nodes straight from the design's sinks;
 //! * level 0's `LevelDone`: the routed clusters the run holds until
-//!   assembly, plus the next level's nodes;
+//!   assembly, which are also the next level's nodes;
 //! * `Assembled`: the final tree next to everything streamed into it.
 //!
 //! This is the machine-independent twin of the benchmark's
@@ -59,16 +61,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Live heap bytes at level 0's `LevelDone`, square 10⁵, one worker:
-/// 3 506 631 measured. Each routed cluster is held as its codec frame
-/// and its members' sources until assembly; held as one `ClockTree`
-/// each, with copies of the members' level nodes, it read 31 838 050.
-const MAX_LIVE_AT_LEVEL0: usize = 3_580_000;
+/// Live heap bytes at level 0's `LevelStart`, square 10⁵, one worker:
+/// 56 measured. A copy of the design's sinks as level nodes (56 bytes
+/// each) read 5 600 056.
+const MAX_LIVE_AT_LEVEL0_START: usize = 57;
+
+/// Live heap bytes at level 0's `LevelDone`: 3 047 879 measured. Each
+/// routed cluster is held as its codec frame, its members' sources and
+/// its sizing until assembly, and the next level reads its nodes from
+/// them. With a separate list of the next level's nodes it read
+/// 3 506 631; held as one `ClockTree` each, with copies of the members'
+/// level nodes, 31 838 050.
+const MAX_LIVE_AT_LEVEL0: usize = 3_108_837;
 
 /// Live heap bytes at `Assembled`: the final tree beside the frames
-/// streamed into it, 19 177 974 measured (50 147 182 with a `ClockTree`
+/// streamed into it, 19 177 750 measured (50 147 182 with a `ClockTree`
 /// per cluster).
-const MAX_LIVE_AT_ASSEMBLED: usize = 19_570_000;
+const MAX_LIVE_AT_ASSEMBLED: usize = 19_561_305;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
@@ -79,9 +88,10 @@ fn square_100k_holds_routed_clusters_compactly() {
         ..HierarchicalCts::default()
     };
     let live = || LIVE.load(Ordering::Relaxed);
-    let (mut level0, mut assembled) = (None, None);
+    let (mut start, mut level0, mut assembled) = (None, None, None);
     let base = live();
     let mut observer = |ev: &FlowEvent| match ev {
+        FlowEvent::LevelStart { level: 0, .. } => start = Some(live() - base),
         FlowEvent::LevelDone { report, .. } if report.level == 0 => level0 = Some(live() - base),
         FlowEvent::Assembled { .. } => assembled = Some(live() - base),
         _ => {}
@@ -90,8 +100,14 @@ fn square_100k_holds_routed_clusters_compactly() {
         .run_with_observer(&design, &mut observer)
         .expect("square grids route");
     assert_eq!(tree.sinks().len(), 100_000);
-    let (level0, assembled) = (level0.unwrap(), assembled.unwrap());
-    println!("live heap bytes: level 0 done {level0}, assembled {assembled}");
+    let (start, level0, assembled) = (start.unwrap(), level0.unwrap(), assembled.unwrap());
+    println!(
+        "live heap bytes: level 0 starts {start}, level 0 done {level0}, assembled {assembled}"
+    );
+    assert!(
+        start <= MAX_LIVE_AT_LEVEL0_START,
+        "{start} live bytes as level 0 starts, budget {MAX_LIVE_AT_LEVEL0_START}"
+    );
     assert!(
         level0 <= MAX_LIVE_AT_LEVEL0,
         "{level0} live bytes after level 0, budget {MAX_LIVE_AT_LEVEL0}"

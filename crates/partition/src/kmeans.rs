@@ -1126,43 +1126,6 @@ pub fn balanced_kmeans_restarts_scored(
     crate::best_of(scored).map(|(_, part)| part)
 }
 
-/// Mean silhouette score of a clustering, in `[-1, 1]` (1 = compact,
-/// well-separated clusters). Used by the paper to evaluate clustering
-/// quality before the SA refinement. Points in singleton clusters score 0
-/// by convention; returns 0 for a single cluster.
-pub fn silhouette(points: &[Point], assignment: &[usize], k: usize) -> f64 {
-    assert_eq!(points.len(), assignment.len());
-    if k < 2 || points.len() < 2 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for (i, p) in points.iter().enumerate() {
-        // Mean distance to own cluster (a) and nearest other cluster (b).
-        let mut sums = vec![0.0f64; k];
-        let mut counts = vec![0usize; k];
-        for (j, q) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            sums[assignment[j]] += p.dist(*q);
-            counts[assignment[j]] += 1;
-        }
-        let own = assignment[i];
-        if counts[own] == 0 {
-            continue; // singleton: contributes 0
-        }
-        let a = sums[own] / counts[own] as f64;
-        let b = (0..k)
-            .filter(|&c| c != own && counts[c] > 0)
-            .map(|c| sums[c] / counts[c] as f64)
-            .fold(f64::INFINITY, f64::min);
-        if b.is_finite() {
-            total += (b - a) / a.max(b);
-        }
-    }
-    total / points.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1266,8 +1229,6 @@ mod tests {
                 assert_eq!(part.assignment[blob * 8 + i], first, "blob {blob} split");
             }
         }
-        let s = silhouette(&pts, &part.assignment, 3);
-        assert!(s > 0.8, "separated blobs should score high: {s}");
     }
 
     #[test]
@@ -1655,26 +1616,6 @@ mod tests {
             let out = balanced_kmeans_restarts_scored(&pts, 4, 16, 9, 4, workers, &score, &|| true);
             assert!(out.is_none(), "workers={workers}: stop must discard");
         }
-    }
-
-    #[test]
-    fn silhouette_detects_bad_clustering() {
-        let mut pts = Vec::new();
-        for (cx, cy) in [(0.0, 0.0), (100.0, 0.0)] {
-            for i in 0..6 {
-                pts.push(Point::new(cx + i as f64, cy));
-            }
-        }
-        let good: Vec<usize> = (0..12).map(|i| i / 6).collect();
-        let bad: Vec<usize> = (0..12).map(|i| i % 2).collect();
-        assert!(silhouette(&pts, &good, 2) > silhouette(&pts, &bad, 2));
-    }
-
-    #[test]
-    fn silhouette_degenerate_cases() {
-        let pts = vec![Point::ORIGIN, Point::new(1.0, 0.0)];
-        assert_eq!(silhouette(&pts, &[0, 0], 1), 0.0);
-        assert_eq!(silhouette(&[Point::ORIGIN], &[0], 2), 0.0);
     }
 
     #[test]

@@ -39,8 +39,7 @@ pub mod sa;
 pub use cost::{cluster_cost, variance, weighted_pick};
 pub use kmeans::{
     balanced_kmeans, balanced_kmeans_grid_sharded, balanced_kmeans_restarts,
-    balanced_kmeans_restarts_scored, nearest_scan_l1, nearest_scan_l2sq, silhouette, CenterGrid,
-    Partition,
+    balanced_kmeans_restarts_scored, nearest_scan_l1, nearest_scan_l2sq, CenterGrid, Partition,
 };
 pub use mcf::MinCostFlow;
 pub use sa::{refine, refine_chains, refine_with_stop, PartitionConstraints, SaConfig};

@@ -484,9 +484,9 @@ struct Attempt {
     success: bool,
     timed_out: bool,
     interrupted: bool,
-    /// The child aborted on allocation failure under a configured
-    /// memory ceiling.
-    oom: bool,
+    /// libstd's allocation-failure line, when the child aborted on
+    /// allocation failure under a configured memory ceiling.
+    oom: Option<String>,
     wall: Duration,
     result: Option<Value>,
     stderr_tail: String,
@@ -532,8 +532,16 @@ fn run_attempt(
         .and_then(|json| sllt_obs::json::parse(json).ok());
     // libstd's fixed abort message on allocation failure — the only
     // child-side signature of an RLIMIT_AS kill (the exit is a plain
-    // SIGABRT, indistinguishable from other aborts by status alone).
-    let oom = mem_limit.is_some() && sup.stderr.contains("memory allocation of");
+    // SIGABRT, indistinguishable from other aborts by status alone). A
+    // backtrace note may follow it, so the line is found, not assumed
+    // last.
+    let oom = mem_limit
+        .and(
+            sup.stderr
+                .lines()
+                .find(|l| l.contains("memory allocation of")),
+        )
+        .map(str::to_owned);
     let stderr_tail = sup
         .stderr
         .lines()
@@ -598,16 +606,13 @@ fn classify(
             None,
         );
     }
-    if a.oom {
+    if let Some(line) = a.oom {
         // Deterministic against a fixed ceiling: the same job would hit
         // the same wall on every retry, so the status is final.
         return (
             STATUS_OOM,
             true,
-            Some(format!(
-                "killed by memory ceiling after {wall:.2}s: {}",
-                a.stderr_tail
-            )),
+            Some(format!("killed by memory ceiling after {wall:.2}s: {line}")),
             None,
         );
     }

@@ -419,6 +419,10 @@ fn oom_children_are_classified_distinctly_and_never_retried() {
         detail.contains("memory ceiling"),
         "detail names the ceiling: {detail}"
     );
+    assert!(
+        detail.contains("memory allocation of"),
+        "detail carries the allocation-failure line: {detail}"
+    );
 
     // The ceiling is per-job, not a daemon wound: a healthy job on the
     // same worker completes under the same limit.

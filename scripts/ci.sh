@@ -72,8 +72,9 @@ echo "== golden trees: square 10^4 and 10^5 grids byte-identical at 1, 2 and 4 w
 # worker count; the 10^5 and 10^6 cases and the 1/4-worker runs are
 # ignored in debug builds and run here. The 10^6 tree is the benchmark's
 # grid_1m workload (about 5 s and 330 MB). The heap budget pins the live
-# heap bytes of a one-worker square-10^5 run at level 0's LevelDone and
-# at Assembled, so routed clusters stay held in their compact form.
+# heap bytes of a one-worker square-10^5 run at level 0's LevelStart,
+# its LevelDone and at Assembled, so no level holds a copy of its nodes
+# and routed clusters stay held in their compact form.
 cargo test -q --release -p sllt-cts --test golden --test memory_budget
 
 echo "== results record: deterministic bins print the committed results/<bin>.txt byte for byte"
@@ -111,10 +112,12 @@ cargo test -q --release -p sllt-cts --test faults
 
 echo "== durability: checkpoint/resume + cancellation suites (release, incl. ISCAS kill/resume)"
 # Covers: truncate-at-every-boundary resume, torn-tail tolerance,
-# fingerprint drift refusal, bounded cancellation latency, and
-# resume-after-kill bit-identity on s35932/s38584 at 1/2/4 workers.
-# (The ISCAS tests are ignore-gated in debug builds only; a release run
-# executes them.)
+# fingerprint drift refusal, refusal of schema-2 and schema-3 journals,
+# bounded cancellation latency, resume-after-kill bit-identity on
+# s35932/s38584 at 1/2/4 workers, and a square-10^5 journal cut at its
+# middle level boundary and inside the next record, resumed at 1 and 2
+# workers to the golden tree's bytes. (The ISCAS and square-10^5 tests
+# are ignore-gated in debug builds only; a release run executes them.)
 cargo test -q --release -p sllt-cts --test checkpoint --test cancel
 
 echo "== partition fast path: worker determinism + warm assignment vs flow oracles (release)"
