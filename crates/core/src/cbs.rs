@@ -74,27 +74,19 @@ impl CbsConfig {
 /// Panics when the net is sinkless, or when the config carries a negative
 /// skew bound or ε.
 pub fn cbs(net: &ClockNet, cfg: &CbsConfig) -> ClockTree {
-    cbs_intervals(net, cfg, &vec![(0.0, 0.0); net.len()])
+    try_cbs_intervals(net, cfg, &vec![(0.0, 0.0); net.len()]).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`cbs`] with per-sink delay *intervals* `(fastest, slowest)`: the
-/// spread already inside the subtree each sink stands for (a lower-level
-/// subtree in hierarchical CTS). The skew bound applies to interval +
-/// in-tree delay, and interval widths must not exceed it.
+/// Fallible [`cbs`] with per-sink delay *intervals* `(fastest, slowest)`:
+/// the spread already inside the subtree each sink stands for (a
+/// lower-level subtree in hierarchical CTS). The skew bound applies to
+/// interval + in-tree delay, and interval widths must not exceed it.
 ///
-/// # Panics
-///
-/// As [`cbs`]; additionally panics when `intervals.len() != net.len()`.
-pub fn cbs_intervals(net: &ClockNet, cfg: &CbsConfig, intervals: &[(f64, f64)]) -> ClockTree {
-    try_cbs_intervals(net, cfg, intervals).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`cbs_intervals`]: input degeneracies (sinkless nets,
-/// non-finite geometry, intervals wider than the skew bound, diverging
-/// detour searches) surface as a typed [`DmeError`](sllt_route::DmeError)
-/// instead of a panic. The hierarchical flow's degradation ladder relies
-/// on this to retry a failed cluster with a relaxed bound or a lighter
-/// topology.
+/// Input degeneracies (sinkless nets, non-finite geometry, intervals
+/// wider than the skew bound, diverging detour searches) surface as a
+/// typed [`DmeError`](sllt_route::DmeError) instead of a panic. The
+/// hierarchical flow's degradation ladder relies on this to retry a
+/// failed cluster with a relaxed bound or a lighter topology.
 ///
 /// # Errors
 ///

@@ -3,9 +3,13 @@
 //! The complete system: per-level partitioning (balanced K-means +
 //! min-cost flow, simulated-annealing refinement), routing topology
 //! generation (CBS by default), and buffering (driver selection by load,
-//! insertion-delay lower bound, critical-wirelength repeaters), plus the
-//! two baseline flows the paper compares against and the full metric
-//! evaluation behind Tables 6 and 7.
+//! critical-wirelength repeaters), plus the two baseline flows the paper
+//! compares against and the full metric evaluation behind Tables 6 and
+//! 7. The default flow prices each cluster driver's delay by the cell
+//! sizing chose ([`DelayEstimator::ChosenCell`](sllt_buffer::DelayEstimator::ChosenCell)),
+//! not by the paper's Eq. (7) insertion-delay lower bound; the doc of
+//! [`HierarchicalCts::default()`](flow::HierarchicalCts::default) says
+//! why.
 //!
 //! * [`constraints`] — the design constraints of paper Table 5,
 //! * [`flow`] — the paper's flow ("Ours"): [`flow::HierarchicalCts`],

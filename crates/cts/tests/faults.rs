@@ -6,9 +6,10 @@
 //! worker count.
 //!
 //! The scenario table (`every_scenario_*`) is the one harness for that
-//! contract: it runs on a 96-FF grid in every profile and on s35932 in
-//! release (`cargo test --release -p sllt-cts --test faults`, as
-//! `scripts/ci.sh` does).
+//! contract: it runs on a 96-FF grid in every profile, and in release
+//! (`cargo test --release -p sllt-cts --test faults`, as `scripts/ci.sh`
+//! does) on s35932 and, with the transient route panic alone, on the
+//! square 10⁵-sink grid.
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
@@ -299,12 +300,12 @@ fn scenarios() -> [(&'static str, FaultPlan); 5] {
     ]
 }
 
-/// Runs every scenario at 1, 2 and 4 workers with the ladder on:
+/// Runs each scenario at 1, 2 and 4 workers with the ladder on:
 /// each run recovers into a valid tree over every sink, records at
 /// least one downgrade, and builds the same tree at every worker count.
-fn assert_recovery_contract(design: &Design) {
+fn assert_recovery_contract(design: &Design, scenarios: &[(&str, FaultPlan)]) {
     let sinks = design.num_ffs();
-    for (name, faults) in scenarios() {
+    for (name, faults) in scenarios {
         let mut reference: Option<ClockTree> = None;
         for workers in [1usize, 2, 4] {
             let cts = HierarchicalCts {
@@ -339,13 +340,32 @@ fn assert_recovery_contract(design: &Design) {
 
 #[test]
 fn every_scenario_recovers_identically_on_the_grid() {
-    assert_recovery_contract(&grid_design());
+    assert_recovery_contract(&grid_design(), &scenarios());
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
 fn every_scenario_recovers_identically_on_s35932() {
-    assert_recovery_contract(&sllt_design::design_by_name("s35932").unwrap());
+    assert_recovery_contract(
+        &sllt_design::design_by_name("s35932").unwrap(),
+        &scenarios(),
+    );
+}
+
+/// Fault containment at a scale point: one scenario keeps the gate
+/// cheap (about 0.6 s a run in release), and the same tree at every
+/// worker count is the contract, so no bytes are pinned here.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
+fn route_panic_recovers_identically_on_square_100k() {
+    let panic = scenarios()
+        .into_iter()
+        .find(|(name, _)| *name == "transient route panic")
+        .expect("the scenario table has a transient route panic");
+    assert_recovery_contract(
+        &sllt_design::GridSpec::square(100_000).instantiate(),
+        &[panic],
+    );
 }
 
 // ---- determinism of recovered runs ----------------------------------------

@@ -221,40 +221,27 @@ pub fn bst_dme(net: &ClockNet, topo: &Topology, skew_bound_um: f64) -> ClockTree
 ///
 /// # Panics
 ///
-/// Panics when the net is sinkless, the bound is negative, or the
-/// topology references sink indices out of range.
+/// Panics when [`try_dme_intervals`] would return an error: the net is
+/// sinkless, the bound is negative, or the topology references sink
+/// indices out of range.
 pub fn dme(net: &ClockNet, topo: &Topology, opts: &DmeOptions) -> ClockTree {
-    dme_intervals(net, topo, opts, &vec![(0.0, 0.0); net.len()])
+    try_dme_intervals(net, topo, opts, &vec![(0.0, 0.0); net.len()])
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Like [`dme`], but each sink `i` starts with the delay *interval*
-/// `intervals[i]` `(fastest, slowest)` instead of zero. Hierarchical CTS
-/// uses this to balance lower-level subtrees: a cluster driver appears
-/// as a sink carrying the spread already present inside the subtree it
-/// stands for, and the merge balancing equalizes *total* delays within
-/// the bound. Intervals are what make hierarchical skew bounds compose:
-/// the merged interval at the net root covers every leaf of every
-/// subtree, so bounding its width bounds true global skew instead of
-/// just the spread of subtree maxima.
+/// Fallible [`dme`] in which each sink `i` starts with the delay
+/// *interval* `intervals[i]` `(fastest, slowest)` instead of zero. Every
+/// input degeneracy the panicking entry points assert on becomes a typed
+/// [`DmeError`]; resilient callers (the hierarchical flow's degradation
+/// ladder, fuzzers) use it.
 ///
-/// # Panics
-///
-/// Panics when [`try_dme_intervals`] would return an error — see its
-/// error list. Callers that cannot guarantee well-formed inputs should
-/// use the fallible variant instead.
-pub fn dme_intervals(
-    net: &ClockNet,
-    topo: &Topology,
-    opts: &DmeOptions,
-    intervals: &[(f64, f64)],
-) -> ClockTree {
-    try_dme_intervals(net, topo, opts, intervals).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`dme_intervals`]: every input degeneracy the panicking
-/// entry points assert on becomes a typed [`DmeError`]. This is the
-/// entry point resilient callers (the hierarchical flow's degradation
-/// ladder, fuzzers) should use.
+/// Hierarchical CTS uses the intervals to balance lower-level subtrees: a
+/// cluster driver appears as a sink carrying the spread already present
+/// inside the subtree it stands for, and the merge balancing equalizes
+/// *total* delays within the bound. Intervals are what make hierarchical
+/// skew bounds compose: the merged interval at the net root covers every
+/// leaf of every subtree, so bounding its width bounds true global skew
+/// instead of just the spread of subtree maxima.
 ///
 /// # Errors
 ///
@@ -304,7 +291,7 @@ pub fn try_dme_intervals(
     }
 
     let nodes = build_up(net, topo, opts, intervals)?;
-    let (tree, _) = embed_down(net, &nodes);
+    let tree = embed_down(net, &nodes);
     if sllt_obs::enabled() {
         sllt_obs::count("route.dme.calls", 1);
         sllt_obs::count(
@@ -318,32 +305,18 @@ pub fn try_dme_intervals(
 }
 
 /// One bottom-up merge node: a merging region, the delay interval over
-/// its sinks (UST: the launch window), and the wire to its children.
+/// its sinks, and the wire to its children.
 #[derive(Debug, Clone)]
-pub(crate) struct MergeNode {
-    pub(crate) region: RRect,
-    pub(crate) lo: f64,
-    pub(crate) hi: f64,
+struct MergeNode {
+    region: RRect,
+    lo: f64,
+    hi: f64,
     /// Downstream capacitance (fF) under the Elmore model, 0 otherwise.
-    pub(crate) cap: f64,
+    cap: f64,
     /// `Some((left, right, e_left, e_right))` for merges, `None` for sinks.
-    pub(crate) kids: Option<(usize, usize, f64, f64)>,
+    kids: Option<(usize, usize, f64, f64)>,
     /// Sink index for leaves.
-    pub(crate) sink: Option<usize>,
-}
-
-impl MergeNode {
-    /// The leaf for sink `i` with delay interval (or window) `(lo, hi)`.
-    pub(crate) fn leaf(net: &ClockNet, i: usize, (lo, hi): (f64, f64), model: &DelayModel) -> Self {
-        MergeNode {
-            region: RRect::from_point(net.sinks[i].pos),
-            lo,
-            hi,
-            cap: model.pin_cap(net.sinks[i].cap_ff),
-            kids: None,
-            sink: Some(i),
-        }
-    }
+    sink: Option<usize>,
 }
 
 /// Bottom-up merging-region construction (DME phase 1): one forward loop
@@ -366,7 +339,15 @@ fn build_up(
                         len: net.sinks.len(),
                     });
                 }
-                MergeNode::leaf(net, i, intervals[i], &opts.model)
+                let (lo, hi) = intervals[i];
+                MergeNode {
+                    region: RRect::from_point(net.sinks[i].pos),
+                    lo,
+                    hi,
+                    cap: opts.model.pin_cap(net.sinks[i].cap_ff),
+                    kids: None,
+                    sink: Some(i),
+                }
             }
             TopoNode::Merge { left, right, hint } => {
                 let m = merge(&out[left], &out[right], opts, hint)?;
@@ -377,7 +358,14 @@ fn build_up(
                 {
                     sllt_obs::count("route.dme.detour_merges", 1);
                 }
-                m.node(left, right)
+                MergeNode {
+                    region: m.region,
+                    lo: m.lo,
+                    hi: m.hi,
+                    cap: m.cap,
+                    kids: Some((left, right, m.ea, m.eb)),
+                    sink: None,
+                }
             }
         };
         out.push(built);
@@ -387,27 +375,13 @@ fn build_up(
 
 /// One balanced merge: the merged region and interval, and the wire
 /// split `(ea, eb)` toward the two children.
-pub(crate) struct Merged {
-    pub(crate) region: RRect,
-    pub(crate) lo: f64,
-    pub(crate) hi: f64,
-    pub(crate) cap: f64,
-    pub(crate) ea: f64,
-    pub(crate) eb: f64,
-}
-
-impl Merged {
-    /// The arena entry of this merge over children `left` and `right`.
-    pub(crate) fn node(self, left: usize, right: usize) -> MergeNode {
-        MergeNode {
-            region: self.region,
-            lo: self.lo,
-            hi: self.hi,
-            cap: self.cap,
-            kids: Some((left, right, self.ea, self.eb)),
-            sink: None,
-        }
-    }
+struct Merged {
+    region: RRect,
+    lo: f64,
+    hi: f64,
+    cap: f64,
+    ea: f64,
+    eb: f64,
 }
 
 /// Balances one merge within the skew bound. Works for both delay models
@@ -539,7 +513,7 @@ pub(crate) fn solve_increasing_from(f: impl Fn(f64) -> f64, hi0: f64) -> Option<
 /// bracket bit-for-bit unchanged: each step is a pure function of
 /// `(lo, hi)`, so every later step would leave it unchanged too, and the
 /// result equals the full 70-step run's exactly.
-pub(crate) fn bisect(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, increasing: bool) -> f64 {
+fn bisect(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, increasing: bool) -> f64 {
     #[cfg(test)]
     if tests::FIXED_BISECT.get() {
         return bisect_fixed(f, lo, hi, increasing);
@@ -628,7 +602,7 @@ pub fn skew_of(tree: &ClockTree, model: &DelayModel) -> f64 {
 /// slot: the buffered timing walk over a bare routing tree. Routing trees
 /// carry no buffers, so the walk gets an empty library, and a buffered
 /// tree stops at its unknown-cell panic.
-pub(crate) fn elmore_delays(tree: &ClockTree, tech: &Technology) -> Vec<f64> {
+fn elmore_delays(tree: &ClockTree, tech: &Technology) -> Vec<f64> {
     propagate(tree, tech, &BufferLibrary::from_cells(Vec::new()), |_| 1.0).delay
 }
 
@@ -636,13 +610,13 @@ pub(crate) fn elmore_delays(tree: &ClockTree, tech: &Technology) -> Vec<f64> {
 /// source. The root (the last entry) lands at its region's point nearest
 /// the source, joined by a plain shortest trunk, and every other entry at
 /// its region's point nearest its parent's, its edge keeping the assigned
-/// wire length. Returns the tree and the root's position.
+/// wire length.
 ///
 /// Explicit preorder stack (left child pushed last, so embedded first):
 /// tree node ids are allocated in the order a recursive descent would
 /// allocate them, and chain-deep topologies embed without touching the
 /// thread stack.
-pub(crate) fn embed_down(net: &ClockNet, nodes: &[MergeNode]) -> (ClockTree, Point) {
+fn embed_down(net: &ClockNet, nodes: &[MergeNode]) -> ClockTree {
     let mut tree = ClockTree::new(net.source);
     let root_idx = nodes.len() - 1;
     let root_pos = nodes[root_idx].region.nearest_to(net.source);
@@ -664,7 +638,7 @@ pub(crate) fn embed_down(net: &ClockNet, nodes: &[MergeNode]) -> (ClockTree, Poi
             stack.push((ia, id, pa, Some(ea)));
         }
     }
-    (tree, root_pos)
+    tree
 }
 
 #[cfg(test)]
@@ -1032,9 +1006,8 @@ mod tests {
             skew_bound: 2.0,
             model: DelayModel::PathLength,
         };
-        let intervals = [(0.0, 0.5), (0.0, 0.0)];
-        let a = try_dme_intervals(&net, &topo, &opts, &intervals).unwrap();
-        let b = dme_intervals(&net, &topo, &opts, &intervals);
+        let a = try_dme_intervals(&net, &topo, &opts, &[(0.0, 0.0); 2]).unwrap();
+        let b = dme(&net, &topo, &opts);
         assert_eq!(a, b);
     }
 

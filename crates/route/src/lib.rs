@@ -15,9 +15,7 @@
 //!   bounded-skew (BST-DME) trees over an abstract merge
 //!   [`Topology`](sllt_tree::Topology),
 //! * [`topogen`] — the paper's four candidate merge orders: *Greedy-Dist*,
-//!   *Greedy-Merge*, *Bi-Partition* and *Bi-Cluster* (§2.3 footnote),
-//! * [`ust`](mod@ust) — useful-skew trees (UST-DME, Tsao–Koh): per-sink
-//!   arrival windows instead of a single global bound.
+//!   *Greedy-Merge*, *Bi-Partition* and *Bi-Cluster* (§2.3 footnote).
 //!
 //! All generators consume a [`ClockNet`] and produce a
 //! [`sllt_tree::ClockTree`] whose sinks carry the net's sink indices.
@@ -52,13 +50,11 @@ pub mod rmst_fast;
 pub mod rsmt;
 pub mod salt;
 pub mod topogen;
-pub mod ust;
 
 pub use sllt_tree::{ClockNet, Sink};
 
 pub use dme::{
-    bst_dme, dme, dme_intervals, skew_of, try_dme_intervals, zst_dme, DelayModel, DmeError,
-    DmeOptions,
+    bst_dme, dme, skew_of, try_dme_intervals, zst_dme, DelayModel, DmeError, DmeOptions,
 };
 pub use ghtree::ghtree;
 pub use htree::htree;
@@ -70,4 +66,3 @@ pub use topogen::{
     bi_cluster, bi_partition, greedy_dist, greedy_dist_naive, greedy_merge, greedy_merge_naive,
     TopologyScheme,
 };
-pub use ust::{ust_dme, window_violation, UstTree};

@@ -104,10 +104,12 @@ rm -f results/tree_untraced.sllt results/tree_traced_*.sllt
 echo "== trace property tests: Chrome export survives hostile names"
 cargo test -q -p sllt-obs --features proptest --test trace_prop
 
-echo "== fault smoke: ladder recovers on s35932, log non-empty, runs bit-identical"
+echo "== fault smoke: ladder recovers on s35932 and square 10^5, log non-empty, runs bit-identical"
 # The fault suite's scenario table runs on s35932 in release only: every
 # scenario must recover into a valid tree with a non-empty downgrade log
-# and build the same tree at 1/2/4 workers.
+# and build the same tree at 1/2/4 workers. The transient route panic
+# also runs on the square 10^5-sink grid (release only, about 1.6 s for
+# the three runs) under the same contract.
 cargo test -q --release -p sllt-cts --test faults
 
 echo "== durability: checkpoint/resume + cancellation suites (release, incl. ISCAS kill/resume)"

@@ -325,6 +325,14 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     let seed: u64 = flag_parse(args, "--seed", 1)?;
     let skew: f64 = flag_parse(args, "--skew", 10.0)?;
     let algo = flag(args, "--algo").unwrap_or_else(|| "cbs".into());
+    // The net generator asserts on an empty net, and DME on a negative or
+    // NaN bound; turn bad flags into clean errors instead of panics.
+    if pins == 0 {
+        return Err("--pins must be at least 1".into());
+    }
+    if skew.is_nan() || skew < 0.0 {
+        return Err(format!("--skew must be a non-negative number, got {skew}"));
+    }
     let gen = NetGenerator {
         min_pins: pins,
         max_pins: pins,

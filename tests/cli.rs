@@ -60,9 +60,10 @@ fn run_traces_and_checkpoints_in_one_run() {
 }
 
 #[test]
-fn eval_and_ocv_refuse_bad_input_with_an_error() {
-    // Inputs the evaluator would panic on must come back as a one-line
-    // `error: …` and exit status 1, never a panic (status 101).
+fn eval_ocv_and_net_refuse_bad_input_with_an_error() {
+    // Inputs the evaluator or a net builder would panic on must come back
+    // as a one-line `error: …` and exit status 1, never a panic (status
+    // 101).
     let dir = std::env::temp_dir().join(format!("sllt_cli_bad_input_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -94,12 +95,16 @@ fn eval_and_ocv_refuse_bad_input_with_an_error() {
         ),
         (&["ocv", "--tree", "ok.sllt", "--derate", "nan"], "--derate"),
         (&["ocv", "--tree", "ok.sllt", "--derate", "inf"], "--derate"),
+        (&["net", "--pins", "0"], "--pins"),
+        (&["net", "--algo", "bst", "--skew", "-1"], "--skew"),
+        (&["net", "--skew", "-1"], "--skew"),
+        (&["net", "--skew", "nan"], "--skew"),
     ] {
         let out = sllt(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
-            stderr.starts_with("error: ") && stderr.contains(needle),
+            stderr.starts_with("error: ") && stderr.contains(needle) && stderr.lines().count() == 1,
             "{args:?}: {stderr}"
         );
     }

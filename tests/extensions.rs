@@ -1,12 +1,14 @@
-//! Cross-crate integration for the extension features: useful-skew trees,
-//! skew legalization, OCV analysis and serialization.
+//! Cross-crate integration for the extension features: skew legalization,
+//! OCV analysis and serialization, plus the paper-net pins on merge orders
+//! and their embeddings.
 
-use sllt::core::cbs::{cbs, CbsConfig};
+use sllt::core::cbs::{
+    cbs, step1_initial_bst, step3_salt_relax, step4_normalize_and_extract, CbsConfig,
+};
 use sllt::cts::{eval::evaluate, flow::HierarchicalCts, ocv};
 use sllt::design::{DesignSpec, NetGenerator};
 use sllt::route::{
-    bst_dme, dme, skew_legalize, skew_of, ust_dme, window_violation, zst_dme, DelayModel,
-    DmeOptions, TopologyScheme,
+    bst_dme, dme, skew_legalize, skew_of, zst_dme, DelayModel, DmeOptions, TopologyScheme,
 };
 use sllt::timing::Technology;
 use sllt::tree::io::{read_tree, write_tree};
@@ -33,48 +35,13 @@ fn flow_tree_round_trips_through_the_text_format() {
     assert!((before.clock_wl_um - after.clock_wl_um).abs() < 1e-6);
 }
 
-/// Useful-skew scheduling on a paper-sized net: staggered windows are met
-/// under the Elmore model, and relaxing the windows saves wire.
+/// Skew legalization (CBS step 5's in-place path) on paper nets, digested
+/// as bits: for each merge-order scheme under both delay models, the tree
+/// step 5 receives (steps 1, 3 and 4 of CBS), the detour legalization
+/// adds, the skew it leaves, and both written trees. Changes to the shared
+/// wire arithmetic and root-finder must leave all of it unchanged.
 #[test]
-fn ust_honours_windows_on_paper_nets() {
-    let tech = Technology::n28();
-    let model = DelayModel::Elmore(tech);
-    let gen = NetGenerator::paper();
-    for i in 0..5u64 {
-        let net = gen.net(i);
-        let topo = TopologyScheme::GreedyDist.build(&net);
-        let windows: Vec<(f64, f64)> = (0..net.len())
-            .map(|s| {
-                if s % 3 == 0 {
-                    (8.0, 12.0)
-                } else {
-                    (12.0, 18.0)
-                }
-            })
-            .collect();
-        let ust = ust_dme(
-            &net,
-            &topo,
-            &windows,
-            &DmeOptions {
-                skew_bound: 0.0,
-                model,
-            },
-        );
-        ust.tree.validate().unwrap();
-        let launch = (ust.launch_window.0 + ust.launch_window.1) / 2.0;
-        let v = window_violation(&ust, &windows, &model, launch);
-        assert!(v <= 1e-6, "net {i}: violation {v} ps");
-    }
-}
-
-/// Every number useful-skew DME and skew legalization produce on paper
-/// nets, digested as bits: launch windows, trunk delays, window
-/// violations, detours, skews and the written trees, for each merge-order
-/// scheme under both delay models. Changes to the shared wire arithmetic
-/// and root-finder must leave all of it unchanged.
-#[test]
-fn ust_and_legalization_are_pinned_on_paper_nets() {
+fn legalization_is_pinned_on_paper_nets() {
     let gen = NetGenerator::paper();
     let mut bytes = Vec::new();
     let mut push = |v: f64| bytes.extend(v.to_bits().to_le_bytes());
@@ -82,33 +49,23 @@ fn ust_and_legalization_are_pinned_on_paper_nets() {
     for i in 0..400u64 {
         let net = gen.net(i);
         for scheme in TopologyScheme::ALL {
-            let topo = scheme.build(&net);
-            for (model, early, late, bound) in [
-                (DelayModel::PathLength, (50.0, 80.0), (80.0, 120.0), 5.0),
-                (
-                    DelayModel::Elmore(Technology::n28()),
-                    (8.0, 12.0),
-                    (12.0, 18.0),
-                    1.0,
-                ),
+            for (model, bound) in [
+                (DelayModel::PathLength, 5.0),
+                (DelayModel::Elmore(Technology::n28()), 1.0),
             ] {
-                let windows: Vec<(f64, f64)> = (0..net.len() as u64)
-                    .map(|s| if (s + i) % 3 == 0 { early } else { late })
-                    .collect();
-                let opts = DmeOptions {
-                    skew_bound: 0.0,
+                let cfg = CbsConfig {
+                    scheme,
+                    skew_bound: bound,
                     model,
+                    ..CbsConfig::default()
                 };
-                let ust = ust_dme(&net, &topo, &windows, &opts);
-                let launch = (ust.launch_window.0 + ust.launch_window.1) / 2.0;
-                push(ust.launch_window.0);
-                push(ust.launch_window.1);
-                push(ust.trunk_delay);
-                push(window_violation(&ust, &windows, &model, launch));
-                let mut legal = ust.tree.clone();
+                let isllt = step1_initial_bst(&net, &cfg);
+                let relaxed = step3_salt_relax(&net, isllt, cfg.eps);
+                let (normalized, _) = step4_normalize_and_extract(relaxed);
+                let mut legal = normalized.clone();
                 push(skew_legalize(&mut legal, &model, bound));
                 push(skew_of(&legal, &model));
-                write_tree(&ust.tree, &mut trees).expect("in-memory write");
+                write_tree(&normalized, &mut trees).expect("in-memory write");
                 write_tree(&legal, &mut trees).expect("in-memory write");
             }
         }
@@ -116,7 +73,7 @@ fn ust_and_legalization_are_pinned_on_paper_nets() {
     bytes.extend(trees);
     assert_eq!(
         format!("{:016x}", sllt::obs::journal::fnv1a64(&bytes)),
-        "77ab3fdf9d607afe"
+        "0d75733c7a3ab766"
     );
 }
 
