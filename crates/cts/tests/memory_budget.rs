@@ -13,6 +13,8 @@
 //!   assembly, which are also the next level's nodes;
 //! * `Assembled`: the final tree next to everything streamed into it.
 //!
+//! The same test pins the tree arena at 56 heap bytes per slot.
+//!
 //! This is the machine-independent twin of the benchmark's
 //! `peak_rss_mb`. It counts bytes, not allocator or page overhead, so
 //! it reads below RSS. Release-only (`scripts/ci.sh`): a debug 10⁵ run
@@ -20,6 +22,8 @@
 
 use sllt_cts::{FlowEvent, HierarchicalCts};
 use sllt_design::GridSpec;
+use sllt_geom::Point;
+use sllt_tree::ClockTree;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -75,9 +79,13 @@ const MAX_LIVE_AT_LEVEL0_START: usize = 57;
 const MAX_LIVE_AT_LEVEL0: usize = 3_108_837;
 
 /// Live heap bytes at `Assembled`: the final tree beside the frames
-/// streamed into it, 19 177 750 measured (50 147 182 with a `ClockTree`
-/// per cluster).
-const MAX_LIVE_AT_ASSEMBLED: usize = 19_561_305;
+/// streamed into it, 15 581 706 measured. With a ten-column arena (73
+/// bytes a slot) and 8-byte node ids it read 19 177 750 (budget
+/// 19 561 305); with a `ClockTree` per cluster, 50 147 182.
+const MAX_LIVE_AT_ASSEMBLED: usize = 15_893_340;
+
+/// Heap bytes one `ClockTree` arena slot holds: seven columns.
+const TREE_BYTES_PER_SLOT: usize = 56;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run via scripts/ci.sh")]
@@ -88,6 +96,18 @@ fn square_100k_holds_routed_clusters_compactly() {
         ..HierarchicalCts::default()
     };
     let live = || LIVE.load(Ordering::Relaxed);
+    // The arena's footprint, measured here rather than in a test of its
+    // own: the counter is process-wide, so a second test running in
+    // parallel would corrupt both counts.
+    let before = live();
+    let arena = ClockTree::with_capacity(Point::ORIGIN, 100_000);
+    assert_eq!(
+        live() - before,
+        TREE_BYTES_PER_SLOT * 100_000,
+        "heap bytes of a 100 000-slot arena"
+    );
+    drop(arena);
+
     let (mut start, mut level0, mut assembled) = (None, None, None);
     let base = live();
     let mut observer = |ev: &FlowEvent| match ev {

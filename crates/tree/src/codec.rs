@@ -320,6 +320,17 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// A varint sink index or buffer cell, which the arena holds in 32
+    /// bits.
+    #[inline]
+    fn index(&mut self, what: &str) -> Result<usize, ReadError> {
+        let v = self.varint(what)?;
+        match u32::try_from(v) {
+            Ok(i) => Ok(i as usize),
+            Err(_) => Err(self.error(format!("{what} {v} exceeds u32::MAX"))),
+        }
+    }
+
     #[inline]
     fn coord(&mut self, tag: u8, parent: f64) -> Result<f64, ReadError> {
         match tag {
@@ -569,8 +580,9 @@ pub struct FrameNode {
 ///
 /// # Errors
 ///
-/// See [`BinaryTreeError`]. `add` may already have run for the nodes
-/// before a defect.
+/// See [`BinaryTreeError`]; a sink index or buffer cell above `u32::MAX`
+/// is [`BinaryTreeError::Corrupt`]. `add` may already have run for the
+/// nodes before a defect.
 pub fn visit_frame<H: Copy>(
     bytes: &[u8],
     root: H,
@@ -643,11 +655,11 @@ pub fn visit_frame<H: Copy>(
                 };
                 NodeKind::Sink {
                     cap_ff: f64::from_bits(bits),
-                    sink_index: cur.varint("sink index")? as usize,
+                    sink_index: cur.index("sink index")?,
                 }
             }
             KIND_BUFFER => NodeKind::Buffer {
-                cell: cur.varint("buffer cell")? as usize,
+                cell: cur.index("buffer cell")?,
             },
             other => return Err(cur.error(format!("bad node kind {other}")).into()),
         };
@@ -991,6 +1003,61 @@ mod tests {
         assert_eq!(as_exact_int(-7.0), Some(-7));
         for v in [0.5, -0.0, f64::NAN, f64::INFINITY, 1e300] {
             assert_eq!(as_exact_int(v), None, "{v}");
+        }
+    }
+
+    /// A checksummed frame of the source and one child whose head byte
+    /// is `kind` and whose payload ends with `tail`.
+    fn one_child_frame(kind: u8, tail: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_varint(&mut payload, 2);
+        put_f64(&mut payload, 0.0);
+        put_f64(&mut payload, 0.0);
+        payload.push(kind | (COORD_PARENT << 2) | (COORD_PARENT << 4));
+        put_varint(&mut payload, 1);
+        payload.extend_from_slice(tail);
+        let mut frame = MAGIC.to_vec();
+        frame.push(VERSION);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn indices_past_u32_are_refused_not_panicked_on() {
+        for (kind, what) in [(KIND_SINK, "sink index"), (KIND_BUFFER, "buffer cell")] {
+            for (v, ok) in [
+                (u64::from(u32::MAX), true),
+                (u64::from(u32::MAX) + 1, false),
+            ] {
+                let mut tail = Vec::new();
+                if kind == KIND_SINK {
+                    tail.push(CAP_RAW);
+                    put_f64(&mut tail, 1.0);
+                }
+                put_varint(&mut tail, v);
+                let frame = one_child_frame(kind, &tail);
+                let mut visited = 0;
+                let got = visit_frame(&frame, (), |(), _| visited += 1);
+                if ok {
+                    got.unwrap();
+                    let t = decode_tree(&frame).unwrap();
+                    assert_eq!(t.len(), 2);
+                } else {
+                    match got {
+                        Err(BinaryTreeError::Corrupt { message, .. }) => {
+                            assert!(
+                                message.contains(what) && message.contains("u32"),
+                                "{message}"
+                            );
+                        }
+                        other => panic!("{what} {v}: expected a read error, got {other:?}"),
+                    }
+                    assert_eq!(visited, 0, "{what}: no node may be handed out");
+                    assert!(decode_tree(&frame).is_err());
+                }
+            }
         }
     }
 

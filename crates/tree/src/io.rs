@@ -136,7 +136,8 @@ pub fn write_tree<W: Write>(tree: &ClockTree, w: &mut W) -> std::io::Result<()> 
 ///
 /// Returns [`ParseTreeError::Syntax`] for malformed input (bad header,
 /// unknown node kind, forward parent references, undersized edge
-/// lengths) and [`ParseTreeError::Io`] for reader failures.
+/// lengths, a sink index or buffer cell above `u32::MAX`) and
+/// [`ParseTreeError::Io`] for reader failures.
 pub fn read_tree<R: BufRead>(r: &mut R) -> Result<ClockTree, ParseTreeError> {
     let syntax = |line: usize, message: String| ParseTreeError::Syntax { line, message };
     let mut lines = r.lines().enumerate();
@@ -166,6 +167,12 @@ pub fn read_tree<R: BufRead>(r: &mut R) -> Result<ClockTree, ParseTreeError> {
     let parse_f = |s: &str, ln: usize| {
         s.parse::<f64>()
             .map_err(|_| syntax(ln, format!("not a number: {s:?}")))
+    };
+    // The arena holds sink indices and buffer cells in 32 bits.
+    let parse_index = |s: &str, what: &str, ln: usize| {
+        s.parse::<u32>()
+            .map(|i| i as usize)
+            .map_err(|_| syntax(ln, format!("bad {what} {s:?} (want 0 to {})", u32::MAX)))
     };
     let src = Point::new(parse_f(parts[1], ln)?, parse_f(parts[2], ln)?);
     let mut tree = ClockTree::new(src);
@@ -211,18 +218,14 @@ pub fn read_tree<R: BufRead>(r: &mut R) -> Result<ClockTree, ParseTreeError> {
                     return Err(syntax(ln, "sink needs 'cap <f> idx <n>'".into()));
                 }
                 let cap = parse_f(p[8], ln)?;
-                let idx: usize = p[10]
-                    .parse()
-                    .map_err(|_| syntax(ln, format!("bad sink index {:?}", p[10])))?;
+                let idx = parse_index(p[10], "sink index", ln)?;
                 tree.add_sink_indexed(parent_id, pos, cap, idx)
             }
             "buffer" => {
                 if p.len() < 9 || p[7] != "cell" {
                     return Err(syntax(ln, "buffer needs 'cell <n>'".into()));
                 }
-                let cell: usize = p[8]
-                    .parse()
-                    .map_err(|_| syntax(ln, format!("bad cell index {:?}", p[8])))?;
+                let cell = parse_index(p[8], "cell index", ln)?;
                 tree.add_buffer(parent_id, pos, cell)
             }
             other => return Err(syntax(ln, format!("unknown node kind {other:?}"))),
@@ -330,6 +333,16 @@ mod tests {
                 "cannot cover",
             ),
             ("sllt-tree v1\nsource 0 0\nnode 1 sink 1 1 0 2", 3, "cap"),
+            (
+                "sllt-tree v1\nsource 0 0\nnode 1 sink 1 1 0 2 cap 1 idx 4294967296",
+                3,
+                "bad sink index",
+            ),
+            (
+                "sllt-tree v1\nsource 0 0\nnode 1 steiner 1 0 0 1\nnode 2 buffer 1 1 1 1 cell 4294967296",
+                4,
+                "bad cell index",
+            ),
         ];
         for (input, want_line, want_msg) in cases {
             match read_tree(&mut input.as_bytes()) {

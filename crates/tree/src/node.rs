@@ -8,15 +8,16 @@ use std::fmt;
 ///
 /// Ids are only meaningful relative to the tree that issued them; they are
 /// stable for the lifetime of the tree (structural edits mark nodes dead
-/// rather than reindexing).
+/// rather than reindexing). An id is four bytes: an arena holds fewer
+/// than `u32::MAX` slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub(crate) usize);
+pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
     /// The raw arena index.
     #[inline]
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 

@@ -197,6 +197,9 @@ $JOBS drain --connect "$SOCK"
 wait "$SLLTD_PID"
 rm -rf results/slltd_ci
 
+echo "== A/B driver self-test: the pairing, claim and bound rules on canned tables"
+python3 scripts/ab.py --self-test
+
 echo "== slltd benchmark smoke: every daemon tree byte-identical to the in-process tree"
 # The benchmark's slltd_mix workload (run as is, short) byte-compares
 # each tree the daemon writes with the in-process tree of the same
